@@ -8,9 +8,12 @@ q-power coefficients and land in the center of the Iwahori-Hecke algebra.
 
 Θ-elements are defined by the two-sided quotient i_{m+m∘} * (i_{m∘})^{-1}
 with both exponents antidominant; the canonical m∘ is the componentwise
-minimal combination of the antidominant fundamental generators.  The IM ↔
-Bernstein change of basis is a triangular elimination whose diagonal is a
-unit monomial.
+minimal combination of the antidominant fundamental generators.  Θ_m is
+computed as IwahoriHecke.mul_inverse(i_{m+m∘}, t_{m∘}): the single basis
+element is shifted by the length-zero part of t_{m∘} and the ℓ(t_{m∘})
+two-term factors of the inverse are applied to it one at a time, so the
+inverse itself is never built.  The IM ↔ Bernstein change of basis is a
+triangular elimination whose diagonal is a unit monomial.
 """
 
 from __future__ import annotations
@@ -225,9 +228,7 @@ class Bernstein:
             raise NotAntidominant(f"invalid antidominant shift {mc} for {m}")
         if all(c == 0 for c in mc.free) and not any(mc.tors):
             return H.basis_translation(m)
-        top = H.basis_translation(d.add(m, mc))
-        inv, _ = H.im_invert_basis(W.translation(mc))
-        return H.mul(top, inv)
+        return H.mul_inverse(H.basis_translation(d.add(m, mc)), W.translation(mc))
 
     def theta_choice_independent(self, m: LatticeElt) -> bool:
         """Recompute Θ_m with an extra antidominant shift of m∘."""
@@ -286,13 +287,6 @@ class Bernstein:
                 else:
                     residual[w] = cur
         return BernsteinElt(self, out)
-
-    def change_basis(self, x, direction: str):
-        if direction == "im_to_bern":
-            return self.im_to_bern(x)
-        if direction == "bern_to_im":
-            return self.bern_to_im(x)
-        raise ValueError(f"unknown direction {direction!r}")
 
     # -- the Bernstein relation (equal-parameter case) -----------------------
 

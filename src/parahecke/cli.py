@@ -1,8 +1,7 @@
 """Command line: configuration ingestion, computation commands, verify suites.
 
 All output is deterministic byte-for-byte for a fixed invocation: orderings
-are explicit everywhere, randomized suites are seeded, and parallelism only
-distributes independent rows whose results are reassembled in input order.
+are explicit everywhere and randomized suites are seeded.
 
 Exit codes: 0 success, 1 property/computation failure (with a serialized
 counterexample), 2 usage or configuration errors.
@@ -33,7 +32,7 @@ def _add_shared_flags(p, suppress: bool):
     p.add_argument("--out", default=d(None), help="write output to this file instead of stdout")
     p.add_argument("--format", default=d("json"), choices=("json", "csv", "pretty"), help="output format")
     p.add_argument("--q", type=int, default=d(None), help="specialize q at this prime power")
-    p.add_argument("--jobs", type=int, default=d(1), help="parallelism degree for row computations")
+    p.add_argument("--jobs", type=int, default=d(1), help="accepted for compatibility; has no effect (computation is single-threaded)")
     p.add_argument("--height", type=int, default=d(2), help="antidominant enumeration bound")
     p.add_argument("--facet", default=d(""), help="comma-separated affine generator indices, e.g. '1,2'")
 
@@ -206,7 +205,7 @@ def _dispatch(args, eng: Engine) -> int:
 
     if args.command == "satake":
         xs = [x for x, _ in eng.datum.antidominant_set(args.height)]
-        table = eng.para.satake_table(xs, jobs=max(1, args.jobs))
+        table = eng.para.satake_table(xs)
         if args.format == "csv":
             _emit(args, table.to_csv(fmt_m, q_eval=args.q))
         elif args.format == "pretty":
@@ -221,7 +220,7 @@ def _dispatch(args, eng: Engine) -> int:
         return 0
 
     if args.command == "verify":
-        results = run_suite(eng, args.suite, jobs=max(1, args.jobs))
+        results = run_suite(eng, args.suite)
         text, worst = render_results(results)
         _emit(args, text)
         return worst

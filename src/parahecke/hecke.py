@@ -9,13 +9,20 @@ primitive rewriting step is right multiplication by a generator:
 and i_w · i_ω = i_{wω} for length-zero ω.  Products decompose the right
 factor along its reduced word; the per-(element, generator) results are
 memoized, and right factors with shared word prefixes are cascaded together.
+
+The same memoized step serves inversion.  For w = s_1···s_ℓ·ω reduced,
+
+    i_w^{-1} = q_w^{-1} · i_{ω^{-1}} · (i_{s_ℓ} - q_{s_ℓ} + 1) ··· (i_{s_1} - q_{s_1} + 1),
+
+so a · i_w^{-1} is computed by shifting a by ω^{-1} and right-applying the ℓ
+two-term factors one at a time, without ever forming the inverse.
 """
 
 from __future__ import annotations
 
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
-from .ringcore import LaurentPoly, _add_into, _mul
+from .ringcore import LaurentPoly, _add_into, _mul, _neg
 from .rootdatum import Datum, LatticeElt, RootDatum, build_datum, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
@@ -113,6 +120,7 @@ class IwahoriHecke:
         self._gen_cache: dict = {}
         self._qs = {i: {2 * self.datum.L[i]: 1} for i in self.datum.saff_indices}
         self._qs1 = {i: _canon({2 * self.datum.L[i]: 1, 0: -1}) for i in self.datum.saff_indices}
+        self._1mqs = {i: _neg(q1) for i, q1 in self._qs1.items()}
 
     @classmethod
     def for_datum(cls, datum: Datum) -> "IwahoriHecke":
@@ -232,8 +240,30 @@ class IwahoriHecke:
             return ((ws, None),)
         return ((ws, self._qs[i]), (w, self._qs1[i]))
 
-    def im_mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        return self.mul(a, b)
+    def _right_star(self, cur: dict, word) -> dict:
+        """cur · (i_{s_ℓ} - q_{s_ℓ} + 1) ··· (i_{s_1} - q_{s_1} + 1) for word = (s_1, …, s_ℓ)."""
+        for i in reversed(word):
+            one_minus_q = self._1mqs[i]
+            nxt = self._apply_gen_right(cur, i)
+            for w, pd in cur.items():
+                tgt = nxt.get(w)
+                if tgt is None:
+                    nxt[w] = _mul(pd, one_minus_q)
+                else:
+                    _add_into(tgt, pd, one_minus_q)
+                    if not tgt:
+                        del nxt[w]
+            cur = nxt
+        return cur
+
+    def mul_inverse(self, a: HeckeElt, w: ExtWeylElt) -> HeckeElt:
+        """a · i_w^{-1} = q_w^{-1} · a · i_{ω^{-1}} · star, with star as in im_invert_basis."""
+        W = self.weyl
+        word, om = W.reduced_word(w)
+        om_inv = W.inverse(om)
+        cur = {W.compose(x, om_inv): p.d for x, p in a.d.items()}
+        qinv = {-2 * W.weighted_length(w): 1}
+        return self._wrap({x: _mul(pd, qinv) for x, pd in self._right_star(cur, word).items()})
 
     def im_invert_basis(self, w: ExtWeylElt) -> tuple[HeckeElt, HeckeElt]:
         """(inverse, star) with i_w · inverse = i_e and star the integral part.
@@ -243,14 +273,10 @@ class IwahoriHecke:
         """
         W = self.weyl
         word, om = W.reduced_word(w)
-        star = self.one()
-        for i in reversed(word):
-            factor = self.from_terms(
-                [(W.gen(i), LaurentPoly.one()), (W.identity, 1 - LaurentPoly.v_power(2 * self.datum.L[i]))]
-            )
-            star = self.mul(star, factor)
+        star = self._wrap(self._right_star({W.identity: {0: 1}}, word))
+        om_inv = W.inverse(om)
         qinv = LaurentPoly.v_power(-2 * W.weighted_length(w))
-        inverse = self.mul(self.basis(W.inverse(om)), star).scale(qinv)
+        inverse = HeckeElt(self, {W.compose(om_inv, x): p * qinv for x, p in star.d.items()})
         return inverse, star
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:

@@ -16,7 +16,6 @@ t = q - 1 (the universal form of point-count positivity).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .affweyl import ExtWeylElt
@@ -317,7 +316,7 @@ class Parahoric:
             sort_keys=True,
         )
 
-    def satake_table(self, xs, J=None, jobs: int = 1, check_products: bool = True) -> SatakeTable:
+    def satake_table(self, xs, J=None, check_products: bool = True) -> SatakeTable:
         """Rows of the twisted Satake matrix; J, if given, must be the
         special maximal facet (the set of finite simple generators)."""
         d = self.datum
@@ -328,11 +327,7 @@ class Parahoric:
         for x in xs:
             if not d.is_antidominant(x):
                 raise NotAntidominant(f"{x} is not antidominant")
-        if jobs > 1 and len(xs) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(lambda x: self._solve_row(F, x), xs))
-        else:
-            rows = [self._solve_row(F, x) for x in xs]
+        rows = [self._solve_row(F, x) for x in xs]
         table = SatakeTable(datum=d.name, facet=F.J, rows=rows)
         if check_products:
             self._check_multiplicative(F, table)

@@ -2,7 +2,7 @@
 
 Each suite is a deterministic list of named checks; a check returns None on
 success or a counterexample string.  Randomized checks use fixed seeds so
-that repeated runs (and different parallelism degrees) emit identical bytes.
+that repeated runs emit identical bytes.
 A positivity violation in the Satake suite is theorem falsification: the
 suite halts immediately and surfaces the serialized counterexample.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bernstein import GroupAlgElt
 from .engine import Engine
-from .errors import InfiniteFacetGroup, NegativeCoefficient, UnsupportedParameters
+from .errors import InfiniteFacetGroup, NegativeCoefficient, ParaheckeError, UnsupportedParameters
 from .hecke import TorsionQuotient
 from .ringcore import LaurentPoly
 from . import engine as _engine_mod
@@ -219,7 +219,7 @@ def _check_triangularity(eng: Engine):
     return None
 
 
-def suite_presentation(eng: Engine, jobs: int = 1):
+def suite_presentation(eng: Engine):
     return [
         _result("quadratic_relations", _check_quadratic(eng)),
         _result("braid_invariance_500_random_words", _check_braid_invariance(eng)),
@@ -349,7 +349,7 @@ def _skip_on_unsupported(name, fn, *args):
         return _result(name, skip=f"UnsupportedParameters: {exc}")
 
 
-def suite_bern(eng: Engine, jobs: int = 1):
+def suite_bern(eng: Engine):
     return [
         _result("theta_multiplicativity_within_height_3", _check_theta_mult(eng)),
         _result("theta_choice_independence_height_2", _check_theta_choice(eng)),
@@ -404,7 +404,7 @@ def _check_center_products(eng: Engine):
     return None
 
 
-def suite_center(eng: Engine, jobs: int = 1):
+def suite_center(eng: Engine):
     return [
         _result("center_elements_commute_with_double_cosets_height_2", _check_center_commutation(eng)),
         _result("center_products_reexpand_over_center_basis", _check_center_products(eng)),
@@ -414,16 +414,25 @@ def suite_center(eng: Engine, jobs: int = 1):
 # ----------------------------------------------------------------------
 # satake suite
 
-def suite_satake(eng: Engine, jobs: int = 1):
+def _check_satake_products(eng: Engine, table):
+    P = eng.para
+    try:
+        P._check_multiplicative(P.special_facet(), table)
+    except ParaheckeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def suite_satake(eng: Engine):
     P, d, B = eng.para, eng.datum, eng.bern
     xs = [x for x, _ in d.antidominant_set(3)]
     try:
-        table = P.satake_table(xs, jobs=jobs, check_products=True)
+        table = P.satake_table(xs, check_products=False)
     except NegativeCoefficient as exc:
         return [CheckResult("satake_positivity", "FALSIFIED", str(exc))]
     results = [
         _result(f"satake_rows_solved_unit_diagonal_positive[{len(table.rows)} rows]", None),
-        _result("satake_transform_multiplicative_within_height_3", None),
+        _result("satake_transform_multiplicative_within_height_3", _check_satake_products(eng, table)),
     ]
     bad = None
     for r in table.rows:
@@ -495,7 +504,7 @@ def _check_pushforward(eng: Engine):
     return None
 
 
-def suite_compat(eng: Engine, jobs: int = 1):
+def suite_compat(eng: Engine):
     return [
         _result("bernstein_satake_square_nested_facets_height_2", _check_nested_facets(eng)),
         _skip_on_unsupported("pushforward_intertwines_center_and_satake", _check_pushforward, eng),
@@ -513,18 +522,18 @@ _SUITES = {
 }
 
 
-def run_suite(eng: Engine, name: str, jobs: int = 1):
+def run_suite(eng: Engine, name: str):
     if name == "all":
         out = []
         for key in ("presentation", "bern", "center", "satake", "compat"):
-            results = _SUITES[key](eng, jobs)
+            results = _SUITES[key](eng)
             out.extend(CheckResult(f"{key}.{r.name}", r.status, r.detail) for r in results)
             if any(r.status == "FALSIFIED" for r in results):
                 break
         return out
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](eng, jobs)
+    return _SUITES[name](eng)
 
 
 def render_results(results) -> tuple[str, int]:

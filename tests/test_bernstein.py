@@ -1,5 +1,6 @@
 """Exponent homomorphism, dot-action, Θ-elements, change of basis, relation."""
 
+import itertools
 import random
 
 import pytest
@@ -145,6 +146,46 @@ def test_theta_two_sided(B2):
         inv, _ = H.im_invert_basis(W.translation(mc))
         top = H.basis_translation(d.add(m, mc))
         assert H.mul(top, inv) == H.mul(inv, top) == B2.theta(m)
+
+
+def _reference_inverse(H, w):
+    """q_w^{-1} · i_{ω^{-1}} · Π (i_s - q_s + 1), each factor applied by generic H.mul."""
+    W, L = H.weyl, H.datum.L
+    word, om = W.reduced_word(w)
+    out = H.basis(W.inverse(om))
+    for i in reversed(word):
+        out = H.mul(out, H.basis(W.gen(i)) + (1 - LaurentPoly.v_power(2 * L[i])))
+    return out.scale(LaurentPoly.v_power(-2 * W.weighted_length(w)))
+
+
+@pytest.mark.parametrize("name", ["c2", "a2", "a1_unequal", "a1_torsion2", "gl2"])
+def test_theta_matches_generic_mul_reference(name):
+    """Θ_m = i_{t_{m+m∘}} · i_{t_{m∘}}^{-1} with the inverse and the product
+    formed by generic multiplication, for every m with all |m_k| ≤ 2."""
+    B = Bernstein(IwahoriHecke.for_datum(load_bundled(name)))
+    d, H, W = B.datum, B.H, B.W
+    inverses = {}
+    for tors in itertools.product(*(range(n) for n in d.torsion)):
+        for free in itertools.product(range(-2, 3), repeat=d.r):
+            m = d.lattice(free, tors)
+            mc = B.m_circ(m)
+            if mc not in inverses:
+                inverses[mc] = _reference_inverse(H, W.translation(mc))
+            top = H.basis_translation(d.add(m, mc))
+            assert B.theta(m) == H.mul(top, inverses[mc]), (name, m)
+
+
+def test_mul_inverse_matches_generic_mul_reference(Bc2):
+    H, W = Bc2.H, Bc2.W
+    rng = random.Random(29)
+    ball = W.ball(4)
+    for w in ball:
+        inv = _reference_inverse(H, w)
+        assert H.im_invert_basis(w)[0] == inv
+        a = H.zero()
+        for _ in range(rng.randint(2, 4)):
+            a = a + H.basis(rng.choice(ball)).scale(LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1}))
+        assert H.mul_inverse(a, w) == H.mul(a, inv)
 
 
 def test_im_to_bern_basics(Bc2):

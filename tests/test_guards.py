@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from parahecke.engine import load_engine
-from parahecke.errors import NegativeCoefficient, NonUnitDiagonal
+from parahecke.cli import main
+from parahecke.engine import CACHE_ENV, load_engine
+from parahecke.errors import NegativeCoefficient, NonUnitDiagonal, SolveInconsistent
+from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.verify import CheckResult, render_results
 
@@ -59,3 +61,25 @@ def test_render_results_failure_exit():
     ])
     assert worst == 1
     assert "[FAIL] bad: broken" in text and "[FALSIFIED] halted" in text
+
+
+def test_satake_product_failure_is_a_fail_row(monkeypatch, capsys):
+    def broken(self, F, table):
+        raise SolveInconsistent("sabotaged product check")
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(Parahoric, "_check_multiplicative", broken)
+    assert main(["--datum", "a1", "verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "[FAIL] satake.satake_transform_multiplicative_within_height_3: "
+        "SolveInconsistent: sabotaged product check"
+    ) in lines
+    satake = [ln for ln in lines if ln.startswith("[") and "] satake." in ln]
+    assert [ln.split("] ", 1)[1] for ln in satake[2:]] == [
+        "satake.satake_rows_supported_exactly_on_predecessors_minuscule_unit",
+        "satake.satake_transforms_dot_invariant",
+        "satake.special_hecke_algebra_commutative_spot_check",
+    ]
+    assert all(ln.startswith("[PASS]") for ln in satake[2:])
+    assert any("] compat." in ln for ln in lines)
