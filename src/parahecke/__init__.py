@@ -11,7 +11,7 @@ from .bernstein import Bernstein, BernsteinElt, GroupAlgElt
 from .engine import Engine, engine_for, load_engine
 from .hecke import HeckeElt, IwahoriHecke, TorsionQuotient
 from .parahoric import FacetType, Parahoric, SatakeTable
-from .ringcore import LaurentPoly, is_prime_power, lp_arith
+from .ringcore import LaurentPoly, is_prime_power
 from .rootdatum import (
     BUNDLED_NAMES,
     Datum,
@@ -28,7 +28,7 @@ __all__ = [
     "Engine", "engine_for", "load_engine",
     "HeckeElt", "IwahoriHecke", "TorsionQuotient",
     "FacetType", "Parahoric", "SatakeTable",
-    "LaurentPoly", "is_prime_power", "lp_arith",
+    "LaurentPoly", "is_prime_power",
     "BUNDLED_NAMES", "Datum", "LatticeElt", "RootDatum",
     "load_bundled", "load_datum_file", "validate_datum",
 ]

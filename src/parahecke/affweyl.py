@@ -64,9 +64,6 @@ class AffineWeylGroup:
             raise KeyError(f"no affine generator s{i}; have {sorted(self._gens)}")
         return self._gens[i]
 
-    def lattice_part(self, x: ExtWeylElt) -> LatticeElt:
-        return LatticeElt(x.free, x.tors)
-
     # -- group structure ---------------------------------------------------
 
     def compose(self, x: ExtWeylElt, y: ExtWeylElt) -> ExtWeylElt:
@@ -75,12 +72,6 @@ class AffineWeylGroup:
         free = tuple(a + dot(row, y.free) for a, row in zip(x.free, m))
         tors = tuple((a + b) % n for a, b, n in zip(x.tors, y.tors, d.torsion))
         return ExtWeylElt(free, tors, d.w_mult[x.w][y.w])
-
-    def compose_all(self, elts) -> ExtWeylElt:
-        out = self.identity
-        for e in elts:
-            out = self.compose(out, e)
-        return out
 
     def inverse(self, x: ExtWeylElt) -> ExtWeylElt:
         d = self.datum
@@ -91,7 +82,10 @@ class AffineWeylGroup:
         return ExtWeylElt(free, tors, wi)
 
     def word_to_elt(self, word) -> ExtWeylElt:
-        return self.compose_all(self.gen(i) for i in word)
+        out = self.identity
+        for i in word:
+            out = self.compose(out, self.gen(i))
+        return out
 
     # -- length and reduced words -------------------------------------------
 
@@ -140,9 +134,6 @@ class AffineWeylGroup:
     def lengths(self, x: ExtWeylElt) -> tuple[int, int]:
         """(ℓ, L): wall count and parameter-weighted length."""
         return self.length(x), self.weighted_length(x)
-
-    def is_length_zero(self, x: ExtWeylElt) -> bool:
-        return self.length(x) == 0
 
     # -- Bruhat order ---------------------------------------------------------
 

@@ -18,10 +18,9 @@ triangular elimination whose diagonal is a unit monomial.
 
 from __future__ import annotations
 
-from .affweyl import ExtWeylElt
 from .errors import NonUnitDiagonal, NotAntidominant, SolveInconsistent, UnsupportedParameters
 from .hecke import HeckeElt, IwahoriHecke
-from .ringcore import LaurentPoly, _add_into, _mul
+from .ringcore import LaurentPoly, _add_into, _eliminate, _lincomb
 from .rootdatum import Datum, LatticeElt, dot
 
 __all__ = ["GroupAlgElt", "BernsteinElt", "Bernstein"]
@@ -44,15 +43,12 @@ class GroupAlgElt:
     def zero(cls, datum: Datum) -> "GroupAlgElt":
         return cls(datum, {})
 
+    @classmethod
+    def _wrap(cls, datum: Datum, raw: dict) -> "GroupAlgElt":
+        return cls(datum, {m: LaurentPoly.__new_raw__(pd) for m, pd in raw.items()})
+
     def __add__(self, other):
-        out = {m: dict(p.d) for m, p in self.d.items()}
-        for m, p in other.d.items():
-            tgt = out.get(m)
-            if tgt is None:
-                out[m] = dict(p.d)
-            else:
-                _add_into(tgt, p.d)
-        return GroupAlgElt(self.datum, {m: LaurentPoly(pd) for m, pd in out.items()})
+        return GroupAlgElt._wrap(self.datum, _lincomb([(self.d, None), (other.d, None)]))
 
     def __sub__(self, other):
         return self + other.scale(LaurentPoly.from_int(-1))
@@ -68,7 +64,7 @@ class GroupAlgElt:
                         out[key] = dict((p1 * p2).d)
                     else:
                         _add_into(tgt, p1.d, p2.d)
-            return GroupAlgElt(self.datum, {m: LaurentPoly(pd) for m, pd in out.items()})
+            return GroupAlgElt._wrap(self.datum, out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -198,6 +194,10 @@ class Bernstein:
         }
         return GroupAlgElt(d, out)
 
+    def from_orbit_sums(self, pairs) -> GroupAlgElt:
+        """Σ s·r_m over (m, s) pairs."""
+        return GroupAlgElt._wrap(self.datum, _lincomb((self.orbit_sum_r(m).d, s.d) for m, s in pairs))
+
     # -- Θ-elements -----------------------------------------------------------
 
     def m_circ(self, m: LatticeElt) -> LatticeElt:
@@ -238,31 +238,21 @@ class Bernstein:
         return self._theta_with_shift(m, shifted) == self.theta(m)
 
     def theta_of(self, r: GroupAlgElt) -> HeckeElt:
-        acc: dict = {}
-        for m, p in r.d.items():
-            pd = p.d
-            for w, c in self.theta(m).d.items():
-                tgt = acc.get(w)
-                if tgt is None:
-                    acc[w] = _mul(c.d, pd)
-                else:
-                    _add_into(tgt, c.d, pd)
-                    if not tgt:
-                        del acc[w]
-        return self.H._wrap(acc)
+        """Θ̇(r) = Σ p·Θ_m over the terms p·x_m of r."""
+        return self.H._wrap(_lincomb((self.theta(m).d, p.d) for m, p in r.d.items()))
 
     # -- IM <-> Bernstein change of basis -----------------------------------
 
     def bern_to_im(self, b: BernsteinElt) -> HeckeElt:
-        out = self.H.zero()
-        for (m, wi), p in b.d.items():
-            out = out + self.H.mul(self.theta(m), self.H.basis(self.W.finite(wi))).scale(p)
-        return out
+        H, W = self.H, self.W
+        return H._wrap(_lincomb(
+            (H.mul(self.theta(m), H.basis(W.finite(wi))).d, p.d) for (m, wi), p in b.d.items()
+        ))
 
     def im_to_bern(self, h: HeckeElt) -> BernsteinElt:
         """Triangular elimination against the Bruhat-maximal support element."""
         W, H = self.W, self.H
-        residual = dict(h.d)
+        residual = {w: dict(p.d) for w, p in h.d.items()}
         out: dict = {}
         prev_key = None
         while residual:
@@ -276,16 +266,7 @@ class Bernstein:
             diag = prod.d.get(x)
             if diag is None or not diag.is_unit_monomial():
                 raise NonUnitDiagonal(f"diagonal at {W.format_elt(x)} is {diag}")
-            c = residual[x].exact_div(diag)
-            slot = (mx, x.w)
-            prev = out.get(slot)
-            out[slot] = c if prev is None else prev + c
-            for w, p in prod.d.items():
-                cur = residual.get(w, LaurentPoly.zero()) - p * c
-                if cur.is_zero():
-                    residual.pop(w, None)
-                else:
-                    residual[w] = cur
+            out[(mx, x.w)] = _eliminate(residual, prod.d, x)
         return BernsteinElt(self, out)
 
     # -- the Bernstein relation (equal-parameter case) -----------------------
@@ -327,7 +308,7 @@ class Bernstein:
         """Unique coordinates of a Ẇ-invariant element over {r_m}; raises
         SolveInconsistent when r is not in their span."""
         d, W = self.datum, self.W
-        residual = dict(r.d)
+        residual = {m: dict(p.d) for m, p in r.d.items()}
         out: dict = {}
         while residual:
             level = max(W.length(W.translation(m)) for m in residual)
@@ -338,16 +319,9 @@ class Bernstein:
             if not heads:
                 raise SolveInconsistent("no antidominant element at the top translation level")
             for m in heads:
-                c = residual.get(m)
-                if c is None:
-                    continue
-                out[m] = c
-                for mu, p in self.orbit_sum_r(m).d.items():
-                    cur = residual.get(mu, LaurentPoly.zero()) - p * c
-                    if cur.is_zero():
-                        residual.pop(mu, None)
-                    else:
-                        residual[mu] = cur
+                c = _eliminate(residual, self.orbit_sum_r(m).d, m)
+                if c is not None:
+                    out[m] = c
             if any(W.length(W.translation(m)) == level for m in residual):
                 raise SolveInconsistent("top translation level did not clear")
         return out

@@ -4,7 +4,8 @@ An Engine bundles the validated datum with its Weyl group, Hecke algebra,
 Bernstein module and parahoric layer, so suites and the CLI share memo
 tables.  When PARAHECKE_CACHE_DIR is set, Θ-element and Θ·1_K product
 tables persist across processes, keyed by a datum content hash and a format
-version (stale files are simply never read).
+version (stale files are simply never read).  Cache I/O never fails a run: an
+unusable directory or a file of the wrong shape just means no cache.
 """
 
 from __future__ import annotations
@@ -54,21 +55,26 @@ class Engine:
                 blob = json.load(fh)
         except (OSError, ValueError):
             return False
-        if blob.get("version") != CACHE_VERSION or blob.get("datum") != self.datum.content_hash():
+        try:  # a file of the wrong shape is a miss; nothing is installed from it
+            if blob.get("version") != CACHE_VERSION or blob.get("datum") != self.datum.content_hash():
+                return False
+            theta = {_lattice_from(key): self._hecke_from(terms) for key, terms in blob.get("theta", [])}
+            theta_oneK = {
+                (tuple(jkey), _lattice_from(key)): self._hecke_from(terms)
+                for jkey, key, terms in blob.get("theta_oneK", [])
+            }
+        except (AttributeError, LookupError, TypeError, ValueError):
             return False
-        for key, terms in blob.get("theta", []):
-            m = _lattice_from(key)
-            self.bern._theta.setdefault(m, self._hecke_from(terms))
-        for jkey, key, terms in blob.get("theta_oneK", []):
-            m = _lattice_from(key)
-            self.para._theta_oneK.setdefault((tuple(jkey), m), self._hecke_from(terms))
+        for m, h in theta.items():
+            self.bern._theta.setdefault(m, h)
+        for key, h in theta_oneK.items():
+            self.para._theta_oneK.setdefault(key, h)
         return True
 
     def save_cache(self, cache_dir: str | None = None) -> bool:
         cache_dir = cache_dir or os.environ.get(CACHE_ENV)
         if not cache_dir:
             return False
-        os.makedirs(cache_dir, exist_ok=True)
         blob = {
             "version": CACHE_VERSION,
             "datum": self.datum.content_hash(),
@@ -81,16 +87,19 @@ class Engine:
             ],
         }
         path = self._cache_path(cache_dir)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
+        tmp = None
+        try:  # an unusable cache directory only loses the cache
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(blob, fh)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return False
         return True
 

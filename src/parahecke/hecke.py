@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
-from .ringcore import LaurentPoly, _add_into, _mul, _neg
+from .ringcore import LaurentPoly, _add_into, _lincomb, _mul, _neg
 from .rootdatum import Datum, LatticeElt, RootDatum, build_datum, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
@@ -41,14 +41,7 @@ class HeckeElt:
 
     def __add__(self, other):
         other = self.alg.coerce(other)
-        out = {w: dict(p.d) for w, p in self.d.items()}
-        for w, p in other.d.items():
-            tgt = out.get(w)
-            if tgt is None:
-                out[w] = dict(p.d)
-            else:
-                _add_into(tgt, p.d)
-        return self.alg._wrap(out)
+        return self.alg._wrap(_lincomb([(self.d, None), (other.d, None)]))
 
     __radd__ = __add__
 

@@ -9,8 +9,10 @@ multiplication divides the Iwahori product exactly by P_J.
 Central elements are z_m = Θ̇(r_m) * 1_K (antidominant m); at the special
 maximal facet they are everything, and solving h_x = Σ_m s_{x,m} z_m by
 triangular elimination over the saturation order realizes the twisted Satake
-transform.  Positivity of the entries is asserted in the shifted variable
-t = q - 1 (the universal form of point-count positivity).
+transform.  The Satake rows and the general solve share one elimination step,
+ringcore._eliminate; each keeps its own pivot order and its own checks.
+Positivity of the entries is asserted in the shifted variable t = q - 1 (the
+universal form of point-count positivity).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .affweyl import ExtWeylElt
 from .bernstein import Bernstein, GroupAlgElt
 from .errors import (
     CentralityFailure,
@@ -31,7 +32,7 @@ from .errors import (
     SolveInconsistent,
 )
 from .hecke import HeckeElt
-from .ringcore import LaurentPoly, _add_into, _mul
+from .ringcore import LaurentPoly, _eliminate, _lincomb
 from .rootdatum import LatticeElt
 
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
@@ -185,18 +186,7 @@ class Parahoric:
 
     def _theta_of_times_oneK(self, F: FacetType, r) -> HeckeElt:
         """Θ̇(r) * 1_K assembled from the memoized per-basis products."""
-        acc: dict = {}
-        for m, p in r.d.items():
-            pd = p.d
-            for w, c in self.theta_oneK(F, m).d.items():
-                tgt = acc.get(w)
-                if tgt is None:
-                    acc[w] = _mul(c.d, pd)
-                else:
-                    _add_into(tgt, c.d, pd)
-                    if not tgt:
-                        del acc[w]
-        return self.H._wrap(acc)
+        return self.H._wrap(_lincomb((self.theta_oneK(F, m).d, p.d) for m, p in r.d.items()))
 
     # -- corner multiplication -----------------------------------------------
 
@@ -256,9 +246,7 @@ class Parahoric:
         r_prod = self.bern.orbit_sum_r(m1) * self.bern.orbit_sum_r(m2)
         coeffs = self.bern.expand_over_orbit_sums(r_prod)
         lhs = self.parahoric_mul(F, self.center_elt(F, m1), self.center_elt(F, m2))
-        rhs = self.H.zero()
-        for m, c in coeffs.items():
-            rhs = rhs + self.center_elt(F, m).scale(c)
+        rhs = self.H._wrap(_lincomb((self.center_elt(F, m).d, c.d) for m, c in coeffs.items()))
         if lhs != rhs:
             raise SolveInconsistent("center product does not match its z-basis expansion")
         return coeffs
@@ -272,27 +260,16 @@ class Parahoric:
         entries = []
         for m, rank in preds:
             z = self.center_elt(F, m)
-            lead = max(z.d, key=W.sort_key)
-            got = residual.get(lead)
-            if got is None:
-                raise NegativeCoefficient(self._counterexample(x, m, None, "vanishing entry on a predecessor"))
             try:
-                s = LaurentPoly(got).exact_div(z.d[lead])
+                s = _eliminate(residual, z.d, max(z.d, key=W.sort_key))
             except NonDivisible as exc:
                 raise SolveInconsistent(f"entry at {m} not divisible: {exc}") from exc
+            if s is None:
+                raise NegativeCoefficient(self._counterexample(x, m, None, "vanishing entry on a predecessor"))
             if rank == 0 and not s.is_one():
                 raise SolveInconsistent(f"diagonal s_(x,x) = {s} != 1 at x={x}")
             if not s.nonneg_in_q_minus_1():
                 raise NegativeCoefficient(self._counterexample(x, m, s, "negative coefficient in q-1"))
-            neg_s = (-s).d
-            for w, p in z.d.items():
-                tgt = residual.get(w)
-                if tgt is None:
-                    residual[w] = _mul(p.d, neg_s)
-                else:
-                    _add_into(tgt, p.d, neg_s)
-                    if not tgt:
-                        del residual[w]
             entries.append((m, s))
         if residual:
             raise SolveInconsistent(f"Satake row at {x} left a nonzero residual")
@@ -334,10 +311,7 @@ class Parahoric:
         return table
 
     def transform_of_row(self, row: SatakeRow) -> GroupAlgElt:
-        out = GroupAlgElt.zero(self.datum)
-        for m, s in row.entries:
-            out = out + self.bern.orbit_sum_r(m).scale(s)
-        return out
+        return self.bern.from_orbit_sums(row.entries)
 
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
         """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y)."""
@@ -366,32 +340,19 @@ class Parahoric:
         for mu in reps:
             candidates.update(self.datum.saturation_predecessors(mu))
         order = sorted(candidates, key=lambda mu: (-W.length(W.translation(mu)), mu))
-        residual = dict(z.d)
-        coeffs: dict = {}
+        residual = {w: dict(p.d) for w, p in z.d.items()}
+        coeffs = []
         for mu in order:
             zmu = self.center_elt(F, mu)
-            lead = max(zmu.d, key=W.sort_key)
-            got = residual.get(lead)
-            if got is None:
-                continue
             try:
-                s = got.exact_div(zmu.d[lead])
+                s = _eliminate(residual, zmu.d, max(zmu.d, key=W.sort_key))
             except NonDivisible as exc:
                 raise SolveInconsistent(f"general Satake solve non-integral: {exc}") from exc
-            coeffs[mu] = s
-            neg_s = -s
-            for w, p in zmu.d.items():
-                cur = residual.get(w, LaurentPoly.zero()) + p * neg_s
-                if cur.is_zero():
-                    residual.pop(w, None)
-                else:
-                    residual[w] = cur
+            if s is not None:
+                coeffs.append((mu, s))
         if residual:
             raise SolveInconsistent("central element is not in the span of the z-basis")
-        out = GroupAlgElt.zero(d)
-        for mu, s in coeffs.items():
-            out = out + self.bern.orbit_sum_r(mu).scale(s)
-        return out
+        return self.bern.from_orbit_sums(coeffs)
 
     # -- compatibility across nested facets -------------------------------------
 

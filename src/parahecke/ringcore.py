@@ -9,6 +9,12 @@ A polynomial is stored as a dict {exponent: coefficient} with no zero
 coefficients; the zero polynomial is the empty dict.  Coefficients are
 Python ints (arbitrary precision).
 
+The module also holds the raw helpers shared by the layers above: the
+in-place kernel on {exp: coeff} dicts that the Hecke rewriting engine runs
+on, and the sparse-module helpers (`_axpy`, `_lincomb`, `_eliminate`) that
+accumulate {key: LaurentPoly} modules into raw {key: {exp: coeff}} dicts
+and perform the steps of every triangular elimination.
+
 >>> q = LaurentPoly.q()
 >>> (q - 1) * (q + 1) == LaurentPoly.q_power(2) - 1
 True
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 from .errors import NonDivisible, OddHalfPower
 
-__all__ = ["LaurentPoly", "lp_arith", "is_prime_power"]
+__all__ = ["LaurentPoly", "is_prime_power"]
 
 
 # Low-level helpers on raw {exp: coeff} dicts.  The Hecke rewriting engine
@@ -83,6 +89,54 @@ def _mul(a: dict, b: dict) -> dict:
 
 def _neg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
+
+
+# Sparse modules.  A module is {key: LaurentPoly} with no zero coefficients;
+# an accumulator is the raw {key: {exp: coeff}} form with no empty entries.
+
+def _axpy(acc: dict, src: dict, scale: dict | None = None) -> None:
+    """acc += src * scale (scale=None means 1), in place; cancelled keys are dropped."""
+    if scale is not None and not scale:
+        return
+    for k, p in src.items():
+        tgt = acc.get(k)
+        if tgt is None:
+            acc[k] = dict(p.d) if scale is None else _mul(p.d, scale)
+        else:
+            _add_into(tgt, p.d, scale)
+            if not tgt:
+                del acc[k]
+
+
+def _lincomb(pairs) -> dict:
+    """Σ c·x over (x, c) pairs, x a module and c a raw scale (None means 1)."""
+    acc: dict = {}
+    for x, c in pairs:
+        _axpy(acc, x, c)
+    return acc
+
+
+def _eliminate(residual: dict, pivot: dict, lead):
+    """One elimination step: s = residual[lead] / pivot[lead], residual -= s·pivot.
+
+    The division is exact (NonDivisible propagates).  Returns s, or None
+    when lead is absent from the accumulator residual, which is then untouched.
+
+    >>> residual = {"x": {2: 1}, "y": {0: 1}}                             # q·x + y
+    >>> pivot = {"x": LaurentPoly.one(), "y": LaurentPoly.from_int(-1)}  # x - y
+    >>> _eliminate(residual, pivot, "x")
+    q
+    >>> residual                                                          # (q + 1)·y
+    {'y': {0: 1, 2: 1}}
+    >>> _eliminate(residual, pivot, "x") is None
+    True
+    """
+    got = residual.get(lead)
+    if got is None:
+        return None
+    s = LaurentPoly(got).exact_div(pivot[lead])
+    _axpy(residual, pivot, _neg(s.d))
+    return s
 
 
 class LaurentPoly:
@@ -199,9 +253,6 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         return min(self.d)
-
-    def max_exp(self) -> int:
-        return max(self.d)
 
     # -- exact operations ----------------------------------------------------
 
@@ -333,25 +384,6 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, int):
         return LaurentPoly.from_int(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into LaurentPoly")
-
-
-def lp_arith(op: str, a: LaurentPoly, b=None):
-    """Single-entry dispatcher over the ring operations.
-
-    op ∈ {"add", "mul", "neg", "exact_div", "eval"}; "eval" takes a positive
-    integer (a prime power standing for q) as second argument.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "exact_div":
-        return a.exact_div(b)
-    if op == "eval":
-        return a.eval_at_q(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_prime_power(n: int) -> bool:

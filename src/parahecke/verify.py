@@ -1,8 +1,10 @@
 """Machine verification suites over one datum.
 
 Each suite is a deterministic list of named checks; a check returns None on
-success or a counterexample string.  Randomized checks use fixed seeds so
-that repeated runs emit identical bytes.
+success or a counterexample string.  A check that raises is still one row:
+UnsupportedParameters gives SKIP, NegativeCoefficient gives FALSIFIED, and
+any other package error gives FAIL, so one broken check never aborts a run.
+Randomized checks use fixed seeds so that repeated runs emit identical bytes.
 A positivity violation in the Satake suite is theorem falsification: the
 suite halts immediately and surfaces the serialized counterexample.
 """
@@ -35,12 +37,26 @@ class CheckResult:
     detail: str | None = None
 
 
-def _result(name, detail=None, skip=None):
-    if skip is not None:
-        return CheckResult(name, "SKIP", skip)
+def _result(name, detail=None):
     if detail is None:
         return CheckResult(name, "PASS")
     return CheckResult(name, "FAIL", detail)
+
+
+def _error_text(exc: ParaheckeError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _check(name, fn, *args):
+    """Run fn(*args) as the check `name`, turning a package error into its row."""
+    try:
+        return _result(name, fn(*args))
+    except UnsupportedParameters as exc:
+        return CheckResult(name, "SKIP", _error_text(exc))
+    except NegativeCoefficient as exc:
+        return CheckResult(name, "FALSIFIED", str(exc))
+    except ParaheckeError as exc:
+        return _result(name, _error_text(exc))
 
 
 # ----------------------------------------------------------------------
@@ -221,16 +237,16 @@ def _check_triangularity(eng: Engine):
 
 def suite_presentation(eng: Engine):
     return [
-        _result("quadratic_relations", _check_quadratic(eng)),
-        _result("braid_invariance_500_random_words", _check_braid_invariance(eng)),
-        _result("matsumoto_q_invariance_across_reduced_words", _check_matsumoto(eng)),
-        _result("basis_inverses_up_to_length_5", _check_inverses(eng)),
-        _result("wall_count_equals_reduced_word_length_le_6", _check_wall_length(eng)),
-        _result("dominance_length_anchors_height_3", _check_dominance_lengths(eng)),
-        _result("vee_involution_antihomomorphism", _check_involution(eng)),
-        _result("degree_homomorphism_multiplicative", _check_degree_hom(eng)),
-        _result("omega_conjugation_twist", _check_omega_twist(eng)),
-        _result("support_triangularity", _check_triangularity(eng)),
+        _check("quadratic_relations", _check_quadratic, eng),
+        _check("braid_invariance_500_random_words", _check_braid_invariance, eng),
+        _check("matsumoto_q_invariance_across_reduced_words", _check_matsumoto, eng),
+        _check("basis_inverses_up_to_length_5", _check_inverses, eng),
+        _check("wall_count_equals_reduced_word_length_le_6", _check_wall_length, eng),
+        _check("dominance_length_anchors_height_3", _check_dominance_lengths, eng),
+        _check("vee_involution_antihomomorphism", _check_involution, eng),
+        _check("degree_homomorphism_multiplicative", _check_degree_hom, eng),
+        _check("omega_conjugation_twist", _check_omega_twist, eng),
+        _check("support_triangularity", _check_triangularity, eng),
     ]
 
 
@@ -342,23 +358,16 @@ def _check_orbit_sum_centrality(eng: Engine):
     return None
 
 
-def _skip_on_unsupported(name, fn, *args):
-    try:
-        return _result(name, fn(*args))
-    except UnsupportedParameters as exc:
-        return _result(name, skip=f"UnsupportedParameters: {exc}")
-
-
 def suite_bern(eng: Engine):
     return [
-        _result("theta_multiplicativity_within_height_3", _check_theta_mult(eng)),
-        _result("theta_choice_independence_height_2", _check_theta_choice(eng)),
-        _result("change_basis_roundtrip_200_random", _check_roundtrip(eng)),
-        _result("vee_theta_conjugation_height_2", _check_vee_theta(eng)),
-        _skip_on_unsupported("bernstein_relation_height_2", _check_bernstein_relation, eng),
-        _result("dot_action_is_group_action", _check_dot_action(eng)),
-        _skip_on_unsupported("dot_twist_exponents_even", _check_c_integrality, eng),
-        _result("orbit_sums_commute_with_finite_generators", _check_orbit_sum_centrality(eng)),
+        _check("theta_multiplicativity_within_height_3", _check_theta_mult, eng),
+        _check("theta_choice_independence_height_2", _check_theta_choice, eng),
+        _check("change_basis_roundtrip_200_random", _check_roundtrip, eng),
+        _check("vee_theta_conjugation_height_2", _check_vee_theta, eng),
+        _check("bernstein_relation_height_2", _check_bernstein_relation, eng),
+        _check("dot_action_is_group_action", _check_dot_action, eng),
+        _check("dot_twist_exponents_even", _check_c_integrality, eng),
+        _check("orbit_sums_commute_with_finite_generators", _check_orbit_sum_centrality, eng),
     ]
 
 
@@ -406,63 +415,66 @@ def _check_center_products(eng: Engine):
 
 def suite_center(eng: Engine):
     return [
-        _result("center_elements_commute_with_double_cosets_height_2", _check_center_commutation(eng)),
-        _result("center_products_reexpand_over_center_basis", _check_center_products(eng)),
+        _check("center_elements_commute_with_double_cosets_height_2", _check_center_commutation, eng),
+        _check("center_products_reexpand_over_center_basis", _check_center_products, eng),
     ]
 
 
 # ----------------------------------------------------------------------
 # satake suite
 
-def _check_satake_products(eng: Engine, table):
+def _check_row_support(eng: Engine, table):
+    d = eng.datum
+    for r in table.rows:
+        preds = d.saturation_predecessors(r.x)
+        if [m for m, _ in r.entries] != preds:
+            return f"row {r.x} entries do not match predecessor set"
+        if len(preds) == 1 and not (len(r.entries) == 1 and r.entries[0][1].is_one()):
+            return f"minuscule row {r.x} is not a unit singleton"
+    return None
+
+
+def _check_transform_invariance(eng: Engine, table):
+    P, B, d = eng.para, eng.bern, eng.datum
+    for r in table.rows:
+        out = P.transform_of_row(r)
+        for wi in range(d.w_order):
+            if B.dot_act(wi, out) != out:
+                return f"transform of row {r.x} is not dot-invariant"
+    return None
+
+
+def _check_commutative_spot(eng: Engine, table):
     P = eng.para
-    try:
-        P._check_multiplicative(P.special_facet(), table)
-    except ParaheckeError as exc:
-        return f"{type(exc).__name__}: {exc}"
+    if len(table.rows) < 2:
+        return None
+    F = P.special_facet()
+    hx = P.kelt(F, table.rows[-1].x)
+    hy = P.kelt(F, table.rows[-2].x)
+    if P.parahoric_mul(F, hx, hy) != P.parahoric_mul(F, hy, hx):
+        return f"double cosets at {table.rows[-1].x}, {table.rows[-2].x} do not commute"
     return None
 
 
 def suite_satake(eng: Engine):
-    P, d, B = eng.para, eng.datum, eng.bern
+    P, d = eng.para, eng.datum
     xs = [x for x, _ in d.antidominant_set(3)]
     try:
         table = P.satake_table(xs, check_products=False)
     except NegativeCoefficient as exc:
         return [CheckResult("satake_positivity", "FALSIFIED", str(exc))]
-    results = [
-        _result(f"satake_rows_solved_unit_diagonal_positive[{len(table.rows)} rows]", None),
-        _result("satake_transform_multiplicative_within_height_3", _check_satake_products(eng, table)),
+    except ParaheckeError as exc:
+        return [_result("satake_rows_solved_unit_diagonal_positive", _error_text(exc))]
+    return [
+        _result(f"satake_rows_solved_unit_diagonal_positive[{len(table.rows)} rows]"),
+        _check(
+            "satake_transform_multiplicative_within_height_3",
+            P._check_multiplicative, P.special_facet(), table,
+        ),
+        _check("satake_rows_supported_exactly_on_predecessors_minuscule_unit", _check_row_support, eng, table),
+        _check("satake_transforms_dot_invariant", _check_transform_invariance, eng, table),
+        _check("special_hecke_algebra_commutative_spot_check", _check_commutative_spot, eng, table),
     ]
-    bad = None
-    for r in table.rows:
-        preds = d.saturation_predecessors(r.x)
-        if [m for m, _ in r.entries] != preds:
-            bad = f"row {r.x} entries do not match predecessor set"
-            break
-        if len(preds) == 1 and not (len(r.entries) == 1 and r.entries[0][1].is_one()):
-            bad = f"minuscule row {r.x} is not a unit singleton"
-            break
-    results.append(_result("satake_rows_supported_exactly_on_predecessors_minuscule_unit", bad))
-    bad = None
-    for r in table.rows:
-        out = P.transform_of_row(r)
-        for wi in range(d.w_order):
-            if B.dot_act(wi, out) != out:
-                bad = f"transform of row {r.x} is not dot-invariant"
-                break
-        if bad:
-            break
-    results.append(_result("satake_transforms_dot_invariant", bad))
-    bad = None
-    if len(table.rows) >= 2:
-        F = P.special_facet()
-        hx = P.kelt(F, table.rows[-1].x)
-        hy = P.kelt(F, table.rows[-2].x)
-        if P.parahoric_mul(F, hx, hy) != P.parahoric_mul(F, hy, hx):
-            bad = f"double cosets at {table.rows[-1].x}, {table.rows[-2].x} do not commute"
-    results.append(_result("special_hecke_algebra_commutative_spot_check", bad))
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +518,8 @@ def _check_pushforward(eng: Engine):
 
 def suite_compat(eng: Engine):
     return [
-        _result("bernstein_satake_square_nested_facets_height_2", _check_nested_facets(eng)),
-        _skip_on_unsupported("pushforward_intertwines_center_and_satake", _check_pushforward, eng),
+        _check("bernstein_satake_square_nested_facets_height_2", _check_nested_facets, eng),
+        _check("pushforward_intertwines_center_and_satake", _check_pushforward, eng),
     ]
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from parahecke.bernstein import Bernstein, GroupAlgElt
-from parahecke.errors import NotAntidominant, UnsupportedParameters
+from parahecke.errors import NotAntidominant, SolveInconsistent, UnsupportedParameters
 from parahecke.hecke import IwahoriHecke
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
@@ -275,6 +275,16 @@ def test_expand_over_orbit_sums(Bc2):
         combo = combo + Bc2.orbit_sum_r(m).scale(c)
     got = Bc2.expand_over_orbit_sums(combo)
     assert got == coeffs
+
+
+@pytest.mark.parametrize("free, why", [
+    ([1, 0], "no antidominant element at the top translation level"),
+    ([-1, 0], "top translation level did not clear"),
+])
+def test_expand_over_orbit_sums_rejects_non_invariant(Bc2, free, why):
+    d = Bc2.datum
+    with pytest.raises(SolveInconsistent, match=why):
+        Bc2.expand_over_orbit_sums(GroupAlgElt.basis(d, d.lattice(free)))
 
 
 def test_c_integrality_on_equal_parameter_data(B2):

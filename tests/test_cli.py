@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from parahecke.engine import load_engine
+from parahecke import engine as engine_mod
+from parahecke.engine import CACHE_ENV, CACHE_VERSION, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_hecke_expr, parse_lattice
 from parahecke.ringcore import LaurentPoly
@@ -194,7 +195,8 @@ def test_satake_gl2_height_1_all_minuscule(capsys):
         assert row["entries"][0]["coeff"] == [[0, 1]]
 
 
-def test_corrupt_cache_ignored(tmp_path):
+def test_corrupt_cache_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
     eng = load_engine("a1")
     path = eng._cache_path(str(tmp_path))
     with open(path, "w", encoding="utf-8") as fh:
@@ -203,5 +205,25 @@ def test_corrupt_cache_ignored(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"version": -1, "datum": "x"}, fh)
     assert eng.load_cache(str(tmp_path)) is False
+    good = [[[0], []], [[[0], [], 0, [[0, 1]]]]]
+    for blob in ([], {"version": CACHE_VERSION, "datum": eng.datum.content_hash(),
+                      "theta": [good, [[[-1], []], [["bad"]]]]}):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        assert eng.load_cache(str(tmp_path)) is False
+        assert eng.bern._theta == {} and eng.para._theta_oneK == {}
     assert eng.save_cache(str(tmp_path)) is True
     assert eng.load_cache(str(tmp_path)) is True
+
+
+@pytest.mark.parametrize("where", ["file", "/dev/null/x"])
+def test_unusable_cache_dir_is_ignored(capsys, tmp_path, monkeypatch, where):
+    args = ["--datum", "a1", "satake", "--height", "2"]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code, cold, _ = capture(capsys, args)
+    assert code == 0
+    if where == "file":
+        where = tmp_path / "file"
+        where.write_text("not a directory")
+    monkeypatch.setenv(CACHE_ENV, str(where))
+    assert capture(capsys, args)[:2] == (0, cold)

@@ -83,3 +83,32 @@ def test_satake_product_failure_is_a_fail_row(monkeypatch, capsys):
     ]
     assert all(ln.startswith("[PASS]") for ln in satake[2:])
     assert any("] compat." in ln for ln in lines)
+
+
+@pytest.mark.parametrize("target, row", [
+    ("center_product_expand", "center.center_products_reexpand_over_center_basis"),
+    ("_solve_row", "satake.satake_rows_solved_unit_diagonal_positive"),
+    ("compatibility_holds", "compat.bernstein_satake_square_nested_facets_height_2"),
+])
+def test_raising_check_is_a_fail_row(monkeypatch, capsys, target, row):
+    def broken(self, *args):
+        raise SolveInconsistent("sabotaged")
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(Parahoric, target, broken)
+    assert main(["--datum", "a1", "verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = f"[FAIL] {row}: SolveInconsistent: sabotaged"
+    assert failed in lines
+    # the run goes on to the last check of the last suite
+    assert lines.index(failed) < len(lines) - 1
+    assert lines[-1].split("] ", 1)[1].startswith("compat.pushforward_intertwines_center_and_satake")
+
+
+def test_non_divisible_satake_pivot_is_inconsistent(monkeypatch):
+    eng = load_engine("a1")
+    P, d = eng.para, eng.datum
+    real = P.center_elt
+    monkeypatch.setattr(P, "center_elt", lambda F, m: real(F, m).scale(LaurentPoly.q() + 1))
+    with pytest.raises(SolveInconsistent, match="not divisible"):
+        P._solve_row(P.special_facet(), d.lattice([-1]))

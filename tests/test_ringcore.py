@@ -1,12 +1,14 @@
 """Ring axioms and exact-division contracts for the coefficient ring."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from parahecke.errors import NonDivisible, OddHalfPower
-from parahecke.ringcore import LaurentPoly, is_prime_power, lp_arith
+import parahecke.ringcore
+from parahecke.ringcore import LaurentPoly, _axpy, _eliminate, _lincomb, is_prime_power
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q()
@@ -80,16 +82,6 @@ def test_eval_is_ring_hom_on_even_support(a, b, n):
     assert (a + b).eval_at_q(n) == a.eval_at_q(n) + b.eval_at_q(n)
 
 
-def test_lp_arith_dispatch():
-    assert lp_arith("add", Q, ONE) == Q + 1
-    assert lp_arith("mul", Q, Q) == LaurentPoly.q_power(2)
-    assert lp_arith("neg", Q) == -Q
-    assert lp_arith("exact_div", Q * Q, Q) == Q
-    assert lp_arith("eval", Q, 9) == 9
-    with pytest.raises(ValueError):
-        lp_arith("frobnicate", Q, Q)
-
-
 def test_positivity_in_shifted_variable():
     assert (Q - 1).nonneg_in_q_minus_1()
     assert (Q * Q - 1).nonneg_in_q_minus_1()          # (q-1)(q+1)
@@ -120,3 +112,72 @@ def test_unit_monomial_predicate():
 def test_is_prime_power():
     assert all(is_prime_power(n) for n in (2, 3, 4, 5, 8, 9, 27, 121, 125))
     assert not any(is_prime_power(n) for n in (0, 1, 6, 12, 100, 1000))
+
+
+def test_module_doctests():
+    result = doctest.testmod(parahecke.ringcore)
+    assert result.attempted > 0 and result.failed == 0
+
+
+# -- sparse-module helpers, against plain LaurentPoly arithmetic -------------
+
+small_modules = st.dictionaries(st.sampled_from("abcd"), small_polys.filter(bool), max_size=4)
+scales = st.one_of(st.none(), small_polys)
+
+
+def raw(module):
+    return {k: dict(p.d) for k, p in module.items()}
+
+
+def reference_axpy(acc, src, scale):
+    out = dict(acc)
+    for k, p in src.items():
+        out[k] = out.get(k, LaurentPoly.zero()) + (p if scale is None else p * scale)
+    return {k: p for k, p in out.items() if p}
+
+
+def as_module(acc):
+    assert all(acc.values()), "accumulator kept an empty entry"
+    return {k: LaurentPoly(pd) for k, pd in acc.items()}
+
+
+@given(small_modules, small_modules, scales)
+def test_axpy_matches_reference(acc, src, scale):
+    got = raw(acc)
+    _axpy(got, src, None if scale is None else scale.d)
+    assert as_module(got) == reference_axpy(acc, src, scale)
+    _axpy(got, as_module(got), {0: -1})  # exact cancellation drops every key
+    assert got == {}
+
+
+@given(st.lists(st.tuples(small_modules, scales), max_size=4))
+def test_lincomb_matches_reference(pairs):
+    want: dict = {}
+    for x, c in pairs:
+        want = reference_axpy(want, x, c)
+    got = _lincomb((x, None if c is None else c.d) for x, c in pairs)
+    assert as_module(got) == want
+
+
+@given(small_modules, small_modules.filter(bool), small_polys.filter(bool), st.data())
+def test_eliminate_clears_the_lead(rest, pivot, s, data):
+    lead = data.draw(st.sampled_from(sorted(pivot)))
+    rest = {k: p for k, p in rest.items() if k != lead}
+    residual = raw(reference_axpy(rest, pivot, s))
+    assert _eliminate(residual, pivot, lead) == s
+    assert as_module(residual) == rest
+
+
+@given(small_modules, small_modules.filter(bool))
+def test_eliminate_absent_lead_is_none(residual, pivot):
+    lead = "z"
+    pivot = {**pivot, lead: ONE}
+    got = raw(residual)
+    assert _eliminate(got, pivot, lead) is None
+    assert got == raw(residual)
+
+
+def test_eliminate_non_divisible_lead_raises():
+    residual = {"a": {0: 1}}
+    with pytest.raises(NonDivisible):
+        _eliminate(residual, {"a": Q + 1}, "a")
