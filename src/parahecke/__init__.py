@@ -6,6 +6,8 @@ affine Weyl group (`affweyl`), the Iwahori-Matsumoto rewriting engine
 parahoric centers and twisted Satake tables (`parahoric`).
 """
 
+__version__ = "0.1.0"  # set before the imports: engine keys its cache on it
+
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .bernstein import Bernstein, BernsteinElt, GroupAlgElt
 from .engine import Engine, engine_for, load_engine
@@ -32,5 +34,3 @@ __all__ = [
     "BUNDLED_NAMES", "Datum", "LatticeElt", "RootDatum",
     "load_bundled", "load_datum_file", "validate_datum",
 ]
-
-__version__ = "0.1.0"

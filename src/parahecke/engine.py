@@ -3,9 +3,13 @@
 An Engine bundles the validated datum with its Weyl group, Hecke algebra,
 Bernstein module and parahoric layer, so suites and the CLI share memo
 tables.  When PARAHECKE_CACHE_DIR is set, Θ-element and Θ·1_K product
-tables persist across processes, keyed by a datum content hash and a format
-version (stale files are simply never read).  Cache I/O never fails a run: an
-unusable directory or a file of the wrong shape just means no cache.
+tables persist across processes.  A cache file is one JSON header line (format
+version, package version, datum content hash and the sha256 of the rest)
+followed by the JSON payload; a file whose header does not match this engine
+or its payload is never read, so stale, edited and truncated caches are
+misses.  A run that loaded the file and added nothing to the tables does not
+rewrite it.  Cache I/O never fails a run: an unusable directory or a file of
+the wrong shape just means no cache.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import __version__
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .bernstein import Bernstein
 from .hecke import HeckeElt, IwahoriHecke
@@ -25,7 +30,7 @@ from .rootdatum import BUNDLED_NAMES, Datum, LatticeElt, load_bundled, load_datu
 __all__ = ["Engine", "engine_for", "load_engine", "CACHE_ENV", "CACHE_VERSION"]
 
 CACHE_ENV = "PARAHECKE_CACHE_DIR"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _REGISTRY: dict = {}
 
@@ -37,11 +42,20 @@ class Engine:
     hecke: IwahoriHecke
     bern: Bernstein
     para: Parahoric
+    # (path, Θ entries, Θ·1_K entries) when that file holds exactly the memo tables
+    _saved: tuple | None = field(default=None, init=False, repr=False)
 
     # -- persisted memo tables -------------------------------------------
 
     def _cache_path(self, cache_dir: str) -> str:
         return os.path.join(cache_dir, f"parahecke-v{CACHE_VERSION}-{self.datum.content_hash()}.json")
+
+    def _cache_header(self, digest: str) -> dict:
+        return {"version": CACHE_VERSION, "package": __version__,
+                "datum": self.datum.content_hash(), "sha256": digest}
+
+    def _table_sizes(self) -> tuple:
+        return len(self.bern._theta), len(self.para._theta_oneK)
 
     def load_cache(self, cache_dir: str | None = None) -> bool:
         cache_dir = cache_dir or os.environ.get(CACHE_ENV)
@@ -51,17 +65,22 @@ class Engine:
         if not os.path.exists(path):
             return False
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                body = fh.read()
         except (OSError, ValueError):
             return False
-        try:  # a file of the wrong shape is a miss; nothing is installed from it
-            if blob.get("version") != CACHE_VERSION or blob.get("datum") != self.datum.content_hash():
-                return False
-            theta = {_lattice_from(key): self._hecke_from(terms) for key, terms in blob.get("theta", [])}
+        # the header names the format, package and datum and the payload's
+        # digest; any mismatch is a miss, so an edited or truncated payload is
+        # never served
+        if header != self._cache_header(_digest(body)):
+            return False
+        try:  # a payload of the wrong shape is a miss; nothing is installed from it
+            blob = json.loads(body)
+            theta = {_lattice_from(key): self._hecke_from(terms) for key, terms in blob["theta"]}
             theta_oneK = {
                 (tuple(jkey), _lattice_from(key)): self._hecke_from(terms)
-                for jkey, key, terms in blob.get("theta_oneK", [])
+                for jkey, key, terms in blob["theta_oneK"]
             }
         except (AttributeError, LookupError, TypeError, ValueError):
             return False
@@ -69,15 +88,18 @@ class Engine:
             self.bern._theta.setdefault(m, h)
         for key, h in theta_oneK.items():
             self.para._theta_oneK.setdefault(key, h)
+        if self._table_sizes() == (len(theta), len(theta_oneK)):
+            self._saved = (path, len(theta), len(theta_oneK))
         return True
 
     def save_cache(self, cache_dir: str | None = None) -> bool:
         cache_dir = cache_dir or os.environ.get(CACHE_ENV)
         if not cache_dir:
             return False
-        blob = {
-            "version": CACHE_VERSION,
-            "datum": self.datum.content_hash(),
+        path = self._cache_path(cache_dir)
+        if self._saved == (path, *self._table_sizes()):
+            return True  # the memo tables only grow, so the file already holds them
+        body = json.dumps({
             "theta": [
                 [_lattice_to(m), self._hecke_to(h)] for m, h in sorted(self.bern._theta.items())
             ],
@@ -85,14 +107,14 @@ class Engine:
                 [list(j), _lattice_to(m), self._hecke_to(h)]
                 for (j, m), h in sorted(self.para._theta_oneK.items())
             ],
-        }
-        path = self._cache_path(cache_dir)
+        }).encode()
+        header = json.dumps(self._cache_header(_digest(body))).encode()
         tmp = None
         try:  # an unusable cache directory only loses the cache
             os.makedirs(cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(blob, fh)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + b"\n" + body)
             os.replace(tmp, path)
         except OSError:
             if tmp is not None:
@@ -101,6 +123,7 @@ class Engine:
                 except OSError:
                     pass
             return False
+        self._saved = (path, *self._table_sizes())
         return True
 
     def _hecke_to(self, h: HeckeElt) -> list:
@@ -113,6 +136,14 @@ class Engine:
         for free, tors, wi, pairs in terms:
             d[ExtWeylElt(tuple(free), tuple(tors), int(wi))] = LaurentPoly.from_pairs(pairs)
         return HeckeElt(self.hecke, d)
+
+
+def _digest(body: bytes) -> str:
+    # imported on use, as in Datum.content_hash; importing it with this module
+    # raised a run's peak resident memory by about 0.3 MB
+    import hashlib
+
+    return hashlib.sha256(body).hexdigest()
 
 
 def _lattice_to(m: LatticeElt) -> list:

@@ -16,13 +16,22 @@ The same memoized step serves inversion.  For w = s_1···s_ℓ·ω reduced,
 
 so a · i_w^{-1} is computed by shifting a by ω^{-1} and right-applying the ℓ
 two-term factors one at a time, without ever forming the inverse.
+
+Inside `mul`, `mul_inverse` and `im_invert_basis` each coefficient is one
+Python int (ringcore._pack): signed base-2^k digits above a base exponent e0,
+both fixed per call.  Multiplying by q_s is a left shift by 2L(s)·k bits, so a
+generator step costs a shift and an int addition per term, and the memoized
+step stores only (ws, None) or (ws, 2L(s)).  Width rule: with N(a) = Σ_w ‖a_w‖₁,
+k = bitlen(N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y)) + 2 for a·b, and
+k = bitlen(N(a) · 3^ℓ(w)) + 2 for a · i_w^{-1}; the proof is at `mul`.  Results
+are unpacked to LaurentPoly on exit.
 """
 
 from __future__ import annotations
 
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
-from .ringcore import LaurentPoly, _add_into, _lincomb, _mul, _neg
+from .ringcore import LaurentPoly, _add_into, _lincomb, _pack, _unpack
 from .rootdatum import Datum, LatticeElt, RootDatum, build_datum, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
@@ -111,9 +120,6 @@ class IwahoriHecke:
         self.weyl = weyl
         self.datum = weyl.datum
         self._gen_cache: dict = {}
-        self._qs = {i: {2 * self.datum.L[i]: 1} for i in self.datum.saff_indices}
-        self._qs1 = {i: _canon({2 * self.datum.L[i]: 1, 0: -1}) for i in self.datum.saff_indices}
-        self._1mqs = {i: _neg(q1) for i, q1 in self._qs1.items()}
 
     @classmethod
     def for_datum(cls, datum: Datum) -> "IwahoriHecke":
@@ -165,22 +171,37 @@ class IwahoriHecke:
         return LaurentPoly.v_power(2 * self.weyl.weighted_length(w))
 
     # -- multiplication -----------------------------------------------------
+    #
+    # The hot loops run on packed coefficients (ringcore._pack): every
+    # coefficient of one call shares a base exponent e0 and a digit width k,
+    # chosen at entry and undone at exit.  Width rule: a generator step sends
+    # P·i_w to P·i_{ws} or to q_s·P·i_{ws} + (q_s - 1)·P·i_w, so it at most
+    # triples Σ‖coeff‖₁, and scaling by a coefficient c multiplies it by at most
+    # ‖c‖₁.  Hence every coefficient of a·b has absolute value at most
+    # B = N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y), where N(a) = Σ_w ‖a_w‖₁, and with
+    # k = bitlen(B) + 2 it is < 2^(k-1), a digit that unpacks exactly.  For
+    # a·i_w^{-1} each factor (i_s - q_s + 1) maps P·i_w to at most three terms
+    # of norm ‖P‖₁ as well, so B = N(a) · 3^ℓ(w).
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a.d or not b.d:
             return self.zero()
         W = self.weyl
-        entries = []
+        words = []
+        bound = 0
         for y, c in b.d.items():
             word, om = W.reduced_word(y)
-            entries.append((word, om, c.d))
-        entries.sort(key=lambda e: e[0])
+            words.append((word, om, c.d))
+            bound += _norm(c.d) * 3 ** len(word)
+        k = (_norm_of(a) * bound).bit_length() + 2
+        ea, eb = _min_exp(a), _min_exp(b)
+        entries = sorted(((word, om, _pack(cd, eb, k)) for word, om, cd in words), key=lambda e: e[0])
         acc: dict = {}
-        cur = {w: p.d for w, p in a.d.items()}
-        self._mul_rec(cur, entries, 0, len(entries), 0, acc)
-        return self._wrap(acc)
+        cur = {w: _pack(p.d, ea, k) for w, p in a.d.items()}
+        self._mul_rec(cur, entries, 0, len(entries), 0, acc, k)
+        return self._unpacked(acc, ea + eb, k)
 
-    def _mul_rec(self, cur, entries, lo, hi, depth, acc):
+    def _mul_rec(self, cur, entries, lo, hi, depth, acc, k):
         i = lo
         while i < hi and len(entries[i][0]) == depth:
             self._flush(cur, entries[i][1], entries[i][2], acc)
@@ -190,73 +211,75 @@ class IwahoriHecke:
             j = i
             while j < hi and entries[j][0][depth] == g:
                 j += 1
-            self._mul_rec(self._apply_gen_right(cur, g), entries, i, j, depth + 1, acc)
+            self._mul_rec(self._apply_gen_right(cur, g, k), entries, i, j, depth + 1, acc, k)
             i = j
 
-    def _flush(self, cur, om, cd, acc):
+    def _flush(self, cur, om, C, acc):
         W = self.weyl
         shift = om != W.identity
-        trivial = cd == {0: 1}
-        for w, pd in cur.items():
+        get = acc.get
+        for w, P in cur.items():
             key = W.compose(w, om) if shift else w
-            tgt = acc.get(key)
-            if tgt is None:
-                acc[key] = dict(pd) if trivial else _mul(pd, cd)
-            else:
-                _add_into(tgt, pd, None if trivial else cd)
-                if not tgt:
-                    del acc[key]
+            acc[key] = get(key, 0) + P * C
 
-    def _apply_gen_right(self, cur: dict, i: int) -> dict:
+    def _apply_gen_right(self, cur: dict, i: int, k: int) -> dict:
         cache = self._gen_cache
         out: dict = {}
-        for w, pd in cur.items():
-            key = (w, i)
-            hit = cache.get(key)
-            if hit is None:
-                hit = self._compute_gen_right(w, i)
-                cache[key] = hit
-            for w2, scale in hit:
-                tgt = out.get(w2)
-                if tgt is None:
-                    out[w2] = dict(pd) if scale is None else _mul(pd, scale)
-                else:
-                    _add_into(tgt, pd, scale)
-                    if not tgt:
-                        del out[w2]
+        get = out.get
+        for w, P in cur.items():
+            if not P:
+                continue
+            ws, e = cache.get((w, i)) or self._compute_gen_right(w, i)
+            if e is None:
+                out[ws] = get(ws, 0) + P
+            else:
+                qP = P << (e * k)
+                out[ws] = get(ws, 0) + qP
+                out[w] = get(w, 0) + qP - P
         return out
 
     def _compute_gen_right(self, w: ExtWeylElt, i: int):
+        """Memoized (ws, None) when i_w·i_s = i_{ws}, else (ws, 2L(s)): i_w·i_s = q_s i_{ws} + (q_s - 1) i_w."""
         W = self.weyl
         ws = W.compose(w, W.gen(i))
-        if W.length(ws) > W.length(w):
-            return ((ws, None),)
-        return ((ws, self._qs[i]), (w, self._qs1[i]))
+        hit = (ws, None) if W.length(ws) > W.length(w) else (ws, 2 * self.datum.L[i])
+        self._gen_cache[(w, i)] = hit
+        return hit
 
-    def _right_star(self, cur: dict, word) -> dict:
-        """cur · (i_{s_ℓ} - q_{s_ℓ} + 1) ··· (i_{s_1} - q_{s_1} + 1) for word = (s_1, …, s_ℓ)."""
+    def _right_star(self, cur: dict, word, k: int) -> dict:
+        """cur · (i_{s_ℓ} - q_{s_ℓ} + 1) ··· (i_{s_1} - q_{s_1} + 1) for word = (s_1, …, s_ℓ).
+
+        i_w·(i_s - q_s + 1) is i_{ws} + (1 - q_s)·i_w when ws is longer, and
+        q_s·i_{ws} otherwise (the (q_s - 1)·i_w of i_w·i_s cancels).
+        """
+        cache = self._gen_cache
         for i in reversed(word):
-            one_minus_q = self._1mqs[i]
-            nxt = self._apply_gen_right(cur, i)
-            for w, pd in cur.items():
-                tgt = nxt.get(w)
-                if tgt is None:
-                    nxt[w] = _mul(pd, one_minus_q)
+            shift = 2 * self.datum.L[i] * k  # bits of q_s
+            out: dict = {}
+            get = out.get
+            for w, P in cur.items():
+                if not P:
+                    continue
+                ws, e = cache.get((w, i)) or self._compute_gen_right(w, i)
+                if e is None:
+                    out[ws] = get(ws, 0) + P
+                    out[w] = get(w, 0) + P - (P << shift)
                 else:
-                    _add_into(tgt, pd, one_minus_q)
-                    if not tgt:
-                        del nxt[w]
-            cur = nxt
+                    out[ws] = get(ws, 0) + (P << shift)
+            cur = out
         return cur
 
     def mul_inverse(self, a: HeckeElt, w: ExtWeylElt) -> HeckeElt:
         """a · i_w^{-1} = q_w^{-1} · a · i_{ω^{-1}} · star, with star as in im_invert_basis."""
+        if not a.d:
+            return self.zero()
         W = self.weyl
         word, om = W.reduced_word(w)
         om_inv = W.inverse(om)
-        cur = {W.compose(x, om_inv): p.d for x, p in a.d.items()}
-        qinv = {-2 * W.weighted_length(w): 1}
-        return self._wrap({x: _mul(pd, qinv) for x, pd in self._right_star(cur, word).items()})
+        k = (_norm_of(a) * 3 ** len(word)).bit_length() + 2
+        e0 = _min_exp(a)
+        cur = {W.compose(x, om_inv): _pack(p.d, e0, k) for x, p in a.d.items()}
+        return self._unpacked(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k)
 
     def im_invert_basis(self, w: ExtWeylElt) -> tuple[HeckeElt, HeckeElt]:
         """(inverse, star) with i_w · inverse = i_e and star the integral part.
@@ -266,11 +289,18 @@ class IwahoriHecke:
         """
         W = self.weyl
         word, om = W.reduced_word(w)
-        star = self._wrap(self._right_star({W.identity: {0: 1}}, word))
+        k = (3 ** len(word)).bit_length() + 2
+        raw = self._right_star({W.identity: 1}, word, k)
         om_inv = W.inverse(om)
-        qinv = LaurentPoly.v_power(-2 * W.weighted_length(w))
-        inverse = HeckeElt(self, {W.compose(om_inv, x): p * qinv for x, p in star.d.items()})
+        star = self._unpacked(raw, 0, k)
+        inverse = self._unpacked({W.compose(om_inv, x): P for x, P in raw.items()}, -2 * W.weighted_length(w), k)
         return inverse, star
+
+    def _unpacked(self, packed: dict, e0: int, k: int) -> HeckeElt:
+        return HeckeElt(
+            self,
+            {w: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for w, P in packed.items() if P},
+        )
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:
         W = self.weyl
@@ -292,8 +322,16 @@ class IwahoriHecke:
         return LaurentPoly.__new_raw__(out)
 
 
-def _canon(d: dict) -> dict:
-    return {e: c for e, c in d.items() if c}
+def _norm(d: dict) -> int:
+    return sum(map(abs, d.values()))
+
+
+def _norm_of(h: HeckeElt) -> int:
+    return sum(_norm(p.d) for p in h.d.values())
+
+
+def _min_exp(h: HeckeElt) -> int:
+    return min(min(p.d) for p in h.d.values())
 
 
 class TorsionQuotient:

@@ -10,10 +10,15 @@ coefficients; the zero polynomial is the empty dict.  Coefficients are
 Python ints (arbitrary precision).
 
 The module also holds the raw helpers shared by the layers above: the
-in-place kernel on {exp: coeff} dicts that the Hecke rewriting engine runs
-on, and the sparse-module helpers (`_axpy`, `_lincomb`, `_eliminate`) that
-accumulate {key: LaurentPoly} modules into raw {key: {exp: coeff}} dicts
-and perform the steps of every triangular elimination.
+in-place kernel on {exp: coeff} dicts, the sparse-module helpers (`_axpy`,
+`_lincomb`, `_eliminate`) that accumulate {key: LaurentPoly} modules into raw
+{key: {exp: coeff}} dicts and perform the steps of every triangular
+elimination, and the Kronecker packing (`_pack`, `_unpack`) that the Hecke
+rewriting engine runs on.  A packed polynomial is the int Σ c·2^(k·(e - e0)):
+signed base-2^k digits above a base exponent e0, exact for sums, products and
+multiplication by powers of v.  It unpacks correctly when every coefficient
+has |c| < 2^(k-1), so the caller picks k from a bound on the result's
+coefficients (for the Hecke products, see `hecke`).
 
 >>> q = LaurentPoly.q()
 >>> (q - 1) * (q + 1) == LaurentPoly.q_power(2) - 1
@@ -31,8 +36,9 @@ from .errors import NonDivisible, OddHalfPower
 __all__ = ["LaurentPoly", "is_prime_power"]
 
 
-# Low-level helpers on raw {exp: coeff} dicts.  The Hecke rewriting engine
-# accumulates through these to avoid churning wrapper objects in hot loops.
+# Low-level helpers on raw {exp: coeff} dicts.  LaurentPoly and the
+# sparse-module helpers below accumulate through these to avoid churning
+# wrapper objects in loops.
 
 def _add_into(dst: dict, src: dict, scale: dict | None = None) -> None:
     """dst += src * scale (scale=None means 1), in place."""
@@ -89,6 +95,52 @@ def _mul(a: dict, b: dict) -> dict:
 
 def _neg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
+
+
+# Kronecker packing.  A polynomial with every exponent ≥ e0 and every
+# coefficient of absolute value < 2^(k-1) is the int Σ c·2^(k·(e - e0)): its
+# value at x = 2^k after the shift by v^-e0.  Evaluation is a ring
+# homomorphism, so sums, products and multiplication by v^j (a left shift by
+# j·k bits) act on packed ints exactly; only the polynomial being unpacked
+# needs its coefficients inside the digit range.
+
+def _pack(d: dict, e0: int, k: int) -> int:
+    """The int with signed base-2^k digit c at position e - e0, for each e: c in d.
+
+    >>> _pack({0: 1, 2: -3}, 0, 4)   # 1 - 3·16²
+    -767
+    >>> _pack({-1: 2}, -1, 8)
+    2
+    """
+    P = 0
+    for e, c in d.items():
+        P += c << (k * (e - e0))
+    return P
+
+
+def _unpack(P: int, e0: int, k: int) -> dict:
+    """Inverse of _pack: the {exp: coeff} dict whose digits are |c| < 2^(k-1).
+
+    >>> _unpack(-767, 0, 4)
+    {0: 1, 2: -3}
+    >>> _unpack(_pack({-3: -7, 5: 7}, -3, 4), -3, 4)
+    {-3: -7, 5: 7}
+    """
+    out: dict = {}
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    e = e0
+    while P:
+        z = ((P & -P).bit_length() - 1) // k  # whole zero digits below the lowest set bit
+        P >>= z * k
+        e += z
+        c = P & mask
+        if c >= half:
+            c -= mask + 1
+        out[e] = c
+        P = (P - c) >> k
+        e += 1
+    return out
 
 
 # Sparse modules.  A module is {key: LaurentPoly} with no zero coefficients;

@@ -1,5 +1,6 @@
 """CLI commands, expression grammar, exit codes, cache persistence."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -227,3 +228,50 @@ def test_unusable_cache_dir_is_ignored(capsys, tmp_path, monkeypatch, where):
         where.write_text("not a directory")
     monkeypatch.setenv(CACHE_ENV, str(where))
     assert capture(capsys, args)[:2] == (0, cold)
+
+
+def _fresh_run(capsys, monkeypatch, args):
+    """One CLI run on a fresh engine, as in a new process."""
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
+    return capture(capsys, args)[:2]
+
+
+@pytest.mark.parametrize("edit", ["payload", "package", "payload and digest"])
+def test_tampered_cache(capsys, tmp_path, monkeypatch, edit):
+    """An edited cache file is a miss, unless its header is rewritten to match the edit."""
+    args = ["--datum", "a1", "theta", "t[1]"]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    cold = _fresh_run(capsys, monkeypatch, args)
+    assert cold[0] == 0
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert _fresh_run(capsys, monkeypatch, args) == cold
+    (path,) = tmp_path.glob("parahecke-v*.json")
+    header, body = path.read_bytes().split(b"\n", 1)
+    header, blob = json.loads(header), json.loads(body)
+    if edit == "package":  # a cache written by another package version
+        header["package"] = "0.0.0"
+    else:  # the coefficient list of the Θ(t[1]) entry's first term set to 7
+        (entry,) = [e for e in blob["theta"] if e[0] == [[1], []]]
+        entry[1][0][3] = [[0, 7]]
+    body = json.dumps(blob).encode()
+    if edit == "payload and digest":
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    code, out = _fresh_run(capsys, monkeypatch, args)
+    assert code == 0
+    assert (out != cold[1]) == (edit == "payload and digest")
+
+
+def test_warm_run_leaves_cache_file_alone(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+
+    def run(expr):
+        assert _fresh_run(capsys, monkeypatch, ["--datum", "a1", "theta", expr])[0] == 0
+        (path,) = tmp_path.glob("parahecke-v*.json")
+        st = path.stat()
+        return st.st_ino, st.st_mtime_ns, len(json.loads(path.read_bytes().split(b"\n", 1)[1])["theta"])
+
+    first = run("t[1]")
+    assert run("t[1]") == first
+    grown = run("t[2]")
+    assert grown[:2] != first[:2] and grown[2] > first[2]

@@ -223,3 +223,58 @@ def test_braid_soundness_random_words(Hc2):
         for i in right:
             pr = pr * Hc2.basis(W.gen(i))
         assert pl == pr
+
+
+# -- an independent reference product ------------------------------------------
+
+
+def reference_times_gen(H, h, i):
+    """h · i_s by the quadratic relation, on {w: LaurentPoly} dicts."""
+    W = H.weyl
+    s, qs = W.gen(i), LaurentPoly.q_power(H.datum.L[i])
+    out: dict = {}
+    for w, p in h.items():
+        ws = W.compose(w, s)
+        terms = [(ws, p)] if W.length(ws) > W.length(w) else [(ws, p * qs), (w, p * (qs - 1))]
+        for x, c in terms:
+            out[x] = out.get(x, LaurentPoly.zero()) + c
+    return {x: c for x, c in out.items() if c}
+
+
+def reference_mul(H, a, b):
+    """a·b one generator at a time: y = ω·s_1···s_r is peeled by right descents."""
+    W = H.weyl
+    out: dict = {}
+    for y, c in b.d.items():
+        word = []
+        while W.length(y) > 0:
+            i = next(i for i in H.datum.saff_indices if W.length(W.compose(y, W.gen(i))) < W.length(y))
+            word.append(i)
+            y = W.compose(y, W.gen(i))
+        cur = {W.compose(w, y): p for w, p in a.d.items()}  # i_w · i_ω = i_{wω}
+        for i in reversed(word):
+            cur = reference_times_gen(H, cur, i)
+        for x, p in cur.items():
+            out[x] = out.get(x, LaurentPoly.zero()) + p * c
+    return {x: c for x, c in out.items() if c}
+
+
+def random_elt(H, rng, ball, terms=3):
+    big = 10**30
+    return H.from_terms(
+        (rng.choice(ball), LaurentPoly({rng.randint(-6, 6): rng.randint(-big, big) for _ in range(3)}))
+        for _ in range(terms)
+    )
+
+
+@pytest.mark.parametrize("name", ["c2", "a1_unequal"])
+def test_mul_and_mul_inverse_match_reference(name):
+    H = IwahoriHecke.for_datum(load_bundled(name))
+    W = H.weyl
+    rng = random.Random(17)
+    ball = W.ball(4)
+    for _ in range(6):
+        a, b = random_elt(H, rng, ball), random_elt(H, rng, ball)
+        assert H.mul(a, b).d == reference_mul(H, a, b)
+        w = rng.choice(ball)
+        assert reference_mul(H, H.mul_inverse(a, w), H.basis(w)) == a.d

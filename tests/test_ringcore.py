@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from parahecke.errors import NonDivisible, OddHalfPower
 import parahecke.ringcore
-from parahecke.ringcore import LaurentPoly, _axpy, _eliminate, _lincomb, is_prime_power
+from parahecke.ringcore import LaurentPoly, _axpy, _eliminate, _lincomb, _pack, _unpack, is_prime_power
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q()
@@ -181,3 +181,32 @@ def test_eliminate_non_divisible_lead_raises():
     residual = {"a": {0: 1}}
     with pytest.raises(NonDivisible):
         _eliminate(residual, {"a": Q + 1}, "a")
+
+
+# -- Kronecker packing -------------------------------------------------------
+
+@st.composite
+def packable(draw):
+    """(d, e0, k): every exponent ≥ e0 and every digit |c| ≤ 2^(k-1) - 1, the extremes included."""
+    k = draw(st.integers(min_value=2, max_value=70))
+    e0 = draw(st.integers(min_value=-20, max_value=20))
+    lim = (1 << (k - 1)) - 1
+    coeffs = st.sampled_from([lim, -lim]) | st.integers(min_value=-lim, max_value=lim)
+    d = draw(st.dictionaries(st.integers(min_value=e0, max_value=e0 + 12), coeffs.filter(bool), max_size=8))
+    return d, e0, k
+
+
+@given(packable())
+def test_pack_unpack_roundtrip(case):
+    d, e0, k = case
+    assert _unpack(_pack(d, e0, k), e0, k) == d
+
+
+@given(small_polys, small_polys, st.integers(min_value=0, max_value=5))
+def test_packed_arithmetic_is_polynomial_arithmetic(a, b, j):
+    # ‖a·b‖₁ ≤ ‖a‖₁·‖b‖₁ and ‖a·(v^j - 1)‖₁ ≤ 2·‖a‖₁
+    k = (sum(map(abs, a.d.values())) * max(sum(map(abs, b.d.values())), 2)).bit_length() + 2
+    ea, eb = min(a.d, default=0), min(b.d, default=0)
+    pa, pb = _pack(a.d, ea, k), _pack(b.d, eb, k)
+    assert LaurentPoly(_unpack(pa * pb, ea + eb, k)) == a * b
+    assert LaurentPoly(_unpack((pa << (j * k)) - pa, ea, k)) == a * (LaurentPoly.v_power(j) - 1)
