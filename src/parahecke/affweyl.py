@@ -9,6 +9,12 @@ enumerated, only decomposed against).
 
 The Bruhat order is the Coxeter order on the affine part, fiberwise over Ω:
 two elements are comparable only when their Ω-parts coincide.
+
+`intern` gives each element a dense int id on first sight (the identity is
+0), and `by_id` maps ids back.  The table only grows.  The Hecke rewriting
+engine keys its hot loops on these ids; ids follow first-seen order, so no
+output may depend on them: every printed or stored order comes from
+`sort_key`.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ class AffineWeylGroup:
         self._wlen: dict[ExtWeylElt, int] = {}
         self._bruhat: dict[tuple[ExtWeylElt, ExtWeylElt], bool] = {}
         self._omega_samples: list[ExtWeylElt] | None = None
+        self._ids: dict[ExtWeylElt, int] = {}
+        self.by_id: list[ExtWeylElt] = []
+        self.intern(self.identity)
 
     # -- constructors ------------------------------------------------------
 
@@ -63,6 +72,14 @@ class AffineWeylGroup:
         if i not in self._gens:
             raise KeyError(f"no affine generator s{i}; have {sorted(self._gens)}")
         return self._gens[i]
+
+    def intern(self, x: ExtWeylElt) -> int:
+        """Dense id of x, assigned on first sight; by_id[intern(x)] == x."""
+        n = self._ids.get(x)
+        if n is None:
+            n = self._ids[x] = len(self.by_id)
+            self.by_id.append(x)
+        return n
 
     # -- group structure ---------------------------------------------------
 

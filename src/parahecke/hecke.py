@@ -20,11 +20,16 @@ two-term factors one at a time, without ever forming the inverse.
 Inside `mul`, `mul_inverse` and `im_invert_basis` each coefficient is one
 Python int (ringcore._pack): signed base-2^k digits above a base exponent e0,
 both fixed per call.  Multiplying by q_s is a left shift by 2L(s)·k bits, so a
-generator step costs a shift and an int addition per term, and the memoized
-step stores only (ws, None) or (ws, 2L(s)).  Width rule: with N(a) = Σ_w ‖a_w‖₁,
-k = bitlen(N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y)) + 2 for a·b, and
-k = bitlen(N(a) · 3^ℓ(w)) + 2 for a · i_w^{-1}; the proof is at `mul`.  Results
-are unpacked to LaurentPoly on exit.
+generator step costs a shift and an int addition per term.  Width rule: with
+N(a) = Σ_w ‖a_w‖₁, k = bitlen(N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y)) + 2 for a·b, and
+k = bitlen(N(a) · 3^ℓ(w)) + 2 for a · i_w^{-1}; the proof is at `mul`.
+
+The same loops key group elements by dense int ids (AffineWeylGroup.intern),
+so they hash small ints, not nested tuples.  The memoized step maps the int
+n·G + i (G generators, w of id n) to (id of ws, None) or (id of ws, 2L(s)),
+and right translation by ω ≠ 1 is memoized per ω by id.  Results are
+unpacked to LaurentPoly and keyed by group elements again on exit; ids never
+decide an output order.
 """
 
 from __future__ import annotations
@@ -119,7 +124,13 @@ class IwahoriHecke:
     def __init__(self, weyl: AffineWeylGroup):
         self.weyl = weyl
         self.datum = weyl.datum
-        self._gen_cache: dict = {}
+        # Rewriting memos, keyed by group-element ids (AffineWeylGroup.intern).
+        # _gen_cache: n·G + i -> (id of x·s_i, None | 2L(s_i)) for x = by_id[n];
+        # generator indices are 0..G-1 (Datum._build_saff).
+        # _om_cache: id of ω -> {n: id of x·ω}.
+        self._gen_cache: dict[int, tuple] = {}
+        self._om_cache: dict[int, dict[int, int]] = {}
+        self._G = len(self.datum.saff_indices)
 
     @classmethod
     def for_datum(cls, datum: Datum) -> "IwahoriHecke":
@@ -187,17 +198,18 @@ class IwahoriHecke:
         if not a.d or not b.d:
             return self.zero()
         W = self.weyl
+        intern = W.intern
         words = []
         bound = 0
         for y, c in b.d.items():
             word, om = W.reduced_word(y)
-            words.append((word, om, c.d))
+            words.append((word, intern(om), c.d))
             bound += _norm(c.d) * 3 ** len(word)
         k = (_norm_of(a) * bound).bit_length() + 2
         ea, eb = _min_exp(a), _min_exp(b)
         entries = sorted(((word, om, _pack(cd, eb, k)) for word, om, cd in words), key=lambda e: e[0])
         acc: dict = {}
-        cur = {w: _pack(p.d, ea, k) for w, p in a.d.items()}
+        cur = {intern(w): _pack(p.d, ea, k) for w, p in a.d.items()}
         self._mul_rec(cur, entries, 0, len(entries), 0, acc, k)
         return self._unpacked(acc, ea + eb, k)
 
@@ -215,35 +227,45 @@ class IwahoriHecke:
             i = j
 
     def _flush(self, cur, om, C, acc):
-        W = self.weyl
-        shift = om != W.identity
+        """acc += cur · i_ω · C, with ω given by its id (0 is the identity)."""
         get = acc.get
-        for w, P in cur.items():
-            key = W.compose(w, om) if shift else w
-            acc[key] = get(key, 0) + P * C
+        if not om:
+            for n, P in cur.items():
+                acc[n] = get(n, 0) + P * C
+            return
+        W = self.weyl
+        memo = self._om_cache.setdefault(om, {})
+        omega = W.by_id[om]
+        for n, P in cur.items():
+            m = memo.get(n)
+            if m is None:
+                m = memo[n] = W.intern(W.compose(W.by_id[n], omega))
+            acc[m] = get(m, 0) + P * C
 
     def _apply_gen_right(self, cur: dict, i: int, k: int) -> dict:
-        cache = self._gen_cache
+        cache, G = self._gen_cache, self._G
         out: dict = {}
         get = out.get
-        for w, P in cur.items():
+        for n, P in cur.items():
             if not P:
                 continue
-            ws, e = cache.get((w, i)) or self._compute_gen_right(w, i)
+            ns, e = cache.get(n * G + i) or self._compute_gen_right(n, i)
             if e is None:
-                out[ws] = get(ws, 0) + P
+                out[ns] = get(ns, 0) + P
             else:
                 qP = P << (e * k)
-                out[ws] = get(ws, 0) + qP
-                out[w] = get(w, 0) + qP - P
+                out[ns] = get(ns, 0) + qP
+                out[n] = get(n, 0) + qP - P
         return out
 
-    def _compute_gen_right(self, w: ExtWeylElt, i: int):
-        """Memoized (ws, None) when i_w·i_s = i_{ws}, else (ws, 2L(s)): i_w·i_s = q_s i_{ws} + (q_s - 1) i_w."""
+    def _compute_gen_right(self, n: int, i: int):
+        """Memoized (id of ws, None) when i_w·i_s = i_{ws}, else (id of ws, 2L(s)):
+        i_w·i_s = q_s i_{ws} + (q_s - 1) i_w, for w = by_id[n]."""
         W = self.weyl
+        w = W.by_id[n]
         ws = W.compose(w, W.gen(i))
-        hit = (ws, None) if W.length(ws) > W.length(w) else (ws, 2 * self.datum.L[i])
-        self._gen_cache[(w, i)] = hit
+        hit = (W.intern(ws), None if W.length(ws) > W.length(w) else 2 * self.datum.L[i])
+        self._gen_cache[n * self._G + i] = hit
         return hit
 
     def _right_star(self, cur: dict, word, k: int) -> dict:
@@ -252,20 +274,20 @@ class IwahoriHecke:
         i_w·(i_s - q_s + 1) is i_{ws} + (1 - q_s)·i_w when ws is longer, and
         q_s·i_{ws} otherwise (the (q_s - 1)·i_w of i_w·i_s cancels).
         """
-        cache = self._gen_cache
+        cache, G = self._gen_cache, self._G
         for i in reversed(word):
             shift = 2 * self.datum.L[i] * k  # bits of q_s
             out: dict = {}
             get = out.get
-            for w, P in cur.items():
+            for n, P in cur.items():
                 if not P:
                     continue
-                ws, e = cache.get((w, i)) or self._compute_gen_right(w, i)
+                ns, e = cache.get(n * G + i) or self._compute_gen_right(n, i)
                 if e is None:
-                    out[ws] = get(ws, 0) + P
-                    out[w] = get(w, 0) + P - (P << shift)
+                    out[ns] = get(ns, 0) + P
+                    out[n] = get(n, 0) + P - (P << shift)
                 else:
-                    out[ws] = get(ws, 0) + (P << shift)
+                    out[ns] = get(ns, 0) + (P << shift)
             cur = out
         return cur
 
@@ -278,7 +300,7 @@ class IwahoriHecke:
         om_inv = W.inverse(om)
         k = (_norm_of(a) * 3 ** len(word)).bit_length() + 2
         e0 = _min_exp(a)
-        cur = {W.compose(x, om_inv): _pack(p.d, e0, k) for x, p in a.d.items()}
+        cur = {W.intern(W.compose(x, om_inv)): _pack(p.d, e0, k) for x, p in a.d.items()}
         return self._unpacked(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k)
 
     def im_invert_basis(self, w: ExtWeylElt) -> tuple[HeckeElt, HeckeElt]:
@@ -290,16 +312,19 @@ class IwahoriHecke:
         W = self.weyl
         word, om = W.reduced_word(w)
         k = (3 ** len(word)).bit_length() + 2
-        raw = self._right_star({W.identity: 1}, word, k)
+        raw = self._right_star({0: 1}, word, k)
         om_inv = W.inverse(om)
         star = self._unpacked(raw, 0, k)
-        inverse = self._unpacked({W.compose(om_inv, x): P for x, P in raw.items()}, -2 * W.weighted_length(w), k)
+        shifted = {W.intern(W.compose(om_inv, W.by_id[n])): P for n, P in raw.items()}
+        inverse = self._unpacked(shifted, -2 * W.weighted_length(w), k)
         return inverse, star
 
     def _unpacked(self, packed: dict, e0: int, k: int) -> HeckeElt:
+        """{id: packed coefficient} -> HeckeElt keyed by group elements."""
+        by_id = self.weyl.by_id
         return HeckeElt(
             self,
-            {w: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for w, P in packed.items() if P},
+            {by_id[n]: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for n, P in packed.items() if P},
         )
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:

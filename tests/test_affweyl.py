@@ -146,3 +146,13 @@ def test_parse_print_roundtrip(a1t2, gl2):
             assert g.parse_elt(g.format_elt(x)) == x
     assert gl2.parse_elt("t[1,0]·w[1]") == gl2.compose(gl2.elt([1, 0]), gl2.finite(1))
     assert a1t2.parse_elt("s1*s0") == a1t2.compose(a1t2.gen(1), a1t2.gen(0))
+
+
+def test_intern_ids_are_dense_and_invertible():
+    W = AffineWeylGroup(load_bundled("c2"))
+    ball = W.ball(3)
+    assert ball[0] == W.identity
+    ids = [W.intern(x) for x in ball]
+    assert ids == list(range(len(ball)))  # identity is 0, then first-seen order
+    assert [W.intern(x) for x in ball] == ids
+    assert [W.by_id[n] for n in ids] == ball
