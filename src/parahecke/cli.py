@@ -98,8 +98,10 @@ def _pretty_hecke(eng: Engine, h) -> str:
 def _parse_facet(eng: Engine, text: str):
     if not text.strip():
         return eng.para.special_facet()
-    idx = [int(tok) for tok in text.split(",") if tok.strip()]
-    return eng.para.facet(idx)
+    try:  # a token that is not an integer, or an index that is not an affine generator
+        return eng.para.facet([int(tok) for tok in text.split(",") if tok.strip()])
+    except ValueError as exc:
+        raise ExprSyntaxError(f"bad --facet {text!r}: {exc}") from None
 
 
 def run(args) -> int:
@@ -128,39 +130,40 @@ def run(args) -> int:
         return 2
     eng.load_cache()
     try:
-        code = _dispatch(args, eng)
+        code, text = _dispatch(args, eng)
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParaheckeError as exc:
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    try:
+        _emit(args, text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 2
     eng.save_cache()
     return code
 
 
-def _dispatch(args, eng: Engine) -> int:
+def _dispatch(args, eng: Engine) -> tuple[int, str]:
+    """(exit code, output text) of one command."""
     H = eng.hecke
     fmt_m = _fmt_lattice(eng)
 
     if args.command == "validate":
         rep = validate_datum(eng.datum.cfg)
-        _emit(args, _json({
+        return 0, _json({
             "datum": rep.name,
             "ok": rep.ok,
             "weyl_order": rep.weyl_order,
             "coxeter_matrix": rep.coxeter_matrix,
             "omega_data": rep.omega_data,
-        }))
-        return 0
+        })
 
     if args.command == "multiply":
         prod = H.mul(parse_hecke_expr(H, args.e1), parse_hecke_expr(H, args.e2))
-        if args.format == "pretty":
-            _emit(args, _pretty_hecke(eng, prod))
-        else:
-            _emit(args, _json(_hecke_obj(eng, prod)))
-        return 0
+        return 0, _pretty_hecke(eng, prod) if args.format == "pretty" else _json(_hecke_obj(eng, prod))
 
     if args.command == "invert":
         h = parse_hecke_expr(H, args.elt)
@@ -168,27 +171,21 @@ def _dispatch(args, eng: Engine) -> int:
             raise ExprSyntaxError("invert expects a single basis element expression")
         (w,) = h.d
         inv, star = H.im_invert_basis(w)
-        _emit(args, _json({
+        return 0, _json({
             "element": eng.weyl.format_elt(w),
             "inverse": _hecke_obj(eng, inv),
             "star": _hecke_obj(eng, star),
-        }))
-        return 0
+        })
 
     if args.command == "theta":
         m = parse_lattice(H, args.m)
         th = eng.bern.theta(m)
-        if args.format == "pretty":
-            _emit(args, _pretty_hecke(eng, th))
-        else:
-            _emit(args, _json(_hecke_obj(eng, th)))
-        return 0
+        return 0, _pretty_hecke(eng, th) if args.format == "pretty" else _json(_hecke_obj(eng, th))
 
     if args.command == "to-bernstein":
         h = parse_hecke_expr(H, args.expr)
         b = eng.bern.im_to_bern(h)
-        _emit(args, _json({"coeff_convention": "v-pairs with q = v^2", "terms": b.to_obj()}))
-        return 0
+        return 0, _json({"coeff_convention": "v-pairs with q = v^2", "terms": b.to_obj()})
 
     if args.command == "center-basis":
         F = _parse_facet(eng, args.facet)
@@ -196,34 +193,30 @@ def _dispatch(args, eng: Engine) -> int:
         for m, h in eng.datum.antidominant_set(args.height):
             z = eng.para.center_elt(F, m)
             out.append({"m": fmt_m(m), "height": h, "element": _hecke_obj(eng, z)})
-        _emit(args, _json({
+        return 0, _json({
             "datum": eng.datum.name,
             "facet": [f"s{i}" for i in F.J],
             "basis": out,
-        }))
-        return 0
+        })
 
     if args.command == "satake":
         xs = [x for x, _ in eng.datum.antidominant_set(args.height)]
         table = eng.para.satake_table(xs)
         if args.format == "csv":
-            _emit(args, table.to_csv(fmt_m, q_eval=args.q))
-        elif args.format == "pretty":
+            return 0, table.to_csv(fmt_m, q_eval=args.q)
+        if args.format == "pretty":
             lines = [f"twisted Satake table for {eng.datum.name} (special facet)"]
             for r in table.rows:
                 lines.append(f"  h[{fmt_m(r.x)}] ->")
                 for m, p in r.entries:
                     lines.append(f"      {p!s:>24}  ·  r[{fmt_m(m)}]")
-            _emit(args, "\n".join(lines))
-        else:
-            _emit(args, _json(table.to_obj(fmt_m, q_eval=args.q)))
-        return 0
+            return 0, "\n".join(lines)
+        return 0, _json(table.to_obj(fmt_m, q_eval=args.q))
 
     if args.command == "verify":
         results = run_suite(eng, args.suite)
         text, worst = render_results(results)
-        _emit(args, text)
-        return worst
+        return worst, text
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 

@@ -3,7 +3,9 @@
 An Engine bundles the validated datum with its Weyl group, Hecke algebra,
 Bernstein module and parahoric layer, so suites and the CLI share memo
 tables.  When PARAHECKE_CACHE_DIR is set, Θ-element and Θ·1_K product
-tables persist across processes.  A cache file is one JSON header line (format
+tables persist across processes (the Θ·1_K table is held packed in memory:
+saving unpacks it, and loaded entries stay unpacked until first used, so
+loading does no arithmetic).  A cache file is one JSON header line (format
 version, package version, datum content hash and the sha256 of the rest)
 followed by the JSON payload; a file whose header does not match this engine
 or its payload is never read, so stale, edited and truncated caches are
@@ -104,8 +106,8 @@ class Engine:
                 [_lattice_to(m), self._hecke_to(h)] for m, h in sorted(self.bern._theta.items())
             ],
             "theta_oneK": [
-                [list(j), _lattice_to(m), self._hecke_to(h)]
-                for (j, m), h in sorted(self.para._theta_oneK.items())
+                [list(j), _lattice_to(m), self._hecke_to(self.para._oneK_elt((j, m)))]
+                for j, m in sorted(self.para._theta_oneK)
             ],
         }).encode()
         header = json.dumps(self._cache_header(_digest(body))).encode()

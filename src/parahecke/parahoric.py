@@ -13,6 +13,12 @@ transform.  The Satake rows and the general solve share one elimination step,
 ringcore._eliminate; each keeps its own pivot order and its own checks.
 Positivity of the entries is asserted in the shifted variable t = q - 1 (the
 universal form of point-count positivity).
+
+Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is assembled from one memo per facet that
+holds each Θ_m * 1_K only as Kronecker-packed ints (ringcore._pack) keyed by
+dense group-element ids, all at the facet's one digit width, which grows (and
+repacks the facet's entries) when a sum's proved coefficient bound needs it.
+The sum is then an int multiply-add per term, unpacked once.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .errors import (
     NotCentral,
     SolveInconsistent,
 )
-from .hecke import HeckeElt
-from .ringcore import LaurentPoly, _eliminate, _lincomb
+from .hecke import HeckeElt, _norm
+from .ringcore import LaurentPoly, _eliminate, _lincomb, _pack, _unpack
 from .rootdatum import LatticeElt
 
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
@@ -113,6 +119,7 @@ class Parahoric:
         self._kelts: dict = {}
         self._kelt_biinv_ok: set = set()
         self._theta_oneK: dict = {}
+        self._oneK_width: dict = {}
 
     # -- facet data --------------------------------------------------------
 
@@ -175,18 +182,73 @@ class Parahoric:
         self._kelts[key] = out
         return out
 
+    # Θ_m * 1_K is memoized packed (ringcore._pack) on dense ids
+    # (AffineWeylGroup.intern): entry (J, m) is (Z, e0, zmax) with
+    # Z = {id of w: packed coefficient of i_w}, e0 the least v-exponent and
+    # zmax the largest |coefficient|, every entry of facet J at that facet's one
+    # digit width _oneK_width[J].  Entries loaded from the cache stay HeckeElts
+    # until first used.  Width rule: a coefficient of p·c has absolute value at
+    # most ‖p‖₁·max|c|, so every coefficient of Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K)
+    # is at most B = Σ_m ‖p_m‖₁·zmax_m, and with k = bitlen(B) + 2 it is
+    # < 2^(k-1), a digit that unpacks exactly.  Each entry is packed at a width
+    # ≥ bitlen(zmax) + 2, so it also unpacks, and repacks, exactly.  A width
+    # that must grow becomes max(k, 2·K_J), so each facet repacks O(log) times.
+
     def theta_oneK(self, F: FacetType, m: LatticeElt) -> HeckeElt:
-        """Θ_m * 1_K, memoized per facet."""
+        """Θ_m * 1_K, unpacked from the per-facet packed memo."""
+        self._oneK_entry(F, m)
+        return self._oneK_elt((F.J, m))
+
+    def _oneK_elt(self, key) -> HeckeElt:
+        """The memo entry at key = (J, m) as a HeckeElt, in either form."""
+        got = self._theta_oneK[key]
+        if isinstance(got, HeckeElt):
+            return got
+        Z, e0, _ = got
+        return self.H._unpacked(Z, e0, self._oneK_width[key[0]])
+
+    def _oneK_entry(self, F: FacetType, m: LatticeElt) -> tuple:
+        """The packed memo entry (Z, e0, zmax) of Θ_m * 1_K, built or packed on first use."""
         key = (F.J, m)
         got = self._theta_oneK.get(key)
-        if got is None:
-            got = self.H.mul(self.bern.theta(m), F.one_K)
-            self._theta_oneK[key] = got
+        if type(got) is tuple:
+            return got
+        h = got if got is not None else self.H.mul(self.bern.theta(m), F.one_K)
+        zmax = max((abs(c) for p in h.d.values() for c in p.d.values()), default=0)
+        e0 = min((min(p.d) for p in h.d.values()), default=0)
+        self._widen(F.J, zmax.bit_length() + 2)
+        k, intern = self._oneK_width[F.J], self.W.intern
+        got = self._theta_oneK[key] = ({intern(w): _pack(p.d, e0, k) for w, p in h.d.items()}, e0, zmax)
         return got
 
+    def _widen(self, J: tuple, k: int) -> None:
+        """Grow facet J's digit width to at least k, repacking its packed entries."""
+        old = self._oneK_width.get(J, 0)
+        if k <= old:
+            return
+        new = self._oneK_width[J] = max(k, 2 * old)
+        memo = self._theta_oneK
+        for key, got in list(memo.items()):
+            if key[0] == J and type(got) is tuple:
+                Z, e0, zmax = got
+                memo[key] = ({n: _pack(_unpack(P, e0, old), e0, new) for n, P in Z.items()}, e0, zmax)
+
     def _theta_of_times_oneK(self, F: FacetType, r) -> HeckeElt:
-        """Θ̇(r) * 1_K assembled from the memoized per-basis products."""
-        return self.H._wrap(_lincomb((self.theta_oneK(F, m).d, p.d) for m, p in r.d.items()))
+        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), summed packed over the memo's ids."""
+        if not r.d:
+            return self.H.zero()
+        bound = sum(_norm(p.d) * self._oneK_entry(F, m)[2] for m, p in r.d.items())
+        self._widen(F.J, bound.bit_length() + 2)
+        k, memo = self._oneK_width[F.J], self._theta_oneK
+        terms = [(memo[F.J, m], p.d) for m, p in r.d.items()]
+        base = min(e0 + min(pd) for (_, e0, _), pd in terms)
+        acc: dict = {}
+        get = acc.get
+        for (Z, e0, _), pd in terms:
+            C = _pack(pd, base - e0, k)
+            for n, P in Z.items():
+                acc[n] = get(n, 0) + P * C
+        return self.H._unpacked(acc, base, k)
 
     # -- corner multiplication -----------------------------------------------
 

@@ -11,6 +11,7 @@ from parahecke import engine as engine_mod
 from parahecke.engine import CACHE_ENV, CACHE_VERSION, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_hecke_expr, parse_lattice
+from parahecke.hecke import HeckeElt
 from parahecke.ringcore import LaurentPoly
 from parahecke import cli
 
@@ -275,3 +276,42 @@ def test_warm_run_leaves_cache_file_alone(capsys, tmp_path, monkeypatch):
     assert run("t[1]") == first
     grown = run("t[2]")
     assert grown[:2] != first[:2] and grown[2] > first[2]
+
+
+def test_theta_oneK_cache_interplay(capsys, tmp_path, monkeypatch):
+    """The packed Θ·1_K memo saves the same entries a fresh product gives,
+    load_cache leaves them unpacked, and a warm run prints the same bytes and
+    leaves the file alone."""
+    args = ["--datum", "c2", "satake", "--height", "2"]
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    cold = _fresh_run(capsys, monkeypatch, args)
+    assert cold[0] == 0
+    (path,) = tmp_path.glob("parahecke-v*.json")
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    saved = json.loads(before[0].split(b"\n", 1)[1])["theta_oneK"]
+    assert saved
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
+    eng = load_engine("c2")
+    H, B, P = eng.hecke, eng.bern, eng.para
+    for jkey, key, terms in saved:
+        F, m = P.facet(jkey), engine_mod._lattice_from(key)
+        assert eng._hecke_from(terms) == H.mul(B.theta(m), F.one_K)
+    assert eng.load_cache(str(tmp_path)) is True
+    assert len(P._theta_oneK) == len(saved)
+    assert all(isinstance(h, HeckeElt) for h in P._theta_oneK.values())  # nothing packed yet
+    assert _fresh_run(capsys, monkeypatch, args) == cold
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+@pytest.mark.parametrize("facet", ["a", "9", "1,x"])
+def test_bad_facet_exits_2(capsys, facet):
+    code, out, err = capture(capsys, ["--datum", "a1", "center-basis", "--facet", facet])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --facet") and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = capture(capsys, ["--datum", "a1", "satake", "--height", "1", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output:") and not target.exists()

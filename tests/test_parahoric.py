@@ -1,7 +1,10 @@
 """Facets, corner products, central elements, Satake tables, compatibility."""
 
+import random
+
 import pytest
 
+from parahecke.bernstein import Bernstein, GroupAlgElt
 from parahecke.engine import load_engine
 from parahecke.errors import (
     InfiniteFacetGroup,
@@ -9,6 +12,8 @@ from parahecke.errors import (
     NotBiinvariant,
     NotCentral,
 )
+from parahecke.hecke import IwahoriHecke
+from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 
 Q = LaurentPoly.q()
@@ -231,3 +236,42 @@ def test_compatibility_diagram_example(E1):
     lifted = P.lift_center(Fi, FK, z_i)
     assert lifted == P.center_elt(FK, m)
     assert P.satake_general(FK, lifted) == E1.bern.orbit_sum_r(m)
+
+
+@pytest.mark.parametrize("name", ["c2", "a2", "gl2", "a1_torsion2"])
+def test_packed_theta_times_oneK_matches_reference(name):
+    """Θ̇(r)·1_K from the packed per-facet memo equals Σ_m p_m·(Θ_m·1_K) in
+    plain LaurentPoly arithmetic, while the facet's digit width grows under
+    the calls: small coefficients first, then one monomial of size 10^30 on
+    the entry with the largest coefficient (the width bound is exactly tight
+    there), then random coefficients up to 10^30."""
+    d = load_engine(name).datum
+    P = Parahoric(Bernstein(IwahoriHecke.for_datum(d)))
+    H, rng = P.H, random.Random(name)
+    ms = sorted({x for m, _ in d.antidominant_set(2) for x in d.orbit(m)})
+
+    def poly(size):
+        return LaurentPoly({rng.randint(-6, 4): rng.choice((-1, 1)) * rng.randint(1, size)
+                            for _ in range(rng.randint(1, 3))})
+
+    def check(F, coeffs):
+        want: dict = {}
+        for m, p in coeffs.items():
+            for w, c in P.theta_oneK(F, m).d.items():
+                want[w] = want.get(w, LaurentPoly.zero()) + p * c
+        got = P._theta_of_times_oneK(F, GroupAlgElt(d, coeffs))
+        assert got.d == {w: c for w, c in want.items() if c}
+
+    for J in [(), P.special_facet().J]:
+        F = P.facet(J)
+        for _ in range(6):
+            check(F, {m: poly(3) for m in rng.sample(ms, 3)})
+        small = P._oneK_width[J]
+        top = max(ms, key=lambda m: max(abs(c) for p in P.theta_oneK(F, m).d.values() for c in p.d.values()))
+        check(F, {top: LaurentPoly({-3: -(10 ** 30)})})
+        for _ in range(6):
+            check(F, {m: poly(10 ** 30) for m in rng.sample(ms, 3)})
+        assert P._oneK_width[J] > small
+        for m in ms:  # entries packed before the width grew still unpack to Θ_m·1_K
+            if (J, m) in P._theta_oneK:
+                assert P.theta_oneK(F, m) == H.mul(P.bern.theta(m), F.one_K)
