@@ -14,26 +14,30 @@ element is shifted by the length-zero part of t_{m∘} and the ℓ(t_{m∘})
 two-term factors of the inverse are applied to it one at a time, so the
 inverse itself is never built.  The IM ↔ Bernstein change of basis is a
 triangular elimination whose diagonal is a unit monomial.
+
+GroupAlgElt (elements of R = Z[v^{±1}][Λ]) and BernsteinElt (coordinates over
+{Θ_m * i_w}) are ringcore.SparseElt modules like HeckeElt: each adds only its
+product, if any, its term order, how a basis key prints and its serialization.
 """
 
 from __future__ import annotations
 
 from .errors import NonUnitDiagonal, NotAntidominant, SolveInconsistent, UnsupportedParameters
 from .hecke import HeckeElt, IwahoriHecke
-from .ringcore import LaurentPoly, _add_into, _eliminate, _lincomb
+from .ringcore import LaurentPoly, SparseElt, _eliminate, _lincomb
 from .rootdatum import Datum, LatticeElt, dot
 
 __all__ = ["GroupAlgElt", "BernsteinElt", "Bernstein"]
 
 
-class GroupAlgElt:
-    """Element of R = Z[v^{±1}][Λ], sparse over lattice basis elements."""
+class GroupAlgElt(SparseElt):
+    """Element of R = Z[v^{±1}][Λ], sparse over lattice basis elements; parent is the datum."""
 
-    __slots__ = ("datum", "d")
+    __slots__ = ()
 
     def __init__(self, datum: Datum, d: dict):
-        self.datum = datum
-        self.d = {m: p for m, p in d.items() if not p.is_zero()}
+        self.parent = datum
+        self.d = {m: p for m, p in d.items() if p}
 
     @classmethod
     def basis(cls, datum: Datum, m: LatticeElt, coeff: LaurentPoly | None = None) -> "GroupAlgElt":
@@ -43,74 +47,43 @@ class GroupAlgElt:
     def zero(cls, datum: Datum) -> "GroupAlgElt":
         return cls(datum, {})
 
-    @classmethod
-    def _wrap(cls, datum: Datum, raw: dict) -> "GroupAlgElt":
-        return cls(datum, {m: LaurentPoly.__new_raw__(pd) for m, pd in raw.items()})
-
-    def __add__(self, other):
-        return GroupAlgElt._wrap(self.datum, _lincomb([(self.d, None), (other.d, None)]))
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly.from_int(-1))
-
     def __mul__(self, other):
         if isinstance(other, GroupAlgElt):
-            out: dict = {}
-            for m1, p1 in self.d.items():
-                for m2, p2 in other.d.items():
-                    key = self.datum.add(m1, m2)
-                    tgt = out.get(key)
-                    if tgt is None:
-                        out[key] = dict((p1 * p2).d)
-                    else:
-                        _add_into(tgt, p1.d, p2.d)
-            return GroupAlgElt._wrap(self.datum, out)
+            add = self.parent.add
+            return self._wrap(self.parent, _lincomb(
+                ({add(m1, m2): p2 for m2, p2 in other.d.items()}, p1.d) for m1, p1 in self.d.items()
+            ))
         return self.scale(other)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "GroupAlgElt":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        return GroupAlgElt(self.datum, {m: p * c for m, p in self.d.items()})
+    def _term_key(self, m: LatticeElt):
+        return m
 
-    def __eq__(self, other):
-        if isinstance(other, GroupAlgElt):
-            return self.d == other.d
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.d)
-
-    def terms(self):
-        return [(m, self.d[m]) for m in sorted(self.d)]
-
-    def __repr__(self):
-        if not self.d:
-            return "0"
-        return " + ".join(f"({p})·x[{m.free};{m.tors}]" for m, p in self.terms())
+    def _fmt_key(self, m: LatticeElt) -> str:
+        return f"x[{m.free};{m.tors}]"
 
 
-class BernsteinElt:
-    """Coordinates over the basis {Θ_m * i_w}: sparse (lattice, W₀) → coefficients."""
+class BernsteinElt(SparseElt):
+    """Coordinates over the basis {Θ_m * i_w}: sparse (lattice, W₀) → coefficients;
+    parent is the Bernstein engine."""
 
-    __slots__ = ("bern", "d")
+    __slots__ = ()
 
     def __init__(self, bern: "Bernstein", d: dict):
-        self.bern = bern
-        self.d = {k: p for k, p in d.items() if not p.is_zero()}
+        self.parent = bern
+        self.d = {k: p for k, p in d.items() if p}
 
-    def __eq__(self, other):
-        if isinstance(other, BernsteinElt):
-            return self.d == other.d
-        return NotImplemented
+    def _term_key(self, key):
+        m, wi = key
+        return (self.parent.exponent_E(m), m, self.parent.datum.w_word[wi])
 
-    def terms(self):
-        key = lambda kv: (self.bern.exponent_E(kv[0][0]), kv[0][0], self.bern.datum.w_word[kv[0][1]])
-        return sorted(self.d.items(), key=key)
+    def _fmt_key(self, key) -> str:
+        m, wi = key
+        return f"Θ[{m.free};{m.tors}]·w[{','.join(map(str, self.parent.datum.w_word[wi]))}]"
 
     def to_obj(self) -> list:
-        d = self.bern.datum
+        d = self.parent.datum
         out = []
         for (m, wi), p in self.terms():
             out.append(
@@ -121,14 +94,6 @@ class BernsteinElt:
                 }
             )
         return out
-
-    def __repr__(self):
-        if not self.d:
-            return "0"
-        return " + ".join(
-            f"({p})·Θ[{m.free};{m.tors}]·w[{','.join(map(str, self.bern.datum.w_word[wi]))}]"
-            for (m, wi), p in self.terms()
-        )
 
 
 class Bernstein:
@@ -175,13 +140,8 @@ class Bernstein:
 
     def dot_act(self, wi: int, r: GroupAlgElt) -> GroupAlgElt:
         d = self.datum
-        out: dict = {}
-        for m, p in r.d.items():
-            key = d.act(wi, m)
-            c = p * self.dot_coeff(m, wi)
-            tgt = out.get(key)
-            out[key] = c if tgt is None else tgt + c
-        return GroupAlgElt(d, out)
+        pairs = (({d.act(wi, m): p}, self.dot_coeff(m, wi).d) for m, p in r.d.items())
+        return GroupAlgElt._wrap(d, _lincomb(pairs))
 
     def orbit_sum_r(self, m: LatticeElt) -> GroupAlgElt:
         """r_m = Σ_{orbit} v^{E(m)-E(μ)}·μ for antidominant m."""
@@ -239,13 +199,13 @@ class Bernstein:
 
     def theta_of(self, r: GroupAlgElt) -> HeckeElt:
         """Θ̇(r) = Σ p·Θ_m over the terms p·x_m of r."""
-        return self.H._wrap(_lincomb((self.theta(m).d, p.d) for m, p in r.d.items()))
+        return HeckeElt._wrap(self.H, _lincomb((self.theta(m).d, p.d) for m, p in r.d.items()))
 
     # -- IM <-> Bernstein change of basis -----------------------------------
 
     def bern_to_im(self, b: BernsteinElt) -> HeckeElt:
         H, W = self.H, self.W
-        return H._wrap(_lincomb(
+        return HeckeElt._wrap(H, _lincomb(
             (H.mul(self.theta(m), H.basis(W.finite(wi))).d, p.d) for (m, wi), p in b.d.items()
         ))
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .engine import Engine, load_engine
-from .errors import ExprSyntaxError, ParaheckeError, ValidationError
+from .errors import ExprSyntaxError, InfiniteFacetGroup, ParaheckeError, ValidationError
 from .exprs import parse_hecke_expr, parse_lattice
 from .ringcore import is_prime_power
 from .rootdatum import BUNDLED_NAMES, validate_datum
@@ -98,9 +98,10 @@ def _pretty_hecke(eng: Engine, h) -> str:
 def _parse_facet(eng: Engine, text: str):
     if not text.strip():
         return eng.para.special_facet()
-    try:  # a token that is not an integer, or an index that is not an affine generator
+    try:  # a token that is not an integer, an index that is not an affine generator,
+        # or generators that span an infinite group
         return eng.para.facet([int(tok) for tok in text.split(",") if tok.strip()])
-    except ValueError as exc:
+    except (ValueError, InfiniteFacetGroup) as exc:
         raise ExprSyntaxError(f"bad --facet {text!r}: {exc}") from None
 
 
@@ -119,6 +120,9 @@ def run(args) -> int:
         return 2
     if args.format == "csv" and args.command != "satake":
         print("error: --format csv is only available for the satake command", file=sys.stderr)
+        return 2
+    if args.facet.strip() and args.command != "center-basis":
+        print("error: --facet is only available for the center-basis command", file=sys.stderr)
         return 2
     try:
         eng = load_engine(args.datum)

@@ -1,6 +1,8 @@
 """Iwahori-Hecke algebra in the Iwahori-Matsumoto basis.
 
-Elements are finite sparse maps from group elements to Z[v, v^-1].  The one
+Elements are finite sparse maps from group elements to Z[v, v^-1]: HeckeElt is
+a ringcore.SparseElt that adds the algebra product, the Bruhat-compatible term
+order W.sort_key and the coercion of scalars to multiples of i_e.  The one
 primitive rewriting step is right multiplication by a generator:
 
     i_w · i_s = i_{ws}                     if ℓ(ws) > ℓ(w),
@@ -36,86 +38,42 @@ from __future__ import annotations
 
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
-from .ringcore import LaurentPoly, _add_into, _lincomb, _pack, _unpack
+from .ringcore import LaurentPoly, SparseElt, _add_into, _coerce, _lincomb, _pack, _unpack
 from .rootdatum import Datum, LatticeElt, RootDatum, build_datum, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
 
 
-class HeckeElt:
-    """Finite sparse Z[v,v^-1]-combination of IM basis elements."""
+class HeckeElt(SparseElt):
+    """Finite sparse Z[v,v^-1]-combination of IM basis elements; parent is the algebra."""
 
-    __slots__ = ("alg", "d")
+    __slots__ = ()
 
-    def __init__(self, alg: "IwahoriHecke", d: dict):
-        self.alg = alg
-        self.d = d
-
-    # -- linear structure -----------------------------------------------
-
-    def __add__(self, other):
-        other = self.alg.coerce(other)
-        return self.alg._wrap(_lincomb([(self.d, None), (other.d, None)]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self.alg.coerce(other))
-
-    def __rsub__(self, other):
-        return self.alg.coerce(other) - self
-
-    def __neg__(self):
-        return HeckeElt(self.alg, {w: -p for w, p in self.d.items()})
+    def _coerce(self, x) -> "HeckeElt":
+        return self.parent.coerce(x)
 
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
-            return self.alg.mul(self, other)
+            return self.parent.mul(self, other)
         return self.scale(other)
 
     def __rmul__(self, other):
-        if isinstance(other, HeckeElt):
-            return self.alg.mul(other, self)
         return self.scale(other)
 
-    def scale(self, c) -> "HeckeElt":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        if c.is_zero():
-            return self.alg.zero()
-        return HeckeElt(self.alg, {w: p * c for w, p in self.d.items()})
+    def _term_key(self, w: ExtWeylElt):
+        return self.parent.weyl.sort_key(w)
 
-    def __eq__(self, other):
-        if isinstance(other, HeckeElt):
-            return self.d == other.d
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.d)
-
-    def is_zero(self) -> bool:
-        return not self.d
+    def _fmt_key(self, w: ExtWeylElt) -> str:
+        return f"i[{self.parent.weyl.format_elt(w)}]"
 
     def coeff(self, w: ExtWeylElt) -> LaurentPoly:
         return self.d.get(w, LaurentPoly.zero())
 
-    def support(self):
-        return sorted(self.d, key=self.alg.weyl.sort_key)
-
-    def terms(self):
-        return [(w, self.d[w]) for w in self.support()]
-
     def to_obj(self) -> list:
-        W = self.alg.weyl
+        W = self.parent.weyl
         return [
             {"element": W.format_elt(w), "coeff": p.to_pairs()} for w, p in self.terms()
         ]
-
-    def __repr__(self):
-        if not self.d:
-            return "0"
-        W = self.alg.weyl
-        return " + ".join(f"({p})·i[{W.format_elt(w)}]" for w, p in self.terms())
 
 
 class IwahoriHecke:
@@ -151,16 +109,8 @@ class IwahoriHecke:
         return self.basis(self.weyl.translation(m))
 
     def from_terms(self, terms) -> HeckeElt:
-        out: dict = {}
-        for w, p in terms:
-            if isinstance(p, int):
-                p = LaurentPoly.from_int(p)
-            tgt = out.get(w)
-            if tgt is None:
-                out[w] = dict(p.d)
-            else:
-                _add_into(tgt, p.d)
-        return self._wrap(out)
+        """Σ p·i_w over (w, p) pairs, p a LaurentPoly or an int."""
+        return HeckeElt._wrap(self, _lincomb(({w: _coerce(p)}, None) for w, p in terms))
 
     def coerce(self, x) -> HeckeElt:
         if isinstance(x, HeckeElt):
@@ -170,12 +120,6 @@ class IwahoriHecke:
         if isinstance(x, LaurentPoly):
             return HeckeElt(self, {self.weyl.identity: x} if not x.is_zero() else {})
         raise TypeError(f"cannot coerce {type(x).__name__} into HeckeElt")
-
-    def _wrap(self, raw: dict) -> HeckeElt:
-        return HeckeElt(
-            self,
-            {w: LaurentPoly.__new_raw__(pd) for w, pd in raw.items() if pd},
-        )
 
     def q_power_of(self, w: ExtWeylElt) -> LaurentPoly:
         """q_w = v^{2 L(w)}."""
@@ -328,16 +272,8 @@ class IwahoriHecke:
         )
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:
-        W = self.weyl
-        out: dict = {}
-        for w, p in h.d.items():
-            key = W.inverse(w)
-            tgt = out.get(key)
-            if tgt is None:
-                out[key] = dict(p.d)
-            else:  # pragma: no cover - inversion is injective
-                _add_into(tgt, p.d)
-        return self._wrap(out)
+        inverse = self.weyl.inverse
+        return HeckeElt._wrap(self, _lincomb(({inverse(w): p}, None) for w, p in h.d.items()))
 
     def degree_hom(self, h: HeckeElt) -> LaurentPoly:
         """Linear extension of i_w ↦ q_w; a ring homomorphism."""
@@ -419,12 +355,5 @@ class TorsionQuotient:
         return ExtWeylElt(x.free, self.map_tors(x.tors), wi)
 
     def push_hecke(self, h: HeckeElt, target: IwahoriHecke) -> HeckeElt:
-        out: dict = {}
-        for w, p in h.d.items():
-            key = self.push_elt(w, target.weyl)
-            tgt = out.get(key)
-            if tgt is None:
-                out[key] = dict(p.d)
-            else:
-                _add_into(tgt, p.d)
-        return target._wrap(out)
+        pairs = (({self.push_elt(w, target.weyl): p}, None) for w, p in h.d.items())
+        return HeckeElt._wrap(target, _lincomb(pairs))

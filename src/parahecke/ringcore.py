@@ -13,10 +13,12 @@ The module also holds the raw helpers shared by the layers above: the
 in-place kernel on {exp: coeff} dicts, the sparse-module helpers (`_axpy`,
 `_lincomb`, `_eliminate`) that accumulate {key: LaurentPoly} modules into raw
 {key: {exp: coeff}} dicts and perform the steps of every triangular
-elimination, and the Kronecker packing (`_pack`, `_unpack`) that the Hecke
-rewriting engine runs on.  A packed polynomial is the int Σ c·2^(k·(e - e0)):
-signed base-2^k digits above a base exponent e0, exact for sums, products and
-multiplication by powers of v.  It unpacks correctly when every coefficient
+elimination, the element class `SparseElt` whose linear structure (sums,
+negation, scaling, equality, ordered terms, printing) the Hecke, group-algebra
+and Bernstein elements share, and the Kronecker packing (`_pack`, `_unpack`)
+that the Hecke rewriting engine runs on.  A packed polynomial is the int
+Σ c·2^(k·(e - e0)): signed base-2^k digits above a base exponent e0, exact for
+sums, products and multiplication by powers of v.  It unpacks correctly when every coefficient
 has |c| < 2^(k-1), so the caller picks k from a bound on the result's
 coefficients (for the Hecke products, see `hecke`).
 
@@ -189,6 +191,76 @@ def _eliminate(residual: dict, pivot: dict, lead):
     s = LaurentPoly(got).exact_div(pivot[lead])
     _axpy(residual, pivot, _neg(s.d))
     return s
+
+
+class SparseElt:
+    """An element of a sparse module: d = {key: LaurentPoly}, no zero coefficients.
+
+    Holds the linear structure shared by the module classes above this layer
+    (HeckeElt, GroupAlgElt, BernsteinElt).  A subclass adds its product, its
+    term order `_term_key`, how one basis key prints (`_fmt_key`) and any
+    coercion of scalars (`_coerce`).  Construction is a plain assignment of the
+    parent (the algebra, datum or Bernstein engine) and d; `_wrap` builds an
+    element from a raw accumulator, dropping empty entries.
+    """
+
+    __slots__ = ("parent", "d")
+
+    def __init__(self, parent, d: dict):
+        self.parent = parent
+        self.d = d
+
+    @classmethod
+    def _wrap(cls, parent, raw: dict):
+        """The element with raw {key: {exp: coeff}} values; empty values are dropped."""
+        out = cls.__new__(cls)
+        out.parent = parent
+        out.d = {k: LaurentPoly.__new_raw__(pd) for k, pd in raw.items() if pd}
+        return out
+
+    def _coerce(self, x):
+        if type(x) is not type(self):
+            raise TypeError(f"cannot coerce {type(x).__name__} into {type(self).__name__}")
+        return x
+
+    def __add__(self, other):
+        return self._wrap(self.parent, _lincomb([(self.d, None), (self._coerce(other).d, None)]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._wrap(self.parent, _lincomb([(self.d, None), (self._coerce(other).d, {0: -1})]))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return self._wrap(self.parent, {k: _neg(p.d) for k, p in self.d.items()})
+
+    def scale(self, c):
+        """c·self for c a LaurentPoly or an int."""
+        c = _coerce(c)
+        return self._wrap(self.parent, {k: _mul(p.d, c.d) for k, p in self.d.items()})
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.d == other.d
+        return NotImplemented
+
+    def __bool__(self):
+        return bool(self.d)
+
+    def is_zero(self) -> bool:
+        return not self.d
+
+    def terms(self) -> list:
+        """(key, coefficient) pairs in the module's term order."""
+        return [(k, self.d[k]) for k in sorted(self.d, key=self._term_key)]
+
+    def __repr__(self):
+        if not self.d:
+            return "0"
+        return " + ".join(f"({p})·{self._fmt_key(k)}" for k, p in self.terms())
 
 
 class LaurentPoly:

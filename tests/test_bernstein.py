@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from parahecke.bernstein import Bernstein, GroupAlgElt
+from parahecke.bernstein import Bernstein, BernsteinElt, GroupAlgElt
 from parahecke.errors import NotAntidominant, SolveInconsistent, UnsupportedParameters
-from parahecke.hecke import IwahoriHecke
+from parahecke.hecke import HeckeElt, IwahoriHecke
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
 
@@ -294,3 +294,48 @@ def test_c_integrality_on_equal_parameter_data(B2):
             for wi in range(d.w_order):
                 diff = B2.exponent_E(mu) - B2.exponent_E(d.act(wi, mu))
                 assert diff % 2 == 0
+
+
+def _sparse_module(B, kind):
+    """(constructor from {key: LaurentPoly}, four keys) for one sparse-module class."""
+    H, W, d = B.H, B.W, B.datum
+    if kind == "hecke":
+        return (lambda c: HeckeElt(H, c)), sorted(W.ball(2), key=W.sort_key)[:4]
+    if kind == "group":
+        return (lambda c: GroupAlgElt(d, c)), [d.lattice(v) for v in ([0, 0], [1, 0], [-1, 1], [2, -1])]
+    keys = {k for w in W.ball(2) for k in B.im_to_bern(H.basis(w)).d}
+    return (lambda c: BernsteinElt(B, c)), sorted(keys, key=repr)[:4]
+
+
+@pytest.mark.parametrize("kind", ["hecke", "group", "bernstein"])
+def test_sparse_module_linear_structure(Bc2, kind):
+    """+, -, unary - and scale agree with per-key LaurentPoly arithmetic and never
+    keep a zero coefficient; the three element classes stay slotted and distinct."""
+    make, keys = _sparse_module(Bc2, kind)
+    rng = random.Random(29)
+    zero = LaurentPoly.zero()
+
+    def per_key(f):
+        return {k: f(k) for k in keys if f(k)}
+
+    for _ in range(20):
+        ca = {k: LaurentPoly({rng.randint(-2, 2): rng.randint(1, 4)}) for k in keys if rng.random() < 0.7}
+        cb = {k: -p for k, p in ca.items() if rng.random() < 0.5}  # cancels exactly in a + b
+        for k in keys:
+            if k not in cb and rng.random() < 0.5:
+                cb[k] = LaurentPoly({rng.randint(-2, 2): rng.randint(-4, 4) or 1})
+        c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
+        a, b = make(ca), make(cb)
+        assert (a + b).d == per_key(lambda k: ca.get(k, zero) + cb.get(k, zero))
+        assert (a - b).d == per_key(lambda k: ca.get(k, zero) - cb.get(k, zero))
+        assert (-a).d == per_key(lambda k: -ca.get(k, zero))
+        assert a.scale(c).d == per_key(lambda k: ca.get(k, zero) * c)
+        assert a.scale(2) == a + a
+        for x in (a + b, a - b, -a, a.scale(c), a - a):
+            assert type(x) is type(a) and x.parent is a.parent
+            assert all(not p.is_zero() for p in x.d.values())
+            assert not hasattr(x, "__dict__")
+        assert (a - a).is_zero() and not (a - a)
+    empties = [HeckeElt(Bc2.H, {}), GroupAlgElt(Bc2.datum, {}), BernsteinElt(Bc2, {})]
+    assert [type(z) for z in empties if z == make({})] == [type(make({}))]
+    assert [type(z) for z in empties if make({}) == z] == [type(make({}))]

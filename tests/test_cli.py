@@ -303,11 +303,18 @@ def test_theta_oneK_cache_interplay(capsys, tmp_path, monkeypatch):
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
 
-@pytest.mark.parametrize("facet", ["a", "9", "1,x"])
+@pytest.mark.parametrize("facet", ["a", "9", "1,x", "0,1"])
 def test_bad_facet_exits_2(capsys, facet):
     code, out, err = capture(capsys, ["--datum", "a1", "center-basis", "--facet", facet])
     assert (code, out) == (2, "")
     assert err.startswith("error: bad --facet") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["satake", "--height", "1"], ["verify", "presentation"]])
+def test_facet_only_for_center_basis(capsys, args):
+    code, out, err = capture(capsys, ["--datum", "a1", *args, "--facet", "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --facet") and "center-basis" in err
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

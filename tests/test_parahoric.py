@@ -11,6 +11,7 @@ from parahecke.errors import (
     NotAntidominant,
     NotBiinvariant,
     NotCentral,
+    SolveInconsistent,
 )
 from parahecke.hecke import IwahoriHecke
 from parahecke.parahoric import Parahoric
@@ -185,6 +186,9 @@ def test_satake_general_and_units(E1):
     assert P.satake_general(F, z) == E1.bern.orbit_sum_r(m)
     with pytest.raises(NotCentral):
         P.satake_general(F, E1.hecke.one())
+    # bi-invariant for the trivial facet, but not in the span of the z-basis
+    with pytest.raises(SolveInconsistent):
+        P.satake_general(P.facet(()), E1.hecke.basis(E1.weyl.gen(1)))
 
 
 def test_satake_outputs_are_dot_invariant(E2):
