@@ -21,17 +21,29 @@ two-term factors one at a time, without ever forming the inverse.
 
 Inside `mul`, `mul_inverse` and `im_invert_basis` each coefficient is one
 Python int (ringcore._pack): signed base-2^k digits above a base exponent e0,
-both fixed per call.  Multiplying by q_s is a left shift by 2L(s)·k bits, so a
-generator step costs a shift and an int addition per term.  Width rule: with
-N(a) = Σ_w ‖a_w‖₁, k = bitlen(N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y)) + 2 for a·b, and
-k = bitlen(N(a) · 3^ℓ(w)) + 2 for a · i_w^{-1}; the proof is at `mul`.
+with one width k per call and one e0 per operand.  Multiplying by q_s is a
+left shift by 2L(s)·k bits, so a generator step costs a shift and an int
+addition per term.  Width rule: with
+N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest length in b's support, a·b is packed at
+the width bitlen(N(a) · N(b) · 3^ℓ_b) + 2, rounded up to a multiple of 8, or
+at the wider of the widths a and b are already held at; a · i_w^{-1} likewise
+with N(a) · 3^ℓ(w).  The proof is at `mul`.
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
 n·G + i (G generators, w of id n) to (id of ws, None) or (id of ws, 2L(s)),
-and right translation by ω ≠ 1 is memoized per ω by id.  Results are
-unpacked to LaurentPoly and keyed by group elements again on exit; ids never
-decide an output order.
+and right translation by ω ≠ 1 is memoized per ω by id.
+
+A HeckeElt holds exactly one form at rest: `d` ({ExtWeylElt: LaurentPoly}),
+or the engine's packed form ({id: packed int}, e0, k, N) with N a bound on
+Σ‖coeff‖₁.  Products and inverses return packed elements; an operand enters
+a product as it is, repacked only when the product needs a wider digit, and
+an operand that holds `d` is packed in place (its `d` is dropped).  Reading
+`d` unpacks once and drops the packed form.  Two packed elements of the same
+algebra at the same (e0, k) are equal exactly when their packed dicts are
+(packing in-range digits is injective and ids are per algebra); every other
+comparison goes through `d`.  Terms, printing and serialization read `d` in
+W.sort_key order, so ids never decide an output order.
 """
 
 from __future__ import annotations
@@ -45,9 +57,37 @@ __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
 
 
 class HeckeElt(SparseElt):
-    """Finite sparse Z[v,v^-1]-combination of IM basis elements; parent is the algebra."""
+    """Finite sparse Z[v,v^-1]-combination of IM basis elements; parent is the algebra.
 
-    __slots__ = ()
+    Exactly one of the slots `d` and `_pk` = (Z, e0, k, N) is filled.  Reading
+    the empty one lands in __getattr__: `d` is unpacked from `_pk`, which is
+    then emptied, and `_pk` reads as None.
+    """
+
+    __slots__ = ("_pk",)
+
+    def __getattr__(self, name):
+        if name == "_pk":
+            return None
+        if name != "d":
+            raise AttributeError(name)
+        Z, e0, k, _ = self._pk
+        by_id = self.parent.weyl.by_id
+        d = self.d = {by_id[n]: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for n, P in Z.items()}
+        del self._pk
+        return d
+
+    def __bool__(self):
+        pk = self._pk
+        return bool(self.d if pk is None else pk[0])
+
+    def __eq__(self, other):
+        if type(other) is not HeckeElt:
+            return NotImplemented
+        p, o = self._pk, other._pk
+        if p is not None and o is not None and self.parent is other.parent and p[1:3] == o[1:3]:
+            return p[0] == o[0]
+        return self.d == other.d
 
     def _coerce(self, x) -> "HeckeElt":
         return self.parent.coerce(x)
@@ -128,34 +168,70 @@ class IwahoriHecke:
     # -- multiplication -----------------------------------------------------
     #
     # The hot loops run on packed coefficients (ringcore._pack): every
-    # coefficient of one call shares a base exponent e0 and a digit width k,
-    # chosen at entry and undone at exit.  Width rule: a generator step sends
-    # P·i_w to P·i_{ws} or to q_s·P·i_{ws} + (q_s - 1)·P·i_w, so it at most
-    # triples Σ‖coeff‖₁, and scaling by a coefficient c multiplies it by at most
-    # ‖c‖₁.  Hence every coefficient of a·b has absolute value at most
-    # B = N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y), where N(a) = Σ_w ‖a_w‖₁, and with
-    # k = bitlen(B) + 2 it is < 2^(k-1), a digit that unpacks exactly.  For
-    # a·i_w^{-1} each factor (i_s - q_s + 1) maps P·i_w to at most three terms
-    # of norm ‖P‖₁ as well, so B = N(a) · 3^ℓ(w).
+    # coefficient of one call shares a base exponent e0 and a digit width k.
+    # Width rule: a generator step sends P·i_w to P·i_{ws} or to
+    # q_s·P·i_{ws} + (q_s - 1)·P·i_w, so it at most triples Σ‖coeff‖₁, and
+    # scaling by a coefficient c multiplies it by at most ‖c‖₁.  Hence
+    # Σ_z ‖(a·b)_z‖₁ ≤ N(a) · Σ_y ‖b_y‖₁ · 3^ℓ(y) ≤ B = N(a) · N(b) · 3^ℓ_b for
+    # any N(a) ≥ Σ_w ‖a_w‖₁, N(b) ≥ Σ_y ‖b_y‖₁ and ℓ_b ≥ ℓ(y) on b's support,
+    # and B is the product's own N.  Every coefficient of a·b then has absolute
+    # value at most B < 2^(k-2) when k ≥ bitlen(B) + 2 (_width rounds that up
+    # to a multiple of 8), a digit that unpacks exactly.  An operand packed at
+    # width k_a holds in-range digits at any width ≥ k_a, so
+    # k = max(_width(B), k_a, k_b) keeps both facts and repacks an operand
+    # only when k exceeds its width.  For a·i_w^{-1} each factor
+    # (i_s - q_s + 1) maps P·i_w to at most three terms of norm ‖P‖₁ as well,
+    # so B = N(a) · 3^ℓ(w).  Exponents: a generator step multiplies by q_s or
+    # q_s - 1, so a·b has every exponent ≥ e0(a) + e0(b), and the inverse's
+    # q_w^{-1} lowers the base by 2L(w).
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        if not a.d or not b.d:
+        if not a or not b:
             return self.zero()
         W = self.weyl
+        pb = b._pk
+        # b's reduced words, in the order of b's terms (kept by _packed)
+        words = [W.reduced_word(y) for y in (b.d if pb is None else map(W.by_id.__getitem__, pb[0]))]
+        (Na, ka), (Nb, kb) = _size(a), _size(b)
+        N = Na * Nb * 3 ** max(len(word) for word, _ in words)
+        k = max(_width(N), ka, kb)
+        Za, ea = self._packed(a, k)
+        Zb, eb = self._packed(b, k)
         intern = W.intern
-        words = []
-        bound = 0
-        for y, c in b.d.items():
-            word, om = W.reduced_word(y)
-            words.append((word, intern(om), c.d))
-            bound += _norm(c.d) * 3 ** len(word)
-        k = (_norm_of(a) * bound).bit_length() + 2
-        ea, eb = _min_exp(a), _min_exp(b)
-        entries = sorted(((word, om, _pack(cd, eb, k)) for word, om, cd in words), key=lambda e: e[0])
+        entries = sorted(
+            ((word, intern(om), C) for (word, om), C in zip(words, Zb.values())), key=lambda e: e[0]
+        )
         acc: dict = {}
-        cur = {intern(w): _pack(p.d, ea, k) for w, p in a.d.items()}
-        self._mul_rec(cur, entries, 0, len(entries), 0, acc, k)
-        return self._unpacked(acc, ea + eb, k)
+        self._mul_rec(Za, entries, 0, len(entries), 0, acc, k)
+        return self._from_packed(acc, ea + eb, k, N)
+
+    def _packed(self, h: HeckeElt, k: int) -> tuple:
+        """(Z, e0) of h packed at width k, which is at least any width h holds.
+
+        h keeps only this form afterwards.  Z lists h's terms in the order of
+        h.d, or of the Z it held.
+        """
+        N, k0 = _size(h)
+        if not k0:
+            d = h.d
+            e0 = min(min(p.d) for p in d.values())
+            intern = self.weyl.intern
+            Z = {intern(w): _pack(p.d, e0, k) for w, p in d.items()}
+            del h.d
+        else:
+            Z, e0 = h._pk[:2]
+            if k0 == k:
+                return Z, e0
+            Z = {n: _pack(_unpack(P, e0, k0), e0, k) for n, P in Z.items()}
+        h._pk = (Z, e0, k, N)
+        return Z, e0
+
+    def _from_packed(self, Z: dict, e0: int, k: int, N: int) -> HeckeElt:
+        """The packed element with coefficients Z at (e0, k) and norm bound N; zeros are dropped."""
+        out = HeckeElt.__new__(HeckeElt)
+        out.parent = self
+        out._pk = ({n: P for n, P in Z.items() if P}, e0, k, N)
+        return out
 
     def _mul_rec(self, cur, entries, lo, hi, depth, acc, k):
         i = lo
@@ -237,15 +313,17 @@ class IwahoriHecke:
 
     def mul_inverse(self, a: HeckeElt, w: ExtWeylElt) -> HeckeElt:
         """a · i_w^{-1} = q_w^{-1} · a · i_{ω^{-1}} · star, with star as in im_invert_basis."""
-        if not a.d:
+        if not a:
             return self.zero()
         W = self.weyl
         word, om = W.reduced_word(w)
-        om_inv = W.inverse(om)
-        k = (_norm_of(a) * 3 ** len(word)).bit_length() + 2
-        e0 = _min_exp(a)
-        cur = {W.intern(W.compose(x, om_inv)): _pack(p.d, e0, k) for x, p in a.d.items()}
-        return self._unpacked(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k)
+        N, ka = _size(a)
+        N *= 3 ** len(word)
+        k = max(_width(N), ka)
+        Za, e0 = self._packed(a, k)
+        cur: dict = {}
+        self._flush(Za, W.intern(W.inverse(om)), 1, cur)
+        return self._from_packed(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k, N)
 
     def im_invert_basis(self, w: ExtWeylElt) -> tuple[HeckeElt, HeckeElt]:
         """(inverse, star) with i_w · inverse = i_e and star the integral part.
@@ -255,21 +333,14 @@ class IwahoriHecke:
         """
         W = self.weyl
         word, om = W.reduced_word(w)
-        k = (3 ** len(word)).bit_length() + 2
+        N = 3 ** len(word)
+        k = _width(N)
         raw = self._right_star({0: 1}, word, k)
         om_inv = W.inverse(om)
-        star = self._unpacked(raw, 0, k)
+        star = self._from_packed(raw, 0, k, N)
         shifted = {W.intern(W.compose(om_inv, W.by_id[n])): P for n, P in raw.items()}
-        inverse = self._unpacked(shifted, -2 * W.weighted_length(w), k)
+        inverse = self._from_packed(shifted, -2 * W.weighted_length(w), k, N)
         return inverse, star
-
-    def _unpacked(self, packed: dict, e0: int, k: int) -> HeckeElt:
-        """{id: packed coefficient} -> HeckeElt keyed by group elements."""
-        by_id = self.weyl.by_id
-        return HeckeElt(
-            self,
-            {by_id[n]: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for n, P in packed.items() if P},
-        )
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:
         inverse = self.weyl.inverse
@@ -287,12 +358,19 @@ def _norm(d: dict) -> int:
     return sum(map(abs, d.values()))
 
 
-def _norm_of(h: HeckeElt) -> int:
-    return sum(_norm(p.d) for p in h.d.values())
+def _width(B: int) -> int:
+    """The digit width for coefficients bounded by B: bitlen(B) + 2, rounded up to
+    a multiple of 8 so that a chain of products repacks its running left factor
+    about once per 8 bits of growth instead of at every step."""
+    return -(-(B.bit_length() + 2) // 8) * 8
 
 
-def _min_exp(h: HeckeElt) -> int:
-    return min(min(p.d) for p in h.d.values())
+def _size(h: HeckeElt) -> tuple:
+    """(N, k): a bound N ≥ Σ‖coeff‖₁ of h and the digit width h is held at (0 for d)."""
+    pk = h._pk
+    if pk is None:
+        return sum(_norm(p.d) for p in h.d.values()), 0
+    return pk[3], pk[2]
 
 
 class TorsionQuotient:

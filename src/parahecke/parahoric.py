@@ -18,7 +18,13 @@ universal form of point-count positivity).
 holds each Θ_m * 1_K only as Kronecker-packed ints (ringcore._pack) keyed by
 dense group-element ids, all at the facet's one digit width, which grows (and
 repacks the facet's entries) when a sum's proved coefficient bound needs it.
-The sum is then an int multiply-add per term, unpacked once.
+The sum is then an int multiply-add per term and stays packed, as a product's
+result does (see `hecke`).
+
+`facet` enumerates W_J breadth-first by length and stops as soon as an
+element is longer than the longest element w₀ of W₀: no element of a finite
+parabolic W_J is (the proof is at `facet`), so an infinite W_J is detected
+after ℓ(w₀) + 1 levels instead of after `facet_bound` elements.
 """
 
 from __future__ import annotations
@@ -131,10 +137,23 @@ class Parahoric:
         for j in J:
             if j not in self.datum.saff_indices:
                 raise ValueError(f"s{j} is not an affine generator")
+        # The BFS depth is the Coxeter length (in W_J it equals the length in
+        # the whole group).  A finite W_J fixes a point (the barycentre of an
+        # orbit), so its reflections are in distinct hyperplanes through that
+        # point and have distinct linear parts, distinct reflections of W₀.  An
+        # element of W_J is at most as long as W_J's longest element, which
+        # has one inversion per reflection; so no element of a finite W_J is
+        # longer than ℓ(w₀) = max(w_len), and a frontier past that length
+        # proves W_J infinite.  facet_bound stays as a backstop.
         W = self.W
+        lmax = max(self.datum.w_len)
         seen = {W.identity}
         frontier = [W.identity]
+        depth = 0
         while frontier:
+            if depth > lmax:
+                raise InfiniteFacetGroup(f"W_J for J={list(J)} has an element longer than ℓ(w₀) = {lmax}")
+            depth += 1
             new = []
             for x in frontier:
                 for j in J:
@@ -183,19 +202,21 @@ class Parahoric:
         return out
 
     # Θ_m * 1_K is memoized packed (ringcore._pack) on dense ids
-    # (AffineWeylGroup.intern): entry (J, m) is (Z, e0, zmax) with
-    # Z = {id of w: packed coefficient of i_w}, e0 the least v-exponent and
-    # zmax the largest |coefficient|, every entry of facet J at that facet's one
-    # digit width _oneK_width[J].  Entries loaded from the cache stay HeckeElts
-    # until first used.  Width rule: a coefficient of p·c has absolute value at
-    # most ‖p‖₁·max|c|, so every coefficient of Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K)
+    # (AffineWeylGroup.intern): entry (J, m) is (Z, e0, zmax, norm) with
+    # Z = {id of w: packed coefficient of i_w}, e0 the least v-exponent, zmax
+    # the largest |coefficient| and norm = Σ‖coefficient‖₁, every entry of
+    # facet J at that facet's one digit width _oneK_width[J].  Entries loaded
+    # from the cache stay HeckeElts until first used.  Width rule: a
+    # coefficient of p·c has absolute value at most ‖p‖₁·max|c|, so every
+    # coefficient of Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K)
     # is at most B = Σ_m ‖p_m‖₁·zmax_m, and with k = bitlen(B) + 2 it is
     # < 2^(k-1), a digit that unpacks exactly.  Each entry is packed at a width
     # ≥ bitlen(zmax) + 2, so it also unpacks, and repacks, exactly.  A width
     # that must grow becomes max(k, 2·K_J), so each facet repacks O(log) times.
+    # The sum's norm bound, for the products it enters, is Σ_m ‖p_m‖₁·norm_m.
 
     def theta_oneK(self, F: FacetType, m: LatticeElt) -> HeckeElt:
-        """Θ_m * 1_K, unpacked from the per-facet packed memo."""
+        """Θ_m * 1_K, a packed element read from the per-facet memo."""
         self._oneK_entry(F, m)
         return self._oneK_elt((F.J, m))
 
@@ -204,21 +225,23 @@ class Parahoric:
         got = self._theta_oneK[key]
         if isinstance(got, HeckeElt):
             return got
-        Z, e0, _ = got
-        return self.H._unpacked(Z, e0, self._oneK_width[key[0]])
+        Z, e0, _, norm = got
+        return self.H._from_packed(Z, e0, self._oneK_width[key[0]], norm)
 
     def _oneK_entry(self, F: FacetType, m: LatticeElt) -> tuple:
-        """The packed memo entry (Z, e0, zmax) of Θ_m * 1_K, built or packed on first use."""
+        """The packed memo entry (Z, e0, zmax, norm) of Θ_m * 1_K, built or packed on first use."""
         key = (F.J, m)
         got = self._theta_oneK.get(key)
         if type(got) is tuple:
             return got
         h = got if got is not None else self.H.mul(self.bern.theta(m), F.one_K)
-        zmax = max((abs(c) for p in h.d.values() for c in p.d.values()), default=0)
-        e0 = min((min(p.d) for p in h.d.values()), default=0)
+        d = h.d
+        zmax = max((abs(c) for p in d.values() for c in p.d.values()), default=0)
+        e0 = min((min(p.d) for p in d.values()), default=0)
         self._widen(F.J, zmax.bit_length() + 2)
         k, intern = self._oneK_width[F.J], self.W.intern
-        got = self._theta_oneK[key] = ({intern(w): _pack(p.d, e0, k) for w, p in h.d.items()}, e0, zmax)
+        Z = {intern(w): _pack(p.d, e0, k) for w, p in d.items()}
+        got = self._theta_oneK[key] = (Z, e0, zmax, sum(_norm(p.d) for p in d.values()))
         return got
 
     def _widen(self, J: tuple, k: int) -> None:
@@ -230,25 +253,26 @@ class Parahoric:
         memo = self._theta_oneK
         for key, got in list(memo.items()):
             if key[0] == J and type(got) is tuple:
-                Z, e0, zmax = got
-                memo[key] = ({n: _pack(_unpack(P, e0, old), e0, new) for n, P in Z.items()}, e0, zmax)
+                Z, e0, zmax, norm = got
+                Z = {n: _pack(_unpack(P, e0, old), e0, new) for n, P in Z.items()}
+                memo[key] = (Z, e0, zmax, norm)
 
     def _theta_of_times_oneK(self, F: FacetType, r) -> HeckeElt:
-        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), summed packed over the memo's ids."""
+        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), summed packed over the memo's ids; a packed element."""
         if not r.d:
             return self.H.zero()
         bound = sum(_norm(p.d) * self._oneK_entry(F, m)[2] for m, p in r.d.items())
         self._widen(F.J, bound.bit_length() + 2)
         k, memo = self._oneK_width[F.J], self._theta_oneK
         terms = [(memo[F.J, m], p.d) for m, p in r.d.items()]
-        base = min(e0 + min(pd) for (_, e0, _), pd in terms)
+        base = min(e0 + min(pd) for (_, e0, _, _), pd in terms)
         acc: dict = {}
         get = acc.get
-        for (Z, e0, _), pd in terms:
+        for (Z, e0, _, _), pd in terms:
             C = _pack(pd, base - e0, k)
             for n, P in Z.items():
                 acc[n] = get(n, 0) + P * C
-        return self.H._unpacked(acc, base, k)
+        return self.H._from_packed(acc, base, k, sum(_norm(pd) * norm for (_, _, _, norm), pd in terms))
 
     # -- corner multiplication -----------------------------------------------
 

@@ -251,7 +251,7 @@ class SparseElt:
         return bool(self.d)
 
     def is_zero(self) -> bool:
-        return not self.d
+        return not self
 
     def terms(self) -> list:
         """(key, coefficient) pairs in the module's term order."""
@@ -304,7 +304,9 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.d)
         _add_into(out, other.d)
         return LaurentPoly.__new_raw__(out)
@@ -312,19 +314,23 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.d)
         _add_into(out, _neg(other.d))
         return LaurentPoly.__new_raw__(out)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        return (-self).__add__(other)
 
     def __neg__(self):
         return LaurentPoly.__new_raw__(_neg(self.d))
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return LaurentPoly.__new_raw__(_mul(self.d, other.d))
 
     __rmul__ = __mul__
@@ -502,12 +508,21 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _coerce(x) -> LaurentPoly:
+def _operand(x):
+    """x as a LaurentPoly, or NotImplemented for an operand of a foreign type,
+    so that Python tries the other operand's reflected method."""
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, int):
         return LaurentPoly.from_int(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into LaurentPoly")
+    return NotImplemented
+
+
+def _coerce(x) -> LaurentPoly:
+    p = _operand(x)
+    if p is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} into LaurentPoly")
+    return p
 
 
 def is_prime_power(n: int) -> bool:

@@ -6,6 +6,7 @@ to see the per-criterion lines ([PASS]/[FAIL] is printed either way).
 """
 
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import time
 
 from parahecke.engine import load_engine
 from parahecke.verify import (
+    render_results,
     suite_bern,
     suite_center,
     suite_compat,
@@ -24,9 +26,42 @@ from parahecke.verify import (
 ALL_DATA = ("a1", "a1_unequal", "a1_torsion2", "gl2", "a2", "c2")
 
 
+# sha256 of each suite's rendered rows (verify.render_results), per datum, as
+# the suites below run them: a change to the bytes `verify` prints fails here.
+SUITE_DIGESTS = {
+    "presentation/a1": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "presentation/a1_unequal": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "presentation/a1_torsion2": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "presentation/gl2": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "presentation/a2": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "presentation/c2": "b5d4e8814b5f482f65c584df7845ab46f8182fd212f5a342f61905c0d0d0992b",
+    "bern/a1": "30665327c8a4180e10ab94b59ae884b292e2437ac85a281c4b5a1c5922f39973",
+    "bern/a1_unequal": "14ea1815611a3e5660624b42504be3f93a6e4eef18b8a0b34a58df8484eb58e2",
+    "bern/a1_torsion2": "30665327c8a4180e10ab94b59ae884b292e2437ac85a281c4b5a1c5922f39973",
+    "bern/gl2": "30665327c8a4180e10ab94b59ae884b292e2437ac85a281c4b5a1c5922f39973",
+    "bern/a2": "30665327c8a4180e10ab94b59ae884b292e2437ac85a281c4b5a1c5922f39973",
+    "bern/c2": "73ae11f2586ae8965551025dcf9634a750e39d40aa99667b9ef949ad38b18935",
+    "center/a1": "323761fa7b957e653711be7fa640b2041a0e5063d620faebafc7d81fdc43ddc7",
+    "center/a2": "323761fa7b957e653711be7fa640b2041a0e5063d620faebafc7d81fdc43ddc7",
+    "center/c2": "323761fa7b957e653711be7fa640b2041a0e5063d620faebafc7d81fdc43ddc7",
+    "satake/a1": "9f780607b3a24698260b604f2320f119ba285ae1d79d3fa3a85dc72f6979003f",
+    "satake/a1_unequal": "9f780607b3a24698260b604f2320f119ba285ae1d79d3fa3a85dc72f6979003f",
+    "satake/a1_torsion2": "bdd966c10cb95702d99aca7babab705d8872f2fe25991ea3f438f6bbc36f576d",
+    "satake/gl2": "15cf114097603be00b8aaa00263127da3b2608b11efabd09642dfe2e86d8c277",
+    "satake/a2": "707ba5e5a07d845775822a9b699df86243a184a64ad6b285904446ca346d48fe",
+    "satake/c2": "15cf114097603be00b8aaa00263127da3b2608b11efabd09642dfe2e86d8c277",
+    "compat/a1": "ce330cfde321f4e7dcf645b238be91eca0a1d1e243c3bc4d340cb226aeea25cd",
+    "compat/a2": "ce330cfde321f4e7dcf645b238be91eca0a1d1e243c3bc4d340cb226aeea25cd",
+    "compat/a1_torsion2": "f400e1cd62b58ccd053c8409ab2af9753e6e8120dd6a0ae05310b29821f191cb",
+}
+
+
 def _assert_clean(results, context):
+    """No FAIL/FALSIFIED row, and the rendered rows match SUITE_DIGESTS[context]."""
     bad = [r for r in results if r.status not in ("PASS", "SKIP")]
     assert not bad, f"{context}: " + "; ".join(f"{r.name}: {r.detail}" for r in bad)
+    text, _ = render_results(results)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[context], f"{context}: rows changed"
 
 
 @contextlib.contextmanager
@@ -48,7 +83,7 @@ def test_criterion_1_presentation_suite():
         for name in ALL_DATA:
             eng = load_engine(name)
             t0 = time.time()
-            _assert_clean(suite_presentation(eng), f"presentation[{name}]")
+            _assert_clean(suite_presentation(eng), f"presentation/{name}")
             slowest = max(slowest, time.time() - t0)
         assert slowest < 30.0, f"presentation suite exceeded 30s per datum ({slowest:.1f}s)"
         fig["extra"] = f" (worst {slowest:.1f}s < 30s)"
@@ -78,7 +113,7 @@ def test_criterion_3_bernstein_suite():
         for name in ALL_DATA:
             eng = load_engine(name)
             results = suite_bern(eng)
-            _assert_clean(results, f"bern[{name}]")
+            _assert_clean(results, f"bern/{name}")
             if name in ("a1", "a2"):
                 by_name = {r.name: r for r in results}
                 assert by_name["bernstein_relation_height_2"].status == "PASS"
@@ -88,7 +123,7 @@ def test_criterion_4_center_suite():
     with _criterion(4, "center elements commute; products re-expand over the z-basis on A1/A2/C2"):
         for name in ("a1", "a2", "c2"):
             eng = load_engine(name)
-            _assert_clean(suite_center(eng), f"center[{name}]")
+            _assert_clean(suite_center(eng), f"center/{name}")
 
 
 def test_criterion_5_satake_suite():
@@ -96,7 +131,7 @@ def test_criterion_5_satake_suite():
         t0 = time.time()
         for name in ALL_DATA:
             eng = load_engine(name)
-            _assert_clean(suite_satake(eng), f"satake[{name}]")
+            _assert_clean(suite_satake(eng), f"satake/{name}")
         elapsed = time.time() - t0
         assert elapsed < 300.0, f"satake suite exceeded 5 minutes total ({elapsed:.1f}s)"
         fig["extra"] = f" ({elapsed:.1f}s < 300s)"
@@ -106,9 +141,10 @@ def test_criterion_6_compatibility_suite():
     with _criterion(6, "Bernstein-Satake square on nested facets; pushforward A1+Z/2 -> A1 exact"):
         for name in ("a1", "a2"):
             eng = load_engine(name)
-            _assert_clean(suite_compat(eng), f"compat[{name}]")
+            _assert_clean(suite_compat(eng), f"compat/{name}")
         results = suite_compat(load_engine("a1_torsion2"))
         by_name = {r.name: r for r in results}
+        _assert_clean(results, "compat/a1_torsion2")
         push = by_name["pushforward_intertwines_center_and_satake"]
         assert push.status == "PASS", push.detail
 

@@ -6,8 +6,8 @@ import pytest
 
 from parahecke.affweyl import AffineWeylGroup
 from parahecke.errors import SubgroupInvalid
-from parahecke.hecke import IwahoriHecke, TorsionQuotient
-from parahecke.ringcore import LaurentPoly
+from parahecke.hecke import HeckeElt, IwahoriHecke, TorsionQuotient
+from parahecke.ringcore import LaurentPoly, SparseElt, _pack
 from parahecke.rootdatum import load_bundled
 
 Q = LaurentPoly.q()
@@ -104,6 +104,16 @@ def test_vee_involution(Hc2):
         lhs = Hc2.vee_involution(a * b)
         rhs = Hc2.vee_involution(b) * Hc2.vee_involution(a)
         assert lhs == rhs
+
+
+def test_scalar_on_the_left(H1):
+    """LaurentPoly ⊕ HeckeElt reaches the HeckeElt's reflected operators."""
+    h = H1.basis(H1.weyl.gen(1))
+    assert Q * h == h * Q == h.scale(Q)
+    assert Q + h == h + Q == H1.from_terms([(H1.weyl.identity, Q), (H1.weyl.gen(1), 1)])
+    assert Q - h == -(h - Q)
+    with pytest.raises(TypeError):
+        Q + "x"
 
 
 def test_degree_hom(H1):
@@ -344,3 +354,120 @@ def test_results_do_not_depend_on_id_order():
             assert repr(r1) == repr(r2)
     # the test means something only if the two id tables really differ
     assert [fresh.weyl.intern(x) for x in ball] != [Ww.intern(x) for x in ball]
+
+
+# -- one form at rest: packed products ---------------------------------------------
+
+
+def _forms(h):
+    """The slots of h that are filled: "d", "_pk" or both (never expected)."""
+    out = []
+    for name, slot in (("d", SparseElt.d), ("_pk", HeckeElt._pk)):
+        try:
+            slot.__get__(h)
+        except AttributeError:
+            continue
+        out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("name", ["c2", "a1_unequal"])
+def test_packed_chains_match_reference(name):
+    """A chain of products whose intermediates never materialize d, with
+    operands that were themselves products, equals the reference product."""
+    H = IwahoriHecke.for_datum(load_bundled(name))
+    rng = random.Random(31)
+    ball = H.weyl.ball(3)
+    for _ in range(3):
+        terms = [
+            [(rng.choice(ball), LaurentPoly({rng.randint(-3, 3): rng.randint(-9, 9)})) for _ in range(3)]
+            for _ in range(3)
+        ]
+        a, b, c = (H.from_terms(t) for t in terms)
+        ra, rb, rc = (H.from_terms(t) for t in terms)  # d-form copies for the reference
+        ab = H.mul(a, b)
+        abc = H.mul(ab, c)
+        abcab = H.mul(abc, ab)  # a packed right operand
+        for h in (a, b, c, ab, abc, abcab):
+            assert _forms(h) == ["_pk"]
+        ref_ab = HeckeElt(H, reference_mul(H, ra, rb))
+        ref_abc = HeckeElt(H, reference_mul(H, ref_ab, rc))
+        assert abcab.d == reference_mul(H, ref_abc, ref_ab)
+        assert abc.d == ref_abc.d and ab.d == ref_ab.d
+
+
+def test_width_grows_mid_chain():
+    """A factor with coefficients past 10^30 widens the digits in the middle of
+    a chain; the narrower results before it, one of them repacked as an
+    operand, still read back exactly."""
+    H = IwahoriHecke.for_datum(load_bundled("c2"))
+    rng = random.Random(5)
+    ball = H.weyl.ball(3)
+    small = [H.basis(rng.choice(ball)) + rng.randint(1, 3) for _ in range(3)]
+    big = random_elt(H, rng, ball)  # coefficients up to 10^30
+    refs = [HeckeElt(H, dict(h.d)) for h in small + [big]]
+    early = H.mul(small[0], small[1])
+    narrow = early._pk[2]
+    chain, widths = [small[0]], []
+    for h in small[1:] + [big] + small[:2]:
+        chain.append(H.mul(chain[-1], h))
+        widths.append(chain[-1]._pk[2])
+    assert widths == sorted(widths) and widths[2] - widths[1] >= 90  # the factor 10^30 is third
+    assert chain[1]._pk[2] > widths[0]  # repacked as the next product's operand
+    ref = [refs[0]]
+    for h in refs[1:] + refs[:2]:
+        ref.append(HeckeElt(H, reference_mul(H, ref[-1], h)))
+    for got, want in zip(chain, ref):
+        assert got.d == want.d
+    # the early, narrow result used next to a wide one is repacked first
+    assert H.mul(chain[4], early).d == reference_mul(H, ref[4], ref[1])
+    assert narrow < 64 < early._pk[2]
+
+
+def test_equality_across_forms_widths_and_parents():
+    fresh, warmed = (IwahoriHecke.for_datum(load_bundled("c2")) for _ in range(2))
+    for x in warmed.weyl.ball(4)[::-3]:
+        warmed.weyl.intern(x)
+    ball = fresh.weyl.ball(2)
+    terms = [(ball[3], LaurentPoly({-1: 2, 2: -1})), (ball[7], LaurentPoly({0: 5}))]
+
+    def packed(H, k, shift=0, terms=terms):
+        h = H.from_terms(terms)
+        Z = {H.weyl.intern(w): _pack(p.d, -1 - shift, k) for w, p in h.d.items()}
+        return H._from_packed(Z, -1 - shift, k, 8)
+
+    plain = fresh.from_terms(terms)
+    for a, b in [
+        (packed(fresh, 8), packed(fresh, 16)),  # widths differ
+        (packed(fresh, 8), packed(fresh, 8, shift=2)),  # base exponents differ
+        (packed(fresh, 8), plain),  # packed against d
+        (plain, packed(fresh, 16)),
+        (packed(fresh, 8), packed(warmed, 8)),  # same value and (e0, k), other ids
+    ]:
+        assert a == b and b == a
+    assert packed(fresh, 8) != fresh.from_terms(terms[:1])
+    assert packed(fresh, 8) != packed(fresh, 8, terms=terms[:1])  # same (e0, k), other value
+    # the same packed dict and (e0, k) in two algebras names different elements
+    n = fresh.weyl.intern(ball[3])
+    assert fresh.weyl.by_id[n] != warmed.weyl.by_id[n]
+    one_term = {n: _pack({0: 1}, 0, 8)}
+    assert fresh._from_packed(one_term, 0, 8, 1) != warmed._from_packed(dict(one_term), 0, 8, 1)
+
+
+def test_one_form_at_rest():
+    H = IwahoriHecke.for_datum(load_bundled("a2"))
+    W = H.weyl
+    a, b = H.basis(W.gen(1)) + 2, H.basis(W.gen(2))
+    assert _forms(a) == _forms(b) == ["d"]
+    p = H.mul(a, b)
+    assert _forms(p) == _forms(a) == _forms(b) == ["_pk"]
+    assert p and not p.is_zero() and not H.mul(a, H.zero())  # truth tests do not unpack
+    assert _forms(p) == ["_pk"]
+    inv, star = H.im_invert_basis(W.gen(1))
+    theta = H.mul_inverse(H.basis(W.gen(2)), W.gen(1))
+    assert _forms(inv) == _forms(star) == _forms(theta) == ["_pk"]
+    d = p.d
+    assert _forms(p) == ["d"] and p.d is d
+    assert repr(p) == repr(HeckeElt(H, dict(d)))
+    H.mul(p, p)  # packing again replaces d
+    assert _forms(p) == ["_pk"]

@@ -51,6 +51,30 @@ def test_facet_data_examples(E1):
         P.facet((0, 1))
 
 
+@pytest.mark.parametrize("name", ["a1", "a1_torsion2", "gl2", "a2", "c2"])
+def test_facet_length_bound(name):
+    """No element of a finite W_J is longer than ℓ(w₀), and an infinite W_J is
+    rejected by that bound rather than by the facet_bound backstop."""
+    eng = load_engine(name)
+    d, W = eng.datum, eng.weyl
+    P = Parahoric(eng.bern)
+    lmax = max(d.w_len)
+    idx = d.saff_indices
+    finite = []
+    for mask in range(1 << len(idx)):
+        J = [idx[k] for k in range(len(idx)) if mask >> k & 1]
+        try:
+            F = P.facet(J)
+        except InfiniteFacetGroup as exc:
+            assert f"longer than ℓ(w₀) = {lmax}" in str(exc)
+            continue
+        assert max(W.length(w) for w in F.elements) <= lmax
+        finite.append(F.J)
+    assert len(finite) == 2 ** len(idx) - 1  # every proper subset spans a finite W_J
+    with pytest.raises(InfiniteFacetGroup, match="exceeded 1 elements"):  # the backstop stays
+        Parahoric(eng.bern, facet_bound=1).facet(P.special_facet().J)
+
+
 def test_kelt_examples(E1):
     P, d, W = E1.para, E1.datum, E1.weyl
     F = P.special_facet()

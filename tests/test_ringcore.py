@@ -109,6 +109,17 @@ def test_unit_monomial_predicate():
     assert not LaurentPoly.v_power(2, 2).is_unit_monomial()
 
 
+def test_foreign_operands_raise_type_error():
+    """A foreign operand gets NotImplemented, so Python raises TypeError itself
+    after the other operand's reflected method declines too."""
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(Q, "x")
+        with pytest.raises(TypeError):
+            op("x", Q)
+    assert Q.__add__("x") is NotImplemented and Q.__rsub__(1.5) is NotImplemented
+
+
 def test_is_prime_power():
     assert all(is_prime_power(n) for n in (2, 3, 4, 5, 8, 9, 27, 121, 125))
     assert not any(is_prime_power(n) for n in (0, 1, 6, 12, 100, 1000))
