@@ -3,8 +3,8 @@
 An Engine bundles the validated datum with its Weyl group, Hecke algebra,
 Bernstein module and parahoric layer, so suites and the CLI share memo
 tables.  When PARAHECKE_CACHE_DIR is set, Θ-element and Θ·1_K product
-tables persist across processes (the Θ·1_K table is held packed in memory:
-saving unpacks it, and loaded entries stay unpacked until first used, so
+tables persist across processes (their entries are held packed in memory:
+saving unpacks a copy of each, and loaded ones stay unpacked until used, so
 loading does no arithmetic).  A cache file is one JSON header line (format
 version, package version, datum content hash and the sha256 of the rest)
 followed by the JSON payload; a file whose header does not match this engine
@@ -106,7 +106,7 @@ class Engine:
                 [_lattice_to(m), self._hecke_to(h)] for m, h in sorted(self.bern._theta.items())
             ],
             "theta_oneK": [
-                [list(j), _lattice_to(m), self._hecke_to(self.para._oneK_elt((j, m)))]
+                [list(j), _lattice_to(m), self._hecke_to(self.para._theta_oneK[j, m])]
                 for j, m in sorted(self.para._theta_oneK)
             ],
         }).encode()
@@ -129,6 +129,8 @@ class Engine:
         return True
 
     def _hecke_to(self, h: HeckeElt) -> list:
+        if h._pk is not None:  # unpack a copy, so that the memo entry stays packed
+            h = self.hecke._from_packed(*h._pk)
         return [
             [list(w.free), list(w.tors), w.w, p.to_pairs()] for w, p in sorted(h.d.items())
         ]

@@ -27,7 +27,9 @@ addition per term.  Width rule: with
 N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest length in b's support, a·b is packed at
 the width bitlen(N(a) · N(b) · 3^ℓ_b) + 2, rounded up to a multiple of 8, or
 at the wider of the widths a and b are already held at; a · i_w^{-1} likewise
-with N(a) · 3^ℓ(w).  The proof is at `mul`.
+with N(a) · 3^ℓ(w).  `lincomb` sums Σ c·h over LaurentPoly coefficients c the
+same way, an int multiply-add per term, at the width of Σ ‖c‖₁ · N(h) or of
+the widest operand.  The proofs are at `mul`.
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
@@ -36,8 +38,8 @@ and right translation by ω ≠ 1 is memoized per ω by id.
 
 A HeckeElt holds exactly one form at rest: `d` ({ExtWeylElt: LaurentPoly}),
 or the engine's packed form ({id: packed int}, e0, k, N) with N a bound on
-Σ‖coeff‖₁.  Products and inverses return packed elements; an operand enters
-a product as it is, repacked only when the product needs a wider digit, and
+Σ‖coeff‖₁.  Products, inverses and `lincomb` return packed elements; an
+operand enters as it is, repacked only when the result needs a wider digit, and
 an operand that holds `d` is packed in place (its `d` is dropped).  Reading
 `d` unpacks once and drops the packed form.  Two packed elements of the same
 algebra at the same (e0, k) are equal exactly when their packed dicts are
@@ -183,7 +185,9 @@ class IwahoriHecke:
     # (i_s - q_s + 1) maps P·i_w to at most three terms of norm ‖P‖₁ as well,
     # so B = N(a) · 3^ℓ(w).  Exponents: a generator step multiplies by q_s or
     # q_s - 1, so a·b has every exponent ≥ e0(a) + e0(b), and the inverse's
-    # q_w^{-1} lowers the base by 2L(w).
+    # q_w^{-1} lowers the base by 2L(w).  For Σ c·h (`lincomb`),
+    # Σ_z ‖(Σ c·h)_z‖₁ ≤ B = Σ ‖c‖₁ · N(h), the sum's N, and k = max(_width(B),
+    # the operands' widths) as for a product.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a or not b:
@@ -204,6 +208,26 @@ class IwahoriHecke:
         acc: dict = {}
         self._mul_rec(Za, entries, 0, len(entries), 0, acc, k)
         return self._from_packed(acc, ea + eb, k, N)
+
+    def lincomb(self, pairs) -> HeckeElt:
+        """Σ c·h over (HeckeElt, LaurentPoly) pairs, a packed element (zero()
+        if no pair has h and c nonzero); the operands are packed in place
+        (width rule above `mul`)."""
+        pairs = [(h, c) for h, c in pairs if h and c]
+        if not pairs:
+            return self.zero()
+        sizes = [_size(h) for h, _ in pairs]
+        N = sum(_norm(c.d) * Nh for (_, c), (Nh, _) in zip(pairs, sizes))
+        k = max(_width(N), *(kh for _, kh in sizes))
+        packed = [(self._packed(h, k), c.d) for h, c in pairs]
+        e0 = min(eh + min(cd) for (_, eh), cd in packed)
+        acc: dict = {}
+        get = acc.get
+        for (Z, eh), cd in packed:
+            C = _pack(cd, e0 - eh, k)
+            for n, P in Z.items():
+                acc[n] = get(n, 0) + P * C
+        return self._from_packed(acc, e0, k, N)
 
     def _packed(self, h: HeckeElt, k: int) -> tuple:
         """(Z, e0) of h packed at width k, which is at least any width h holds.

@@ -14,12 +14,10 @@ ringcore._eliminate; each keeps its own pivot order and its own checks.
 Positivity of the entries is asserted in the shifted variable t = q - 1 (the
 universal form of point-count positivity).
 
-Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is assembled from one memo per facet that
-holds each Θ_m * 1_K only as Kronecker-packed ints (ringcore._pack) keyed by
-dense group-element ids, all at the facet's one digit width, which grows (and
-repacks the facet's entries) when a sum's proved coefficient bound needs it.
-The sum is then an int multiply-add per term and stays packed, as a product's
-result does (see `hecke`).
+Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is one IwahoriHecke.lincomb over a memo of
+the products Θ_m * 1_K.  Each entry is read once and packed at the width of
+its exact norm: the product's proved bound, up to 3^ℓ times too large, would
+widen every sum the entry enters (the width rule is in `hecke`).
 
 `facet` enumerates W_J breadth-first by length and stops as soon as an
 element is longer than the longest element w₀ of W₀: no element of a finite
@@ -43,8 +41,8 @@ from .errors import (
     NotCentral,
     SolveInconsistent,
 )
-from .hecke import HeckeElt, _norm
-from .ringcore import LaurentPoly, _eliminate, _lincomb, _pack, _unpack
+from .hecke import HeckeElt, _size, _width
+from .ringcore import LaurentPoly, _eliminate, _lincomb
 from .rootdatum import LatticeElt
 
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
@@ -125,7 +123,6 @@ class Parahoric:
         self._kelts: dict = {}
         self._kelt_biinv_ok: set = set()
         self._theta_oneK: dict = {}
-        self._oneK_width: dict = {}
 
     # -- facet data --------------------------------------------------------
 
@@ -201,78 +198,19 @@ class Parahoric:
         self._kelts[key] = out
         return out
 
-    # Θ_m * 1_K is memoized packed (ringcore._pack) on dense ids
-    # (AffineWeylGroup.intern): entry (J, m) is (Z, e0, zmax, norm) with
-    # Z = {id of w: packed coefficient of i_w}, e0 the least v-exponent, zmax
-    # the largest |coefficient| and norm = Σ‖coefficient‖₁, every entry of
-    # facet J at that facet's one digit width _oneK_width[J].  Entries loaded
-    # from the cache stay HeckeElts until first used.  Width rule: a
-    # coefficient of p·c has absolute value at most ‖p‖₁·max|c|, so every
-    # coefficient of Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K)
-    # is at most B = Σ_m ‖p_m‖₁·zmax_m, and with k = bitlen(B) + 2 it is
-    # < 2^(k-1), a digit that unpacks exactly.  Each entry is packed at a width
-    # ≥ bitlen(zmax) + 2, so it also unpacks, and repacks, exactly.  A width
-    # that must grow becomes max(k, 2·K_J), so each facet repacks O(log) times.
-    # The sum's norm bound, for the products it enters, is Σ_m ‖p_m‖₁·norm_m.
-
     def theta_oneK(self, F: FacetType, m: LatticeElt) -> HeckeElt:
-        """Θ_m * 1_K, a packed element read from the per-facet memo."""
-        self._oneK_entry(F, m)
-        return self._oneK_elt((F.J, m))
-
-    def _oneK_elt(self, key) -> HeckeElt:
-        """The memo entry at key = (J, m) as a HeckeElt, in either form."""
-        got = self._theta_oneK[key]
-        if isinstance(got, HeckeElt):
-            return got
-        Z, e0, _, norm = got
-        return self.H._from_packed(Z, e0, self._oneK_width[key[0]], norm)
-
-    def _oneK_entry(self, F: FacetType, m: LatticeElt) -> tuple:
-        """The packed memo entry (Z, e0, zmax, norm) of Θ_m * 1_K, built or packed on first use."""
+        """Θ_m * 1_K, memoized packed at the width of its exact norm."""
         key = (F.J, m)
         got = self._theta_oneK.get(key)
-        if type(got) is tuple:
-            return got
-        h = got if got is not None else self.H.mul(self.bern.theta(m), F.one_K)
-        d = h.d
-        zmax = max((abs(c) for p in d.values() for c in p.d.values()), default=0)
-        e0 = min((min(p.d) for p in d.values()), default=0)
-        self._widen(F.J, zmax.bit_length() + 2)
-        k, intern = self._oneK_width[F.J], self.W.intern
-        Z = {intern(w): _pack(p.d, e0, k) for w, p in d.items()}
-        got = self._theta_oneK[key] = (Z, e0, zmax, sum(_norm(p.d) for p in d.values()))
+        if got is None:
+            got = self._theta_oneK[key] = self.H.mul(self.bern.theta(m), F.one_K)
+            got.d  # read once, so that the norm _size gives is exact
+            self.H._packed(got, _width(_size(got)[0]))
         return got
 
-    def _widen(self, J: tuple, k: int) -> None:
-        """Grow facet J's digit width to at least k, repacking its packed entries."""
-        old = self._oneK_width.get(J, 0)
-        if k <= old:
-            return
-        new = self._oneK_width[J] = max(k, 2 * old)
-        memo = self._theta_oneK
-        for key, got in list(memo.items()):
-            if key[0] == J and type(got) is tuple:
-                Z, e0, zmax, norm = got
-                Z = {n: _pack(_unpack(P, e0, old), e0, new) for n, P in Z.items()}
-                memo[key] = (Z, e0, zmax, norm)
-
     def _theta_of_times_oneK(self, F: FacetType, r) -> HeckeElt:
-        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), summed packed over the memo's ids; a packed element."""
-        if not r.d:
-            return self.H.zero()
-        bound = sum(_norm(p.d) * self._oneK_entry(F, m)[2] for m, p in r.d.items())
-        self._widen(F.J, bound.bit_length() + 2)
-        k, memo = self._oneK_width[F.J], self._theta_oneK
-        terms = [(memo[F.J, m], p.d) for m, p in r.d.items()]
-        base = min(e0 + min(pd) for (_, e0, _, _), pd in terms)
-        acc: dict = {}
-        get = acc.get
-        for (Z, e0, _, _), pd in terms:
-            C = _pack(pd, base - e0, k)
-            for n, P in Z.items():
-                acc[n] = get(n, 0) + P * C
-        return self.H._from_packed(acc, base, k, sum(_norm(pd) * norm for (_, _, _, norm), pd in terms))
+        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), a packed element."""
+        return self.H.lincomb((self.theta_oneK(F, m), p) for m, p in r.d.items())
 
     # -- corner multiplication -----------------------------------------------
 
@@ -304,8 +242,8 @@ class Parahoric:
 
     # -- central elements ------------------------------------------------------
 
-    def center_elt(self, F: FacetType, m: LatticeElt, commute_sample=None) -> HeckeElt:
-        """z_m = Θ̇(r_m) * 1_K; verified two-sided and against a sample."""
+    def center_elt(self, F: FacetType, m: LatticeElt) -> HeckeElt:
+        """z_m = Θ̇(r_m) * 1_K; verified two-sided and against the height-1 h_x."""
         key = (F.J, m)
         got = self._centers.get(key)
         if got is not None:
@@ -317,10 +255,7 @@ class Parahoric:
         z = self._theta_of_times_oneK(F, r_m)
         if z != self.H.mul(F.one_K, theta_r):
             raise CentralityFailure(f"z_m is one-sided at m={m}, J={list(F.J)}")
-        sample = commute_sample
-        if sample is None:
-            sample = [x for x, _ in self.datum.antidominant_set(1)]
-        for x in sample:
+        for x, _ in self.datum.antidominant_set(1):
             hx = self.kelt(F, x)
             if self.H.mul(z, hx) != self.H.mul(hx, z):
                 raise CentralityFailure(f"z_{m} does not commute with h_{x} at J={list(F.J)}")

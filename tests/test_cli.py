@@ -11,7 +11,6 @@ from parahecke import engine as engine_mod
 from parahecke.engine import CACHE_ENV, CACHE_VERSION, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_hecke_expr, parse_lattice
-from parahecke.hecke import HeckeElt
 from parahecke.ringcore import LaurentPoly
 from parahecke import cli
 
@@ -298,9 +297,24 @@ def test_theta_oneK_cache_interplay(capsys, tmp_path, monkeypatch):
         assert eng._hecke_from(terms) == H.mul(B.theta(m), F.one_K)
     assert eng.load_cache(str(tmp_path)) is True
     assert len(P._theta_oneK) == len(saved)
-    assert all(isinstance(h, HeckeElt) for h in P._theta_oneK.values())  # nothing packed yet
+    assert all(h._pk is None for h in P._theta_oneK.values())  # loaded entries hold d
     assert _fresh_run(capsys, monkeypatch, args) == cold
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def test_save_cache_leaves_entries_packed(tmp_path, monkeypatch):
+    """Saving serializes a copy of each packed memo entry, so both tables stay
+    packed: unpacking them in place raised a2's peak memory by about 7%."""
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
+    eng = load_engine("c2")
+    P = eng.para
+    F = P.special_facet()
+    for m, _ in eng.datum.antidominant_set(1):
+        P.center_elt(F, m)
+    entries = [*eng.bern._theta.values(), *P._theta_oneK.values()]
+    assert entries and all(h._pk is not None for h in entries)
+    assert eng.save_cache(str(tmp_path)) is True
+    assert all(h._pk is not None for h in entries)
 
 
 @pytest.mark.parametrize("facet", ["a", "9", "1,x", "0,1"])

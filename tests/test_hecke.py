@@ -471,3 +471,49 @@ def test_one_form_at_rest():
     assert repr(p) == repr(HeckeElt(H, dict(d)))
     H.mul(p, p)  # packing again replaces d
     assert _forms(p) == ["_pk"]
+
+
+@pytest.mark.parametrize("name", ["c2", "a1_unequal"])
+def test_lincomb_matches_reference(name):
+    """Σ c·h by IwahoriHecke.lincomb equals per-key LaurentPoly arithmetic, with
+    operands held as d and packed at two widths and base exponents, small
+    coefficients and ones up to 10^30 with negative v-exponents."""
+    H = IwahoriHecke.for_datum(load_bundled(name))
+    rng = random.Random(41)
+    ball = H.weyl.ball(3)
+
+    def poly(size):
+        return LaurentPoly({rng.randint(-6, 3): rng.choice((-1, 1)) * rng.randint(1, size)
+                            for _ in range(rng.randint(1, 3))})
+
+    def packed(terms, k, below):
+        """The element Σ p·i_w packed at width k, base exponent `below` under its least."""
+        d = H.from_terms(terms).d
+        e0 = min(min(p.d) for p in d.values()) - below
+        Z = {H.weyl.intern(w): _pack(p.d, e0, k) for w, p in d.items()}
+        return H._from_packed(Z, e0, k, sum(abs(c) for p in d.values() for c in p.d.values()))
+
+    for size in (3, 10**30, 3, 10**30):
+        terms = [[(rng.choice(ball), poly(9)) for _ in range(3)] for _ in range(3)]
+        refs = [H.from_terms(t).d for t in terms]
+        ops = [H.from_terms(terms[0]), packed(terms[1], 16, 0), packed(terms[2], 64, 5)]
+        cs = [poly(size) for _ in ops]
+        want: dict = {}
+        for ref, c in zip(refs, cs):
+            for w, p in ref.items():
+                want[w] = want.get(w, LaurentPoly.zero()) + c * p
+        got = H.lincomb(zip(ops, cs))
+        assert _forms(got) == ["_pk"]
+        assert got.d == {w: p for w, p in want.items() if p}
+        assert _forms(got) == ["d"] and all(_forms(h) == ["_pk"] for h in ops)
+        # exact cancellation, between two forms of one value and within one operand
+        c = poly(10**30)
+        for pairs in ([(packed(terms[0], 16, 2), c), (H.from_terms(terms[0]), -c)],
+                      [(ops[1], c), (ops[1], -c)]):
+            zero = H.lincomb(pairs)
+            assert zero == H.zero() and not zero and not zero.d
+            assert all(len(_forms(h)) == 1 for h, _ in pairs)
+    plain = H.from_terms(terms[0])
+    assert H.lincomb([]) == H.zero()
+    assert H.lincomb([(plain, LaurentPoly.zero())]) == H.zero()
+    assert _forms(plain) == ["d"]

@@ -268,24 +268,30 @@ def test_compatibility_diagram_example(E1):
 
 @pytest.mark.parametrize("name", ["c2", "a2", "gl2", "a1_torsion2"])
 def test_packed_theta_times_oneK_matches_reference(name):
-    """Θ̇(r)·1_K from the packed per-facet memo equals Σ_m p_m·(Θ_m·1_K) in
-    plain LaurentPoly arithmetic, while the facet's digit width grows under
-    the calls: small coefficients first, then one monomial of size 10^30 on
-    the entry with the largest coefficient (the width bound is exactly tight
-    there), then random coefficients up to 10^30."""
+    """Θ̇(r)·1_K summed over the packed memo equals Σ_m p_m·(Θ_m·1_K) in plain
+    LaurentPoly arithmetic over fresh products, while the memo entries' digit
+    widths grow under the calls: small coefficients first, then one monomial
+    of size 10^30 on the entry with the largest coefficient, then random
+    coefficients up to 10^30."""
     d = load_engine(name).datum
     P = Parahoric(Bernstein(IwahoriHecke.for_datum(d)))
     H, rng = P.H, random.Random(name)
     ms = sorted({x for m, _ in d.antidominant_set(2) for x in d.orbit(m)})
+    refs: dict = {}
 
     def poly(size):
         return LaurentPoly({rng.randint(-6, 4): rng.choice((-1, 1)) * rng.randint(1, size)
                             for _ in range(rng.randint(1, 3))})
 
+    def ref(F, m):  # Θ_m·1_K as a fresh product; reading a memo entry's d would unpack it
+        if (F.J, m) not in refs:
+            refs[F.J, m] = H.mul(P.bern.theta(m), F.one_K).d
+        return refs[F.J, m]
+
     def check(F, coeffs):
         want: dict = {}
         for m, p in coeffs.items():
-            for w, c in P.theta_oneK(F, m).d.items():
+            for w, c in ref(F, m).items():
                 want[w] = want.get(w, LaurentPoly.zero()) + p * c
         got = P._theta_of_times_oneK(F, GroupAlgElt(d, coeffs))
         assert got.d == {w: c for w, c in want.items() if c}
@@ -294,12 +300,13 @@ def test_packed_theta_times_oneK_matches_reference(name):
         F = P.facet(J)
         for _ in range(6):
             check(F, {m: poly(3) for m in rng.sample(ms, 3)})
-        small = P._oneK_width[J]
-        top = max(ms, key=lambda m: max(abs(c) for p in P.theta_oneK(F, m).d.values() for c in p.d.values()))
+        top = max(ms, key=lambda m: max(abs(c) for p in ref(F, m).values() for c in p.d.values()))
+        P.theta_oneK(F, top)
+        small = P._theta_oneK[J, top]._pk[2]
+        packed = [m for m in ms if (J, m) in P._theta_oneK]
         check(F, {top: LaurentPoly({-3: -(10 ** 30)})})
+        assert P._theta_oneK[J, top]._pk[2] > small
         for _ in range(6):
             check(F, {m: poly(10 ** 30) for m in rng.sample(ms, 3)})
-        assert P._oneK_width[J] > small
-        for m in ms:  # entries packed before the width grew still unpack to Θ_m·1_K
-            if (J, m) in P._theta_oneK:
-                assert P.theta_oneK(F, m) == H.mul(P.bern.theta(m), F.one_K)
+        for m in packed:  # entries packed before the width grew still unpack to Θ_m·1_K
+            assert P.theta_oneK(F, m) == H.mul(P.bern.theta(m), F.one_K)
