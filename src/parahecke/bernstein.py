@@ -35,10 +35,6 @@ class GroupAlgElt(SparseElt):
 
     __slots__ = ()
 
-    def __init__(self, datum: Datum, d: dict):
-        self.parent = datum
-        self.d = {m: p for m, p in d.items() if p}
-
     @classmethod
     def basis(cls, datum: Datum, m: LatticeElt, coeff: LaurentPoly | None = None) -> "GroupAlgElt":
         return cls(datum, {m: coeff if coeff is not None else LaurentPoly.one()})
@@ -69,10 +65,6 @@ class BernsteinElt(SparseElt):
     parent is the Bernstein engine."""
 
     __slots__ = ()
-
-    def __init__(self, bern: "Bernstein", d: dict):
-        self.parent = bern
-        self.d = {k: p for k, p in d.items() if p}
 
     def _term_key(self, key):
         m, wi = key
@@ -199,15 +191,13 @@ class Bernstein:
 
     def theta_of(self, r: GroupAlgElt) -> HeckeElt:
         """Θ̇(r) = Σ p·Θ_m over the terms p·x_m of r."""
-        return HeckeElt._wrap(self.H, _lincomb((self.theta(m).d, p.d) for m, p in r.d.items()))
+        return self.H.lincomb((self.theta(m), p) for m, p in r.d.items())
 
     # -- IM <-> Bernstein change of basis -----------------------------------
 
     def bern_to_im(self, b: BernsteinElt) -> HeckeElt:
         H, W = self.H, self.W
-        return HeckeElt._wrap(H, _lincomb(
-            (H.mul(self.theta(m), H.basis(W.finite(wi))).d, p.d) for (m, wi), p in b.d.items()
-        ))
+        return H.lincomb((H.mul(self.theta(m), H.basis(W.finite(wi))), p) for (m, wi), p in b.d.items())
 
     def im_to_bern(self, h: HeckeElt) -> BernsteinElt:
         """Triangular elimination against the Bruhat-maximal support element."""
@@ -266,22 +256,17 @@ class Bernstein:
 
     def expand_over_orbit_sums(self, r: GroupAlgElt) -> dict:
         """Unique coordinates of a Ẇ-invariant element over {r_m}; raises
-        SolveInconsistent when r is not in their span."""
-        d, W = self.datum, self.W
+        SolveInconsistent when r is not in their span.
+
+        One pass: eliminating r_m at m touches only m's orbit, whose one
+        antidominant element is m, so each antidominant m in r's support is
+        eliminated once, and anything left means r is not in the span.
+        """
         residual = {m: dict(p.d) for m, p in r.d.items()}
         out: dict = {}
-        while residual:
-            level = max(W.length(W.translation(m)) for m in residual)
-            heads = sorted(
-                m for m in residual
-                if W.length(W.translation(m)) == level and d.is_antidominant(m)
-            )
-            if not heads:
-                raise SolveInconsistent("no antidominant element at the top translation level")
-            for m in heads:
-                c = _eliminate(residual, self.orbit_sum_r(m).d, m)
-                if c is not None:
-                    out[m] = c
-            if any(W.length(W.translation(m)) == level for m in residual):
-                raise SolveInconsistent("top translation level did not clear")
+        for m in r.d:
+            if self.datum.is_antidominant(m):
+                out[m] = _eliminate(residual, self.orbit_sum_r(m).d, m)
+        if residual:
+            raise SolveInconsistent("element is not in the span of the orbit sums")
         return out

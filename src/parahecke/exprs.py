@@ -84,7 +84,7 @@ def parse_hecke_expr(alg: IwahoriHecke, text: str) -> HeckeElt:
             i += 1
         if expect_factor:
             raise ExprSyntaxError("empty term")
-        total = total + HeckeElt(alg, {elt: coeff} if not coeff.is_zero() else {})
+        total = total + HeckeElt(alg, {elt: coeff})
         if i < n:
             sign = 1 if toks[i][1] == "+" else -1
             i += 1

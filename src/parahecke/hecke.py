@@ -160,7 +160,7 @@ class IwahoriHecke:
         if isinstance(x, int):
             x = LaurentPoly.from_int(x)
         if isinstance(x, LaurentPoly):
-            return HeckeElt(self, {self.weyl.identity: x} if not x.is_zero() else {})
+            return HeckeElt(self, {self.weyl.identity: x})
         raise TypeError(f"cannot coerce {type(x).__name__} into HeckeElt")
 
     def q_power_of(self, w: ExtWeylElt) -> LaurentPoly:

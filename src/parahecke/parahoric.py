@@ -9,10 +9,12 @@ multiplication divides the Iwahori product exactly by P_J.
 Central elements are z_m = Θ̇(r_m) * 1_K (antidominant m); at the special
 maximal facet they are everything, and solving h_x = Σ_m s_{x,m} z_m by
 triangular elimination over the saturation order realizes the twisted Satake
-transform.  The Satake rows and the general solve share one elimination step,
-ringcore._eliminate; each keeps its own pivot order and its own checks.
-Positivity of the entries is asserted in the shifted variable t = q - 1 (the
-universal form of point-count positivity).
+transform.  The Satake rows and the general solve share one solve against
+the z-basis, `_z_coords`, which eliminates each z_μ at its W.sort_key-largest
+term in the caller's order; the rows add their diagonal and positivity
+checks.  Positivity of the entries is asserted in the shifted variable
+t = q - 1 (the universal form of point-count positivity).  Lifting to a
+bigger facet is a corner product too, so P_J is divided out in one place.
 
 Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is one IwahoriHecke.lincomb over a memo of
 the products Θ_m * 1_K.  Each entry is read once and packed at the width of
@@ -42,7 +44,7 @@ from .errors import (
     SolveInconsistent,
 )
 from .hecke import HeckeElt, _size, _width
-from .ringcore import LaurentPoly, _eliminate, _lincomb
+from .ringcore import LaurentPoly, _eliminate
 from .rootdatum import LatticeElt
 
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
@@ -267,33 +269,43 @@ class Parahoric:
         r_prod = self.bern.orbit_sum_r(m1) * self.bern.orbit_sum_r(m2)
         coeffs = self.bern.expand_over_orbit_sums(r_prod)
         lhs = self.parahoric_mul(F, self.center_elt(F, m1), self.center_elt(F, m2))
-        rhs = HeckeElt._wrap(self.H, _lincomb((self.center_elt(F, m).d, c.d) for m, c in coeffs.items()))
+        rhs = self.H.lincomb((self.center_elt(F, m), c) for m, c in coeffs.items())
         if lhs != rhs:
             raise SolveInconsistent("center product does not match its z-basis expansion")
         return coeffs
 
     # -- the twisted Satake transform ------------------------------------------
 
-    def _solve_row(self, F: FacetType, x: LatticeElt) -> SatakeRow:
+    def _z_coords(self, F: FacetType, z: HeckeElt, order):
+        """Coordinates of z over the z-basis, as (μ, s_μ) for each μ in order.
+
+        One triangular elimination: s_μ divides the residual's entry at the
+        lead of z_μ (its W.sort_key-largest term) by z_μ's, and is None when
+        that entry is absent.  SolveInconsistent is raised on a non-integral
+        quotient, and after the last μ if a residual is left.
+        """
         W = self.W
-        preds = self.datum.saturation_predecessors_ranked(x)
-        residual = {w: dict(p.d) for w, p in self.kelt(F, x).d.items()}
-        entries = []
-        for m, rank in preds:
-            z = self.center_elt(F, m)
+        residual = {w: dict(p.d) for w, p in z.d.items()}
+        for mu in order:
+            z_mu = self.center_elt(F, mu)
             try:
-                s = _eliminate(residual, z.d, max(z.d, key=W.sort_key))
+                s = _eliminate(residual, z_mu.d, max(z_mu.d, key=W.sort_key))
             except NonDivisible as exc:
-                raise SolveInconsistent(f"entry at {m} not divisible: {exc}") from exc
+                raise SolveInconsistent(f"entry at {mu} not divisible: {exc}") from exc
+            yield mu, s
+        if residual:
+            raise SolveInconsistent("element is not in the span of the z-basis")
+
+    def _solve_row(self, F: FacetType, x: LatticeElt) -> SatakeRow:
+        entries = []
+        for m, s in self._z_coords(F, self.kelt(F, x), self.datum.saturation_predecessors(x)):
             if s is None:
                 raise NegativeCoefficient(self._counterexample(x, m, None, "vanishing entry on a predecessor"))
-            if rank == 0 and not s.is_one():
+            if m == x and not s.is_one():
                 raise SolveInconsistent(f"diagonal s_(x,x) = {s} != 1 at x={x}")
             if not s.nonneg_in_q_minus_1():
                 raise NegativeCoefficient(self._counterexample(x, m, s, "negative coefficient in q-1"))
             entries.append((m, s))
-        if residual:
-            raise SolveInconsistent(f"Satake row at {x} left a nonzero residual")
         return SatakeRow(
             x=x,
             entries=entries,
@@ -314,12 +326,9 @@ class Parahoric:
             sort_keys=True,
         )
 
-    def satake_table(self, xs, J=None, check_products: bool = True) -> SatakeTable:
-        """Rows of the twisted Satake matrix; J, if given, must be the
-        special maximal facet (the set of finite simple generators)."""
+    def satake_table(self, xs, check_products: bool = True) -> SatakeTable:
+        """Rows of the twisted Satake matrix at the special maximal facet."""
         d = self.datum
-        if J is not None and set(int(j) for j in J) != set(range(1, d.n_simple + 1)):
-            raise ValueError("satake_table requires the special maximal facet")
         F = self.special_facet()
         xs = list(xs)
         for x in xs:
@@ -363,18 +372,7 @@ class Parahoric:
         for mu in reps:
             candidates.update(self.datum.saturation_predecessors(mu))
         order = sorted(candidates, key=lambda mu: (-W.length(W.translation(mu)), mu))
-        residual = {w: dict(p.d) for w, p in z.d.items()}
-        coeffs = []
-        for mu in order:
-            zmu = self.center_elt(F, mu)
-            try:
-                s = _eliminate(residual, zmu.d, max(zmu.d, key=W.sort_key))
-            except NonDivisible as exc:
-                raise SolveInconsistent(f"general Satake solve non-integral: {exc}") from exc
-            if s is not None:
-                coeffs.append((mu, s))
-        if residual:
-            raise SolveInconsistent("central element is not in the span of the z-basis")
+        coeffs = [(mu, s) for mu, s in self._z_coords(F, z, order) if s is not None]
         return self.bern.from_orbit_sums(coeffs)
 
     # -- compatibility across nested facets -------------------------------------
@@ -383,8 +381,7 @@ class Parahoric:
         """z ∗_{K_small} 1_{K_big}: the unit-adjusted image into the bigger corner."""
         if not set(F_small.J) <= set(F_big.J):
             raise ValueError("facets are not nested")
-        prod = self.H.mul(z, F_big.one_K)
-        return HeckeElt(self.H, {w: p.exact_div(F_small.poincare) for w, p in prod.d.items()})
+        return self._corner_mul(F_small, z, F_big.one_K)
 
     def compatibility_holds(self, F_small: FacetType, F_big: FacetType, m: LatticeElt) -> bool:
         """The Bernstein-Satake square commutes on the z-basis element at m."""

@@ -199,16 +199,16 @@ class SparseElt:
     Holds the linear structure shared by the module classes above this layer
     (HeckeElt, GroupAlgElt, BernsteinElt).  A subclass adds its product, its
     term order `_term_key`, how one basis key prints (`_fmt_key`) and any
-    coercion of scalars (`_coerce`).  Construction is a plain assignment of the
-    parent (the algebra, datum or Bernstein engine) and d; `_wrap` builds an
-    element from a raw accumulator, dropping empty entries.
+    coercion of scalars (`_coerce`).  Construction takes the parent (the
+    algebra, datum or Bernstein engine) and d, dropping zero coefficients;
+    `_wrap` builds an element from a raw accumulator, dropping empty entries.
     """
 
     __slots__ = ("parent", "d")
 
     def __init__(self, parent, d: dict):
         self.parent = parent
-        self.d = d
+        self.d = {k: p for k, p in d.items() if p}
 
     @classmethod
     def _wrap(cls, parent, raw: dict):

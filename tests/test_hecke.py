@@ -517,3 +517,16 @@ def test_lincomb_matches_reference(name):
     assert H.lincomb([]) == H.zero()
     assert H.lincomb([(plain, LaurentPoly.zero())]) == H.zero()
     assert _forms(plain) == ["d"]
+
+
+def test_explicit_zero_coefficient_is_dropped(H1):
+    """An element built with a zero coefficient is the zero element, and products
+    and sums with it do not fail on an empty packed base exponent."""
+    h = HeckeElt(H1, {H1.weyl.identity: LaurentPoly.zero()})
+    assert not h and h == H1.zero() and h.d == {}
+    assert H1.mul(h, H1.one()) == H1.zero()
+    assert H1.mul(H1.one(), h) == H1.zero()
+    assert H1.lincomb([(h, LaurentPoly.one())]) == H1.zero()
+    g = HeckeElt(H1, {H1.weyl.identity: LaurentPoly.zero(), H1.weyl.gen(1): Q})
+    assert g == H1.basis(H1.weyl.gen(1)).scale(Q)
+    assert H1.lincomb([(g, LaurentPoly.one())]) == g

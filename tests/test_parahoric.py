@@ -171,14 +171,6 @@ def test_satake_a1_row(E1):
     assert r1.entries[1] == (d.zero, Q - 1)
 
 
-def test_satake_facet_argument(E1):
-    P, d = E1.para, E1.datum
-    t = P.satake_table([d.zero], J=(1,), check_products=False)
-    assert len(t.rows) == 1
-    with pytest.raises(ValueError):
-        P.satake_table([d.zero], J=())
-
-
 def test_satake_gl2_minuscule(Egl2):
     P, d = Egl2.para, Egl2.datum
     xs = [m for m, _ in d.antidominant_set(1)]
@@ -213,6 +205,18 @@ def test_satake_general_and_units(E1):
     # bi-invariant for the trivial facet, but not in the span of the z-basis
     with pytest.raises(SolveInconsistent):
         P.satake_general(P.facet(()), E1.hecke.basis(E1.weyl.gen(1)))
+
+
+@pytest.mark.parametrize("name", ["a1", "a1_unequal", "a1_torsion2", "gl2", "c2", "a2"])
+def test_satake_general_reproduces_rows(name):
+    """The general solve on h_x equals the transform of the Satake row at x: the
+    two callers of the one z-basis solve agree, each in its own order."""
+    eng = load_engine(name)
+    P, d = eng.para, eng.datum
+    F = P.special_facet()
+    table = P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=False)
+    for row in table.rows:
+        assert P.satake_general(F, P.kelt(F, row.x)) == P.transform_of_row(row)
 
 
 def test_satake_outputs_are_dot_invariant(E2):
