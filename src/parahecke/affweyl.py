@@ -254,7 +254,10 @@ class AffineWeylGroup:
             if not m:
                 raise ExprSyntaxError(f"bad element atom {part!r}")
             if m.group("gen") is not None:
-                out = self.compose(out, self.gen(int(m.group("gen"))))
+                i = int(m.group("gen"))
+                if i not in self._gens:
+                    raise ExprSyntaxError(f"no affine generator s{i}; have {sorted(self._gens)}")
+                out = self.compose(out, self._gens[i])
             elif m.group("word") is not None:
                 body = m.group("word").strip()
                 wi = 0

@@ -31,10 +31,26 @@ with N(a) · 3^ℓ(w).  `lincomb` sums Σ c·h over LaurentPoly coefficients c t
 same way, an int multiply-add per term, at the width of Σ ‖c‖₁ · N(h) or of
 the widest operand.  The proofs are at `mul`.
 
+Products with 1_K = Σ_{v ∈ W_J} i_v, for a finite parabolic W_J, have a closed
+form (Curtis–Iwahori–Kilmoyer).  Write w = w'u with w' minimal in wW_J and
+u ∈ W_J; then i_w = i_{w'}·i_u, i_u·1_K = q_u·1_K and i_{w'}·i_v = i_{w'v}, so
+
+    a · 1_K = Σ_{w'} (Σ_{u ∈ W_J} q_u · a_{w'u}) · Σ_{v ∈ W_J} i_{w'v}.
+
+`mul_oneK` computes a·i_w·1_K this way: one shift by 2L(u)·k bits and one add
+per term into its coset's sum, then each sum is copied onto w'W_J; its N is
+|W_J| · N(a) · 3^ℓ(w).  1_K is ∨-stable, so 1_K·i_w·a = ∨(∨a · i_{w⁻¹} · 1_K)
+(`oneK_mul`).  Given a divisor P (a polynomial in v with constant term 1),
+`mul_oneK` divides each coset sum exactly, once per coset rather than once
+per term; the quotient's N is recomputed from its digits, because division
+can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
+
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
 n·G + i (G generators, w of id n) to (id of ws, None) or (id of ws, 2L(s)),
-and right translation by ω ≠ 1 is memoized per ω by id.
+and right translation by ω ≠ 1 is memoized per ω by id.  Per W_J, the coset
+reduction maps the id of w to (id of w', 2L(u)) and the id of w' to the ids
+of w'W_J; ∨ maps each id to the id of its inverse.
 
 A HeckeElt holds exactly one form at rest: `d` ({ExtWeylElt: LaurentPoly}),
 or the engine's packed form ({id: packed int}, e0, k, N) with N a bound on
@@ -130,6 +146,10 @@ class IwahoriHecke:
         # _om_cache: id of ω -> {n: id of x·ω}.
         self._gen_cache: dict[int, tuple] = {}
         self._om_cache: dict[int, dict[int, int]] = {}
+        # _cosets: J -> ({n: (id of w', 2L(u))}, {id of w': ids of w'W_J}) for
+        # w = by_id[n] = w'u (mul_oneK); _inv_ids: n -> id of by_id[n]⁻¹.
+        self._cosets: dict[tuple, tuple] = {}
+        self._inv_ids: dict[int, int] = {}
         self._G = len(self.datum.saff_indices)
 
     @classmethod
@@ -188,6 +208,26 @@ class IwahoriHecke:
     # q_w^{-1} lowers the base by 2L(w).  For Σ c·h (`lincomb`),
     # Σ_z ‖(Σ c·h)_z‖₁ ≤ B = Σ ‖c‖₁ · N(h), the sum's N, and k = max(_width(B),
     # the operands' widths) as for a product.
+    #
+    # a·i_w·1_K (`mul_oneK`): a·i_w is the product with b = i_w, so B₁ =
+    # N(a) · 3^ℓ(w), and a coset sum S_{w'} = Σ_u q_u·(a·i_w)_{w'u} has
+    # ‖S_{w'}‖₁ ≤ Σ_u ‖(a·i_w)_{w'u}‖₁; it is copied onto |W_J| elements, so
+    # Σ_z ‖(a·i_w·1_K)_z‖₁ ≤ B = |W_J| · B₁, the product's N, with k as above.
+    # Multiplying by q_u shifts exponents up, so the base stays e0(a).
+    #
+    # Exact division of a packed S (digits in range at width k) by P with
+    # lowest term 1 (`_divide_packed`): P packs at base 0 to P(2^k) and S to
+    # s(2^k) for a polynomial s.  Let Q, R = divmod(S, P(2^k)).  If R = 0, let
+    # t be Q unpacked, so t(2^k) = Q, and suppose max|t_i| · ‖P‖₁ < 2^(k-2).
+    # Then t·P has every coefficient below 2^(k-2) in absolute value and
+    # (t·P)(2^k) = Q·P(2^k) = S = s(2^k); two polynomials with digits in range
+    # that agree at 2^k are equal (signed base-2^k digits are unique), so
+    # t·P = s and t = s/P exactly, with in-range digits at width k.  R = 0 alone
+    # proves nothing (P(2^k) may divide S while P does not divide s), so when
+    # either test fails the quotient is taken by LaurentPoly.exact_div, which
+    # raises NonDivisible when P does not divide s.  The quotients' N is
+    # Σ ‖t‖₁ (times |W_J| when t is a coset sum), and after a fallback every
+    # quotient is repacked at max(k, _width(N)), since exact_div bounds no digit.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a or not b:
@@ -349,6 +389,98 @@ class IwahoriHecke:
         self._flush(Za, W.intern(W.inverse(om)), 1, cur)
         return self._from_packed(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k, N)
 
+    # -- products with 1_K = Σ_{v ∈ W_J} i_v ---------------------------------
+    #
+    # F is a facet type (parahoric.FacetType): F.J lists the generators of a
+    # finite parabolic W_J and F.elements its elements.
+
+    def mul_oneK(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
+        """a·i_w·1_K (a·1_K when w is None), divided exactly by divisor when one
+        is given; a packed element (closed form and proofs above `mul`)."""
+        if not a:
+            return self.zero()
+        W = self.weyl
+        word, om = W.reduced_word(w) if w is not None else ((), W.identity)
+        Na, ka = _size(a)
+        N = len(F.elements) * Na * 3 ** len(word)
+        k = max(_width(N), ka)
+        cur, e0 = self._packed(a, k)
+        for i in word:
+            cur = self._apply_gen_right(cur, i, k)
+        if om != W.identity:
+            acc: dict = {}
+            self._flush(cur, W.intern(om), 1, acc)
+            cur = acc
+        red, cosets = self._cosets.setdefault(F.J, ({}, {}))
+        sums: dict = {}
+        get = sums.get
+        for n, P in cur.items():
+            m, e = red.get(n) or self._coset_min(red, F.J, n)
+            sums[m] = get(m, 0) + (P << e * k)
+        if divisor is not None:
+            sums, k, N = self._divide_packed(sums, k, divisor)
+            N *= len(F.elements)
+        out = {}
+        for m, S in sums.items():
+            if S:
+                for n in cosets.get(m) or self._coset_ids(cosets, F, m):
+                    out[n] = S
+        return self._from_packed(out, e0, k, N)
+
+    def oneK_mul(self, F, a: HeckeElt, w: ExtWeylElt | None = None) -> HeckeElt:
+        """1_K·i_w·a = ∨(∨a · i_{w⁻¹} · 1_K), 1_K being ∨-stable."""
+        w = None if w is None else self.weyl.inverse(w)
+        return self.vee_involution(self.mul_oneK(self.vee_involution(a), F, w))
+
+    @staticmethod
+    def _divide_packed(Z: dict, k: int, P: LaurentPoly) -> tuple:
+        """(quotients, k', N): {n: S/P} for the packed ints S of Z, at width k'
+        ≥ k, with N = Σ ‖S/P‖₁ (proof above `mul`)."""
+        if min(P.d) != 0 or P.d[0] != 1:
+            raise ValueError(f"divisor {P} does not have lowest term 1")
+        Pk, normP, bound = _pack(P.d, 0, k), _norm(P.d), 1 << (k - 2)
+        out: dict = {}
+        N = 0
+        exact = True
+        for n, S in Z.items():
+            if not S:
+                continue
+            Q, R = divmod(S, Pk)
+            t = None if R else _unpack(Q, 0, k)
+            if t is None or max(map(abs, t.values())) * normP >= bound:
+                t = LaurentPoly(_unpack(S, 0, k)).exact_div(P).d
+                exact = False
+            out[n] = Q, t
+            N += _norm(t)
+        if exact:
+            return {n: Q for n, (Q, _) in out.items()}, k, N
+        k = max(k, _width(N))
+        return {n: _pack(t, 0, k) for n, (_, t) in out.items()}, k, N
+
+    def _coset_min(self, red: dict, J, n: int) -> tuple:
+        """(id of w', 2L(u)) for w = by_id[n] = w'u with w' minimal in wW_J and
+        u ∈ W_J, memoized in red: right descents in J, read off _gen_cache (a
+        second field that is not None means ws is shorter)."""
+        cache, G = self._gen_cache, self._G
+        m, e = n, 0
+        while True:
+            for i in J:
+                ms, es = cache.get(m * G + i) or self._compute_gen_right(m, i)
+                if es is not None:
+                    m, e = ms, e + es
+                    break
+            else:
+                break
+        hit = red[n] = (m, e)
+        return hit
+
+    def _coset_ids(self, cosets: dict, F, m: int) -> list:
+        """The ids of w'W_J for w' = by_id[m], memoized in cosets."""
+        W = self.weyl
+        x = W.by_id[m]
+        got = cosets[m] = [W.intern(W.compose(x, v)) for v in F.elements]
+        return got
+
     def im_invert_basis(self, w: ExtWeylElt) -> tuple[HeckeElt, HeckeElt]:
         """(inverse, star) with i_w · inverse = i_e and star the integral part.
 
@@ -367,8 +499,21 @@ class IwahoriHecke:
         return inverse, star
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:
-        inverse = self.weyl.inverse
-        return HeckeElt._wrap(self, _lincomb(({inverse(w): p}, None) for w, p in h.d.items()))
+        """∨: i_w ↦ i_{w⁻¹}, an anti-involution; maps h's packed ids, packing h in place."""
+        if not h:
+            return self.zero()
+        N, k = _size(h)
+        k = k or _width(N)
+        Z, e0 = self._packed(h, k)
+        W, inv = self.weyl, self._inv_ids
+        out = {}
+        for n, P in Z.items():
+            m = inv.get(n)
+            if m is None:
+                m = inv[n] = W.intern(W.inverse(W.by_id[n]))
+                inv[m] = n
+            out[m] = P
+        return self._from_packed(out, e0, k, N)
 
     def degree_hom(self, h: HeckeElt) -> LaurentPoly:
         """Linear extension of i_w ↦ q_w; a ring homomorphism."""

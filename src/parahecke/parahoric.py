@@ -4,7 +4,16 @@ A facet type is a subset J of the affine generators spanning a finite
 parabolic W_J.  The attached subalgebra is the span of the double-coset sums
 h_x = Σ_{W_J t_x W_J} i_w; its unit for the corner product is 1_K = Σ_{W_J} i_w,
 with 1_K·1_K = P_J·1_K for the Poincaré polynomial P_J = Σ q_w.  Corner
-multiplication divides the Iwahori product exactly by P_J.
+multiplication divides the Iwahori product exactly by P_J.  Products with 1_K
+take the closed forms of `hecke` (IwahoriHecke.mul_oneK, oneK_mul).  For d the
+shortest element of W_J t_y W_J, 1_K·i_d·1_K = P_{J,d}·h_y, with P_{J,d} its
+coefficient at d (checked once per (J, y)), so
+
+    h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d},
+
+and z commutes with h_y exactly when (z·1_K)·i_d·1_K = 1_K·i_d·(1_K·z), both
+sides P_{J,d} times the products (H is free over Z[v^±1], so the factor
+changes no outcome and nothing is divided).
 
 Central elements are z_m = Θ̇(r_m) * 1_K (antidominant m); at the special
 maximal facet they are everything, and solving h_x = Σ_m s_{x,m} z_m by
@@ -14,12 +23,14 @@ the z-basis, `_z_coords`, which eliminates each z_μ at its W.sort_key-largest
 term in the caller's order; the rows add their diagonal and positivity
 checks.  Positivity of the entries is asserted in the shifted variable
 t = q - 1 (the universal form of point-count positivity).  Lifting to a
-bigger facet is a corner product too, so P_J is divided out in one place.
+bigger facet is the corner product z ∗_{K_small} 1_{K_big} = z·1_{K_big} /
+P_{J_small}, divided per coset of W_{J_big}.
 
 Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is one IwahoriHecke.lincomb over a memo of
 the products Θ_m * 1_K.  Each entry is read once and packed at the width of
-its exact norm: the product's proved bound, up to 3^ℓ times too large, would
-widen every sum the entry enters (the width rule is in `hecke`).
+its exact norm: the product's proved bound |W_J|·N(Θ_m) counts no
+cancellation inside a coset sum, and a looser bound would widen every sum the
+entry enters (the width rule is in `hecke`).
 
 `facet` enumerates W_J breadth-first by length and stops as soon as an
 element is longer than the longest element w₀ of W₀: no element of a finite
@@ -124,6 +135,7 @@ class Parahoric:
         self._centers: dict = {}
         self._kelts: dict = {}
         self._kelt_biinv_ok: set = set()
+        self._kelt_reps: dict = {}
         self._theta_oneK: dict = {}
 
     # -- facet data --------------------------------------------------------
@@ -205,7 +217,7 @@ class Parahoric:
         key = (F.J, m)
         got = self._theta_oneK.get(key)
         if got is None:
-            got = self._theta_oneK[key] = self.H.mul(self.bern.theta(m), F.one_K)
+            got = self._theta_oneK[key] = self.H.mul_oneK(self.bern.theta(m), F)
             got.d  # read once, so that the norm _size gives is exact
             self.H._packed(got, _width(_size(got)[0]))
         return got
@@ -218,7 +230,7 @@ class Parahoric:
 
     def is_biinvariant(self, F: FacetType, a: HeckeElt) -> bool:
         pa = a.scale(F.poincare)
-        return self.H.mul(F.one_K, a) == pa and self.H.mul(a, F.one_K) == pa
+        return self.H.oneK_mul(F, a) == pa and self.H.mul_oneK(a, F) == pa
 
     def _kelt_checked(self, F: FacetType, x: LatticeElt) -> HeckeElt:
         h = self.kelt(F, x)
@@ -229,18 +241,46 @@ class Parahoric:
             self._kelt_biinv_ok.add(key)
         return h
 
-    def _corner_mul(self, F: FacetType, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        prod = self.H.mul(a, b)
-        try:
-            return HeckeElt(self.H, {w: p.exact_div(F.poincare) for w, p in prod.d.items()})
-        except NonDivisible as exc:  # pragma: no cover - convention bug guard
-            raise NonDivisible(f"corner product not divisible by P_J: {exc}") from exc
+    def _kelt_rep(self, F: FacetType, x: LatticeElt) -> tuple:
+        """(d, P_{J,d}): d the shortest element of W_J t_x W_J and P_{J,d} the
+        coefficient at d of 1_K·i_d·1_K, which is checked to equal P_{J,d}·h_x."""
+        key = (F.J, x)
+        got = self._kelt_reps.get(key)
+        if got is None:
+            H, h = self.H, self.kelt(F, x)
+            d = min(h.d, key=self.W.sort_key)
+            full = H.oneK_mul(F, H.mul_oneK(H.basis(d), F))
+            P_d = full.coeff(d)
+            if full != h.scale(P_d):  # pragma: no cover - a double coset sum always is
+                raise SolveInconsistent(f"1_K·i_d·1_K is not P_(J,d)·h_x at x={x}, J={list(F.J)}")
+            got = self._kelt_reps[key] = (d, P_d)
+        return got
+
+    def noncommuting_kelt(self, F: FacetType, z: HeckeElt, xs):
+        """The first x in xs with z·h_x != h_x·z, or None.
+
+        Both sides are compared times P_{J,d} (see _kelt_rep):
+        (z·1_K)·i_d·1_K against ∨(((∨z)·1_K)·i_{d⁻¹}·1_K) = 1_K·i_d·1_K·z.  H is
+        a free Z[v^±1]-module and P_{J,d} ≠ 0, so the factor changes no outcome.
+        """
+        H, W = self.H, self.W
+        right = H.mul_oneK(z, F)
+        left = H.mul_oneK(H.vee_involution(z), F)
+        for x in xs:
+            d, _ = self._kelt_rep(F, x)
+            if H.mul_oneK(right, F, d) != H.vee_involution(H.mul_oneK(left, F, W.inverse(d))):
+                return x
+        return None
 
     def parahoric_mul(self, F: FacetType, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         for side in (a, b):
             if not self.is_biinvariant(F, side):
                 raise NotBiinvariant("operand is not W_J-bi-invariant")
-        return self._corner_mul(F, a, b)
+        prod = self.H.mul(a, b)
+        try:
+            return HeckeElt(self.H, {w: p.exact_div(F.poincare) for w, p in prod.d.items()})
+        except NonDivisible as exc:  # pragma: no cover - convention bug guard
+            raise NonDivisible(f"corner product not divisible by P_J: {exc}") from exc
 
     # -- central elements ------------------------------------------------------
 
@@ -255,12 +295,11 @@ class Parahoric:
         r_m = self.bern.orbit_sum_r(m)
         theta_r = self.bern.theta_of(r_m)
         z = self._theta_of_times_oneK(F, r_m)
-        if z != self.H.mul(F.one_K, theta_r):
+        if z != self.H.oneK_mul(F, theta_r):
             raise CentralityFailure(f"z_m is one-sided at m={m}, J={list(F.J)}")
-        for x, _ in self.datum.antidominant_set(1):
-            hx = self.kelt(F, x)
-            if self.H.mul(z, hx) != self.H.mul(hx, z):
-                raise CentralityFailure(f"z_{m} does not commute with h_{x} at J={list(F.J)}")
+        x = self.noncommuting_kelt(F, z, [x for x, _ in self.datum.antidominant_set(1)])
+        if x is not None:
+            raise CentralityFailure(f"z_{m} does not commute with h_{x} at J={list(F.J)}")
         self._centers[key] = z
         return z
 
@@ -343,13 +382,18 @@ class Parahoric:
     def transform_of_row(self, row: SatakeRow) -> GroupAlgElt:
         return self.bern.from_orbit_sums(row.entries)
 
+    def kelt_product(self, F: FacetType, x: LatticeElt, y: LatticeElt) -> HeckeElt:
+        """h_x ∗_K h_y = h_x·h_y / P_J = (h_x·i_d·1_K) / P_{J,d}, because
+        h_y = 1_K·i_d·1_K / P_{J,d} (see _kelt_rep) and h_x·1_K = P_J·h_x
+        (h_x is checked bi-invariant)."""
+        return self.H.mul_oneK(self._kelt_checked(F, x), F, *self._kelt_rep(F, y))
+
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
         """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y)."""
         transforms = {id(r): self.transform_of_row(r) for r in table.rows}
         for i, rx in enumerate(table.rows):
-            hx = self._kelt_checked(F, rx.x)
             for ry in table.rows[i:]:
-                prod = self._corner_mul(F, hx, self._kelt_checked(F, ry.x))
+                prod = self.kelt_product(F, rx.x, ry.x)
                 rhs = transforms[id(rx)] * transforms[id(ry)]
                 if self._theta_of_times_oneK(F, rhs) != prod:
                     raise SolveInconsistent(
@@ -381,7 +425,7 @@ class Parahoric:
         """z ∗_{K_small} 1_{K_big}: the unit-adjusted image into the bigger corner."""
         if not set(F_small.J) <= set(F_big.J):
             raise ValueError("facets are not nested")
-        return self._corner_mul(F_small, z, F_big.one_K)
+        return self.H.mul_oneK(z, F_big, divisor=F_small.poincare)
 
     def compatibility_holds(self, F_small: FacetType, F_big: FacetType, m: LatticeElt) -> bool:
         """The Bernstein-Satake square commutes on the z-basis element at m."""

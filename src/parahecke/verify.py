@@ -389,15 +389,13 @@ def _finite_facets(eng: Engine):
 
 
 def _check_center_commutation(eng: Engine):
-    P, H, d = eng.para, eng.hecke, eng.datum
+    P, d = eng.para, eng.datum
     xs = [x for x, _ in d.antidominant_set(2)]
     for F in _finite_facets(eng):
         for m, _ in d.antidominant_set(2):
-            z = P.center_elt(F, m)
-            for x in xs:
-                h = P.kelt(F, x)
-                if H.mul(z, h) != H.mul(h, z):
-                    return f"z_{m} fails to commute with h_{x} at J={list(F.J)}"
+            x = P.noncommuting_kelt(F, P.center_elt(F, m), xs)
+            if x is not None:
+                return f"z_{m} fails to commute with h_{x} at J={list(F.J)}"
     return None
 
 

@@ -336,3 +336,11 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     code, out, err = capture(capsys, ["--datum", "a1", "satake", "--height", "1", "--out", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write output:") and not target.exists()
+
+
+@pytest.mark.parametrize("args", [["invert", "s9"], ["multiply", "s9", "s1"], ["to-bernstein", "s7"],
+                                  ["theta", "t[0,0]·s3"]])
+def test_unknown_generator_exits_2(capsys, args):
+    code, out, err = capture(capsys, ["--datum", "c2", *args])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no affine generator s") and "Traceback" not in err

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from parahecke.bernstein import Bernstein, GroupAlgElt
-from parahecke.engine import load_engine
+from parahecke.engine import Engine, load_engine
 from parahecke.errors import (
     InfiniteFacetGroup,
     NotAntidominant,
@@ -13,9 +13,10 @@ from parahecke.errors import (
     NotCentral,
     SolveInconsistent,
 )
-from parahecke.hecke import IwahoriHecke
+from parahecke.hecke import HeckeElt, IwahoriHecke
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
+from parahecke.verify import _check_center_commutation, _finite_facets, suite_center, suite_compat
 
 Q = LaurentPoly.q()
 
@@ -243,20 +244,25 @@ def test_double_coset_volume_formula(name):
 
     evaluated at several prime powers; an independent closed form for the
     degree of the double-coset sum."""
-    from fractions import Fraction
-
     eng = load_engine(name)
-    P, d, H, W, B = eng.para, eng.datum, eng.hecke, eng.weyl, eng.bern
+    P, d, H = eng.para, eng.datum, eng.hecke
     F = P.special_facet()
     for m, _ in d.antidominant_set(2):
         vol = H.degree_hom(P.kelt(F, m))
-        stab = [wi for wi in range(d.w_order) if d.act(wi, m) == m]
         for q in (2, 3, 5):
-            num = sum(Fraction(1, q ** W.weighted_length(W.finite(wi))) for wi in range(d.w_order))
-            den = sum(Fraction(1, q ** W.weighted_length(W.finite(wi))) for wi in stab)
-            pw = sum(q ** W.weighted_length(W.finite(wi)) for wi in range(d.w_order))
-            want = (q ** B.exponent_E(m)) * (num / den) * pw
-            assert vol.eval_at_q(q) == want
+            assert vol.eval_at_q(q) == _volume(eng, m, q)
+
+
+def _volume(eng, m, q):
+    """[K t_m K : I] at q, by the closed form in test_double_coset_volume_formula."""
+    from fractions import Fraction
+
+    d, W, B = eng.datum, eng.weyl, eng.bern
+    lens = [W.weighted_length(W.finite(wi)) for wi in range(d.w_order)]
+    stab = [wi for wi in range(d.w_order) if d.act(wi, m) == m]
+    num = sum(Fraction(1, q ** ell) for ell in lens)
+    den = sum(Fraction(1, q ** lens[wi]) for wi in stab)
+    return (q ** B.exponent_E(m)) * (num / den) * sum(q ** ell for ell in lens)
 
 
 def test_compatibility_diagram_example(E1):
@@ -314,3 +320,144 @@ def test_packed_theta_times_oneK_matches_reference(name):
             check(F, {m: poly(10 ** 30) for m in rng.sample(ms, 3)})
         for m in packed:  # entries packed before the width grew still unpack to Θ_m·1_K
             assert P.theta_oneK(F, m) == H.mul(P.bern.theta(m), F.one_K)
+
+
+# -- closed-form products with 1_K and with double-coset sums ----------------------
+
+ALL_DATA = ["a1", "a1_unequal", "a1_torsion2", "gl2", "c2", "a2"]
+
+
+def _fresh_engine(name):
+    """An engine with memos of its own, so that no other test's memo entries
+    stand in for the products under test."""
+    d = load_engine(name).datum
+    P = Parahoric(Bernstein(IwahoriHecke.for_datum(d)))
+    return Engine(datum=d, weyl=P.W, hecke=P.H, bern=P.bern, para=P)
+
+
+def _fresh(H, h):
+    """A d-form copy of h, so that a reference product does not share operands."""
+    return H.from_terms(list(h.d.items()))
+
+
+def _random_elt(H, rng, ball, size):
+    return H.from_terms(
+        (rng.choice(ball), LaurentPoly({rng.randint(-6, 6): rng.randint(-size, size) for _ in range(3)}))
+        for _ in range(3)
+    )
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_oneK_closed_forms_match_mul(name):
+    """a·i_w·1_K, 1_K·i_w·a, a·h_x and h_x·a by the closed forms equal the generic
+    product, for random a on W.ball(4) (with ω ≠ 1 where Ω is nontrivial) with
+    coefficients up to 10^30, on every finite facet, for h_x at heights ≤ 3."""
+    eng = _fresh_engine(name)
+    P, H, W, d = eng.para, eng.hecke, eng.weyl, eng.datum
+    rng = random.Random(name)
+    ball = W.ball(4)
+    xs = [x for x, _ in d.antidominant_set(3)]
+    for F in _finite_facets(eng):
+        one_K = F.one_K
+        for size in (9, 10**30):
+            a = _random_elt(H, rng, ball, size)
+            w = rng.choice(ball)
+            iw = H.basis(w)
+            assert H.mul_oneK(_fresh(H, a), F).d == H.mul(_fresh(H, a), one_K).d
+            assert H.oneK_mul(F, _fresh(H, a)).d == H.mul(one_K, _fresh(H, a)).d
+            assert H.mul_oneK(_fresh(H, a), F, w).d == H.mul(H.mul(_fresh(H, a), iw), one_K).d
+            assert H.oneK_mul(F, _fresh(H, a), w).d == H.mul(one_K, H.mul(iw, _fresh(H, a))).d
+            # an exact quotient: (a·P)·1_K / P for P = P_J and for a P_{J,d} ≠ P_J
+            for div in {F.poincare, P._kelt_rep(F, xs[-1])[1]}:
+                got = H.mul_oneK(_fresh(H, a).scale(div), F, w, div)
+                assert got.d == H.mul(H.mul(_fresh(H, a), iw), one_K).d
+        a = _random_elt(H, rng, ball, 10**30)
+        for x in [xs[-1], *rng.sample(xs[:-1], min(2, len(xs) - 1))]:  # xs[-1] has height 3
+            hx = P.kelt(F, x)
+            dx, P_d = P._kelt_rep(F, x)
+            a_hx = H.mul(_fresh(H, a), hx).d
+            hx_a = H.mul(hx, _fresh(H, a)).d
+            # without the division: P_{J,d}·a·h_x and P_{J,d}·h_x·a
+            assert H.mul_oneK(H.mul_oneK(_fresh(H, a), F), F, dx).d == HeckeElt(H, a_hx).scale(P_d).d
+            assert H.oneK_mul(F, H.oneK_mul(F, _fresh(H, a)), dx).d == HeckeElt(H, hx_a).scale(P_d).d
+            # with it
+            assert H.mul_oneK(H.mul_oneK(_fresh(H, a), F), F, dx, P_d).d == a_hx
+            left = H.mul_oneK(H.mul_oneK(H.vee_involution(_fresh(H, a)), F), F, W.inverse(dx), P_d)
+            assert H.vee_involution(left).d == hx_a
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_corner_products_and_lifts_match_mul(name):
+    """h_x ∗_K h_y by the closed form equals h_x·h_y / P_J by the generic product,
+    for x, y at heights ≤ 3 on every finite facet, and the lift
+    z ∗_{K_small} 1_{K_big} equals z·1_{K_big} / P_{J_small} likewise."""
+    eng = _fresh_engine(name)
+    P, H, d = eng.para, eng.hecke, eng.datum
+    rng = random.Random(name)
+    facets = _finite_facets(eng)
+    graded = d.antidominant_set(3)
+    for F in facets:
+        pairs = [(x, y) for x, _ in graded for y, _ in graded]
+        for x, y in [pairs[-1], *rng.sample(pairs, min(5, len(pairs)))]:  # pairs[-1]: heights 3 and 3
+            got = P.kelt_product(F, x, y)
+            want = H.mul(_fresh(H, P.kelt(F, x)), _fresh(H, P.kelt(F, y)))
+            assert got.d == {w: p.exact_div(F.poincare) for w, p in want.d.items()}
+    ms = [m for m, _ in d.antidominant_set(1)]
+    for Fs in facets:
+        for Fb in facets:
+            if Fs.J != Fb.J and set(Fs.J) <= set(Fb.J):
+                for m in ms:
+                    z = P.center_elt(Fs, m)
+                    want = H.mul(_fresh(H, z), Fb.one_K)
+                    assert P.lift_center(Fs, Fb, z).d == {w: p.exact_div(Fs.poincare) for w, p in want.d.items()}
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_corner_product_degrees(name):
+    """deg(h_x ∗_K h_y)·P_J = deg(h_x)·deg(h_y) at the special facet, with the
+    right side from the double-coset volume formula, not from the rewriting
+    engine: the degree homomorphism i_w ↦ q_w is a ring homomorphism."""
+    eng = load_engine(name)
+    P, d, H = eng.para, eng.datum, eng.hecke
+    F = P.special_facet()
+    xs = [x for x, _ in d.antidominant_set(2)]
+    for x in xs:
+        for y in xs:
+            deg = H.degree_hom(P.kelt_product(F, x, y))
+            for q in (2, 3, 5):
+                assert deg.eval_at_q(q) * F.poincare.eval_at_q(q) == _volume(eng, x, q) * _volume(eng, y, q)
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_center_and_compat_suites_on_every_datum(name):
+    """The suites whose products have closed forms pass on every bundled datum."""
+    eng = load_engine(name)
+    rows = suite_center(eng) + suite_compat(eng)
+    bad = [(r.name, r.detail) for r in rows if r.status in ("FAIL", "FALSIFIED")]
+    assert not bad
+    assert len(rows) == 4
+
+
+@pytest.mark.parametrize("name", ["a1_torsion2", "c2"])
+def test_closed_forms_replace_generic_products(name, monkeypatch):
+    """Centers, their checks, bi-invariance, lifts, corner products and the
+    center suite's commutation check run without the generic product; the
+    compatibility square's Θ̇(r)·1_K cross-check still uses it."""
+    eng = _fresh_engine(name)
+    P, H, d = eng.para, eng.hecke, eng.datum
+    facets = _finite_facets(eng)  # the facet check 1_K·1_K = P_J·1_K is a generic product
+    calls = []
+    mul = H.mul
+    monkeypatch.setattr(H, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    F = P.special_facet()
+    ms = [m for m, _ in d.antidominant_set(1)]
+    for G in facets:
+        for m in ms:
+            assert P.is_biinvariant(G, P.center_elt(G, m))
+    P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=True)
+    small = P.facet(())
+    assert P.lift_center(small, F, P.center_elt(small, ms[-1])) == P.center_elt(F, ms[-1])
+    assert _check_center_commutation(eng) is None
+    assert calls == []
+    assert P.compatibility_holds(small, F, ms[-1]) and len(calls) == 1
+    assert calls[0][1] is small.one_K
