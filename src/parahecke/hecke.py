@@ -37,13 +37,13 @@ u ∈ W_J; then i_w = i_{w'}·i_u, i_u·1_K = q_u·1_K and i_{w'}·i_v = i_{w'v}
 
     a · 1_K = Σ_{w'} (Σ_{u ∈ W_J} q_u · a_{w'u}) · Σ_{v ∈ W_J} i_{w'v}.
 
-`mul_oneK` computes a·i_w·1_K this way: one shift by 2L(u)·k bits and one add
+`mul_oneK` computes a·1_K this way: one shift by 2L(u)·k bits and one add
 per term into its coset's sum, then each sum is copied onto w'W_J; its N is
-|W_J| · N(a) · 3^ℓ(w).  1_K is ∨-stable, so 1_K·i_w·a = ∨(∨a · i_{w⁻¹} · 1_K)
-(`oneK_mul`).  Given a divisor P (a polynomial in v with constant term 1),
-`mul_oneK` divides each coset sum exactly, once per coset rather than once
-per term; the quotient's N is recomputed from its digits, because division
-can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
+|W_J| · N(a).  For a·i_w·1_K it first forms a·i_w with `mul`.  1_K is
+∨-stable, so 1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a divisor P, `mul_oneK`
+divides each coset sum exactly (LaurentPoly.exact_div), once per coset rather
+than once per term; the quotients' N is recomputed from their coefficients,
+because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
@@ -209,25 +209,12 @@ class IwahoriHecke:
     # Σ_z ‖(Σ c·h)_z‖₁ ≤ B = Σ ‖c‖₁ · N(h), the sum's N, and k = max(_width(B),
     # the operands' widths) as for a product.
     #
-    # a·i_w·1_K (`mul_oneK`): a·i_w is the product with b = i_w, so B₁ =
-    # N(a) · 3^ℓ(w), and a coset sum S_{w'} = Σ_u q_u·(a·i_w)_{w'u} has
-    # ‖S_{w'}‖₁ ≤ Σ_u ‖(a·i_w)_{w'u}‖₁; it is copied onto |W_J| elements, so
-    # Σ_z ‖(a·i_w·1_K)_z‖₁ ≤ B = |W_J| · B₁, the product's N, with k as above.
-    # Multiplying by q_u shifts exponents up, so the base stays e0(a).
-    #
-    # Exact division of a packed S (digits in range at width k) by P with
-    # lowest term 1 (`_divide_packed`): P packs at base 0 to P(2^k) and S to
-    # s(2^k) for a polynomial s.  Let Q, R = divmod(S, P(2^k)).  If R = 0, let
-    # t be Q unpacked, so t(2^k) = Q, and suppose max|t_i| · ‖P‖₁ < 2^(k-2).
-    # Then t·P has every coefficient below 2^(k-2) in absolute value and
-    # (t·P)(2^k) = Q·P(2^k) = S = s(2^k); two polynomials with digits in range
-    # that agree at 2^k are equal (signed base-2^k digits are unique), so
-    # t·P = s and t = s/P exactly, with in-range digits at width k.  R = 0 alone
-    # proves nothing (P(2^k) may divide S while P does not divide s), so when
-    # either test fails the quotient is taken by LaurentPoly.exact_div, which
-    # raises NonDivisible when P does not divide s.  The quotients' N is
-    # Σ ‖t‖₁ (times |W_J| when t is a coset sum), and after a fallback every
-    # quotient is repacked at max(k, _width(N)), since exact_div bounds no digit.
+    # a·1_K (`mul_oneK`): a coset sum S_{w'} = Σ_u q_u·a_{w'u} has
+    # ‖S_{w'}‖₁ ≤ Σ_u ‖a_{w'u}‖₁ and is copied onto |W_J| elements, so
+    # Σ_z ‖(a·1_K)_z‖₁ ≤ B = |W_J| · N(a), the product's N, with k as above.
+    # Multiplying by q_u shifts exponents up, so the base stays e0(a).  Exact
+    # quotients S/P are taken unpacked and repacked at max(k, _width(N)) for
+    # N = |W_J| · Σ_{w'} ‖S_{w'}/P‖₁, since division bounds no digit.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a or not b:
@@ -397,20 +384,14 @@ class IwahoriHecke:
     def mul_oneK(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
         """a·i_w·1_K (a·1_K when w is None), divided exactly by divisor when one
         is given; a packed element (closed form and proofs above `mul`)."""
+        if w is not None:
+            a = self.mul(a, self.basis(w))
         if not a:
             return self.zero()
-        W = self.weyl
-        word, om = W.reduced_word(w) if w is not None else ((), W.identity)
         Na, ka = _size(a)
-        N = len(F.elements) * Na * 3 ** len(word)
+        N = len(F.elements) * Na
         k = max(_width(N), ka)
         cur, e0 = self._packed(a, k)
-        for i in word:
-            cur = self._apply_gen_right(cur, i, k)
-        if om != W.identity:
-            acc: dict = {}
-            self._flush(cur, W.intern(om), 1, acc)
-            cur = acc
         red, cosets = self._cosets.setdefault(F.J, ({}, {}))
         sums: dict = {}
         get = sums.get
@@ -418,8 +399,11 @@ class IwahoriHecke:
             m, e = red.get(n) or self._coset_min(red, F.J, n)
             sums[m] = get(m, 0) + (P << e * k)
         if divisor is not None:
-            sums, k, N = self._divide_packed(sums, k, divisor)
-            N *= len(F.elements)
+            quots = {m: LaurentPoly(_unpack(S, e0, k)).exact_div(divisor).d for m, S in sums.items() if S}
+            N = len(F.elements) * sum(map(_norm, quots.values()))
+            k = max(k, _width(N))
+            e0 = min((min(t) for t in quots.values()), default=e0)
+            sums = {m: _pack(t, e0, k) for m, t in quots.items()}
         out = {}
         for m, S in sums.items():
             if S:
@@ -427,35 +411,9 @@ class IwahoriHecke:
                     out[n] = S
         return self._from_packed(out, e0, k, N)
 
-    def oneK_mul(self, F, a: HeckeElt, w: ExtWeylElt | None = None) -> HeckeElt:
-        """1_K·i_w·a = ∨(∨a · i_{w⁻¹} · 1_K), 1_K being ∨-stable."""
-        w = None if w is None else self.weyl.inverse(w)
-        return self.vee_involution(self.mul_oneK(self.vee_involution(a), F, w))
-
-    @staticmethod
-    def _divide_packed(Z: dict, k: int, P: LaurentPoly) -> tuple:
-        """(quotients, k', N): {n: S/P} for the packed ints S of Z, at width k'
-        ≥ k, with N = Σ ‖S/P‖₁ (proof above `mul`)."""
-        if min(P.d) != 0 or P.d[0] != 1:
-            raise ValueError(f"divisor {P} does not have lowest term 1")
-        Pk, normP, bound = _pack(P.d, 0, k), _norm(P.d), 1 << (k - 2)
-        out: dict = {}
-        N = 0
-        exact = True
-        for n, S in Z.items():
-            if not S:
-                continue
-            Q, R = divmod(S, Pk)
-            t = None if R else _unpack(Q, 0, k)
-            if t is None or max(map(abs, t.values())) * normP >= bound:
-                t = LaurentPoly(_unpack(S, 0, k)).exact_div(P).d
-                exact = False
-            out[n] = Q, t
-            N += _norm(t)
-        if exact:
-            return {n: Q for n, (Q, _) in out.items()}, k, N
-        k = max(k, _width(N))
-        return {n: _pack(t, 0, k) for n, (_, t) in out.items()}, k, N
+    def oneK_mul(self, F, a: HeckeElt) -> HeckeElt:
+        """1_K·a = ∨(∨a · 1_K), 1_K being ∨-stable."""
+        return self.vee_involution(self.mul_oneK(self.vee_involution(a), F))
 
     def _coset_min(self, red: dict, J, n: int) -> tuple:
         """(id of w', 2L(u)) for w = by_id[n] = w'u with w' minimal in wW_J and

@@ -366,7 +366,9 @@ def test_oneK_closed_forms_match_mul(name):
             assert H.mul_oneK(_fresh(H, a), F).d == H.mul(_fresh(H, a), one_K).d
             assert H.oneK_mul(F, _fresh(H, a)).d == H.mul(one_K, _fresh(H, a)).d
             assert H.mul_oneK(_fresh(H, a), F, w).d == H.mul(H.mul(_fresh(H, a), iw), one_K).d
-            assert H.oneK_mul(F, _fresh(H, a), w).d == H.mul(one_K, H.mul(iw, _fresh(H, a))).d
+            # 1_K·i_w·a = ∨(∨a·i_{w⁻¹}·1_K)
+            left = H.mul_oneK(H.vee_involution(_fresh(H, a)), F, W.inverse(w))
+            assert H.vee_involution(left).d == H.mul(one_K, H.mul(iw, _fresh(H, a))).d
             # an exact quotient: (a·P)·1_K / P for P = P_J and for a P_{J,d} ≠ P_J
             for div in {F.poincare, P._kelt_rep(F, xs[-1])[1]}:
                 got = H.mul_oneK(_fresh(H, a).scale(div), F, w, div)
@@ -379,7 +381,8 @@ def test_oneK_closed_forms_match_mul(name):
             hx_a = H.mul(hx, _fresh(H, a)).d
             # without the division: P_{J,d}·a·h_x and P_{J,d}·h_x·a
             assert H.mul_oneK(H.mul_oneK(_fresh(H, a), F), F, dx).d == HeckeElt(H, a_hx).scale(P_d).d
-            assert H.oneK_mul(F, H.oneK_mul(F, _fresh(H, a)), dx).d == HeckeElt(H, hx_a).scale(P_d).d
+            left = H.mul_oneK(H.mul_oneK(H.vee_involution(_fresh(H, a)), F), F, W.inverse(dx))
+            assert H.vee_involution(left).d == HeckeElt(H, hx_a).scale(P_d).d
             # with it
             assert H.mul_oneK(H.mul_oneK(_fresh(H, a), F), F, dx, P_d).d == a_hx
             left = H.mul_oneK(H.mul_oneK(H.vee_involution(_fresh(H, a)), F), F, W.inverse(dx), P_d)
@@ -438,6 +441,11 @@ def test_center_and_compat_suites_on_every_datum(name):
     assert len(rows) == 4
 
 
+def _is_basis(h):
+    """h is a single i_w with coefficient 1."""
+    return len(h.d) == 1 and LaurentPoly.one() in h.d.values()
+
+
 @pytest.mark.parametrize("name", ["a1_torsion2", "c2"])
 def test_closed_forms_replace_generic_products(name, monkeypatch):
     """Centers, their checks, bi-invariance, lifts, corner products and the
@@ -458,6 +466,11 @@ def test_closed_forms_replace_generic_products(name, monkeypatch):
     small = P.facet(())
     assert P.lift_center(small, F, P.center_elt(small, ms[-1])) == P.center_elt(F, ms[-1])
     assert _check_center_commutation(eng) is None
-    assert calls == []
+    # mul_oneK forms a·i_d as a product by the single basis element i_d, a walk
+    # along d's reduced word; only those calls are allowed.  Each facet's 1_K
+    # counts as a product with 1_K even where it is one term (i_e for J = ∅).
+    units = {id(G.one_K) for G in facets}
+    assert calls and all(id(b) not in units and _is_basis(b) for _, b in calls)
+    calls.clear()
     assert P.compatibility_holds(small, F, ms[-1]) and len(calls) == 1
     assert calls[0][1] is small.one_K
