@@ -21,7 +21,6 @@ from .rootdatum import (
     RootDatum,
     load_bundled,
     load_datum_file,
-    validate_datum,
 )
 
 __all__ = [
@@ -32,5 +31,5 @@ __all__ = [
     "FacetType", "Parahoric", "SatakeTable",
     "LaurentPoly", "is_prime_power",
     "BUNDLED_NAMES", "Datum", "LatticeElt", "RootDatum",
-    "load_bundled", "load_datum_file", "validate_datum",
+    "load_bundled", "load_datum_file",
 ]

@@ -253,32 +253,35 @@ class AffineWeylGroup:
             m = self._ATOM.fullmatch(part)
             if not m:
                 raise ExprSyntaxError(f"bad element atom {part!r}")
-            if m.group("gen") is not None:
-                i = int(m.group("gen"))
-                if i not in self._gens:
-                    raise ExprSyntaxError(f"no affine generator s{i}; have {sorted(self._gens)}")
-                out = self.compose(out, self._gens[i])
-            elif m.group("word") is not None:
-                body = m.group("word").strip()
-                wi = 0
-                if body:
-                    for tok in body.split(","):
-                        i = int(tok)
-                        if not 1 <= i <= self.datum.n_simple:
-                            raise ExprSyntaxError(f"w[...] entries must be finite simple indices, got {i}")
-                        wi = self.datum.w_mult[wi][self.datum._simple_refl_index(i - 1)]
-                out = self.compose(out, self.finite(wi))
-            else:
-                body = m.group("lam")
-                if ";" in body:
-                    fs, ts = body.split(";", 1)
+            try:  # int() of a coordinate, or a torsion part of the wrong arity
+                if m.group("gen") is not None:
+                    i = int(m.group("gen"))
+                    if i not in self._gens:
+                        raise ExprSyntaxError(f"no affine generator s{i}; have {sorted(self._gens)}")
+                    out = self.compose(out, self._gens[i])
+                elif m.group("word") is not None:
+                    body = m.group("word").strip()
+                    wi = 0
+                    if body:
+                        for tok in body.split(","):
+                            i = int(tok)
+                            if not 1 <= i <= self.datum.n_simple:
+                                raise ExprSyntaxError(f"w[...] entries must be finite simple indices, got {i}")
+                            wi = self.datum.w_mult[wi][self.datum._simple_refl_index(i - 1)]
+                    out = self.compose(out, self.finite(wi))
                 else:
-                    fs, ts = body, ""
-                free = [int(tok) for tok in fs.split(",") if tok.strip()] if fs.strip() else []
-                tors = [int(tok) for tok in ts.split(",") if tok.strip()] if ts.strip() else []
-                if len(free) != self.datum.r:
-                    raise ExprSyntaxError(
-                        f"t[...] needs {self.datum.r} free coordinate(s), got {len(free)}"
-                    )
-                out = self.compose(out, self.elt(free, tors))
+                    body = m.group("lam")
+                    if ";" in body:
+                        fs, ts = body.split(";", 1)
+                    else:
+                        fs, ts = body, ""
+                    free = [int(tok) for tok in fs.split(",") if tok.strip()] if fs.strip() else []
+                    tors = [int(tok) for tok in ts.split(",") if tok.strip()] if ts.strip() else []
+                    if len(free) != self.datum.r:
+                        raise ExprSyntaxError(
+                            f"t[...] needs {self.datum.r} free coordinate(s), got {len(free)}"
+                        )
+                    out = self.compose(out, self.elt(free, tors))
+            except ValueError as exc:
+                raise ExprSyntaxError(f"bad element atom {part!r}: {exc}") from None
         return out

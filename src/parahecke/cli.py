@@ -17,7 +17,7 @@ from .engine import Engine, load_engine
 from .errors import ExprSyntaxError, InfiniteFacetGroup, ParaheckeError, ValidationError
 from .exprs import parse_hecke_expr, parse_lattice
 from .ringcore import is_prime_power
-from .rootdatum import BUNDLED_NAMES, validate_datum
+from .rootdatum import BUNDLED_NAMES
 from .verify import SUITE_NAMES, render_results, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -155,14 +155,16 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
     H = eng.hecke
     fmt_m = _fmt_lattice(eng)
 
-    if args.command == "validate":
-        rep = validate_datum(eng.datum.cfg)
+    if args.command == "validate":  # eng.datum exists, so it passed every check
+        d = eng.datum
         return 0, _json({
-            "datum": rep.name,
-            "ok": rep.ok,
-            "weyl_order": rep.weyl_order,
-            "coxeter_matrix": rep.coxeter_matrix,
-            "omega_data": rep.omega_data,
+            "datum": d.name,
+            "ok": True,
+            "weyl_order": d.w_order,
+            "coxeter_matrix": {
+                f"s{a},s{b}": "inf" if m is None else m for (a, b), m in d.coxeter_matrix.items()
+            },
+            "omega_data": d.omega_data(),
         })
 
     if args.command == "multiply":

@@ -98,7 +98,7 @@ class NotCentral(ParaheckeError):
 
 
 class ValidationError(ParaheckeError):
-    """Configuration failed validation; wraps the underlying report."""
+    """Configuration failed validation; chained from the underlying error."""
 
 
 class ExprSyntaxError(ParaheckeError):

@@ -69,7 +69,7 @@ from __future__ import annotations
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
 from .ringcore import LaurentPoly, SparseElt, _add_into, _coerce, _lincomb, _pack, _unpack
-from .rootdatum import Datum, LatticeElt, RootDatum, build_datum, smith_normal_form
+from .rootdatum import Datum, LatticeElt, RootDatum, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
 
@@ -508,7 +508,7 @@ class TorsionQuotient:
     matrix, and basis elements merge accordingly (an algebra homomorphism).
     """
 
-    def __init__(self, source: Datum, kill, max_weyl_order: int = 100000):
+    def __init__(self, source: Datum, kill):
         self.source = source
         t = len(source.torsion)
         gens = []
@@ -544,7 +544,7 @@ class TorsionQuotient:
             antidominant_generators=cfg.antidominant_generators,
             equal_parameters_simply_laced=cfg.equal_parameters_simply_laced,
         )
-        self.datum = build_datum(new_cfg, max_weyl_order=max_weyl_order)
+        self.datum = Datum(new_cfg)
 
     def map_tors(self, tors) -> tuple:
         t = len(self.source.torsion)

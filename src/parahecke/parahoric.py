@@ -134,7 +134,6 @@ class Parahoric:
         self._facets: dict = {}
         self._centers: dict = {}
         self._kelts: dict = {}
-        self._kelt_biinv_ok: set = set()
         self._kelt_reps: dict = {}
         self._theta_oneK: dict = {}
 
@@ -232,18 +231,11 @@ class Parahoric:
         pa = a.scale(F.poincare)
         return self.H.oneK_mul(F, a) == pa and self.H.mul_oneK(a, F) == pa
 
-    def _kelt_checked(self, F: FacetType, x: LatticeElt) -> HeckeElt:
-        h = self.kelt(F, x)
-        key = (F.J, x)
-        if key not in self._kelt_biinv_ok:
-            if not self.is_biinvariant(F, h):  # pragma: no cover - double cosets always are
-                raise NotBiinvariant(f"h_{x} is not bi-invariant")
-            self._kelt_biinv_ok.add(key)
-        return h
-
     def _kelt_rep(self, F: FacetType, x: LatticeElt) -> tuple:
         """(d, P_{J,d}): d the shortest element of W_J t_x W_J and P_{J,d} the
-        coefficient at d of 1_K·i_d·1_K, which is checked to equal P_{J,d}·h_x."""
+        coefficient at d of 1_K·i_d·1_K, which is checked to be nonzero and to
+        give 1_K·i_d·1_K = P_{J,d}·h_x.  That check also proves h_x bi-invariant:
+        the left side is, and H is free over Z[v^±1]."""
         key = (F.J, x)
         got = self._kelt_reps.get(key)
         if got is None:
@@ -251,8 +243,10 @@ class Parahoric:
             d = min(h.d, key=self.W.sort_key)
             full = H.oneK_mul(F, H.mul_oneK(H.basis(d), F))
             P_d = full.coeff(d)
-            if full != h.scale(P_d):  # pragma: no cover - a double coset sum always is
-                raise SolveInconsistent(f"1_K·i_d·1_K is not P_(J,d)·h_x at x={x}, J={list(F.J)}")
+            if P_d.is_zero() or full != h.scale(P_d):  # pragma: no cover - a double coset sum always is
+                raise SolveInconsistent(
+                    f"1_K·i_d·1_K is not P_(J,d)·h_x with P_(J,d) != 0 at x={x}, J={list(F.J)}"
+                )
             got = self._kelt_reps[key] = (d, P_d)
         return got
 
@@ -384,9 +378,10 @@ class Parahoric:
 
     def kelt_product(self, F: FacetType, x: LatticeElt, y: LatticeElt) -> HeckeElt:
         """h_x ∗_K h_y = h_x·h_y / P_J = (h_x·i_d·1_K) / P_{J,d}, because
-        h_y = 1_K·i_d·1_K / P_{J,d} (see _kelt_rep) and h_x·1_K = P_J·h_x
-        (h_x is checked bi-invariant)."""
-        return self.H.mul_oneK(self._kelt_checked(F, x), F, *self._kelt_rep(F, y))
+        h_y = 1_K·i_d·1_K / P_{J,d} and h_x·1_K = P_J·h_x (both checked by
+        _kelt_rep)."""
+        self._kelt_rep(F, x)
+        return self.H.mul_oneK(self.kelt(F, x), F, *self._kelt_rep(F, y))
 
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
         """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y)."""
@@ -411,7 +406,7 @@ class Parahoric:
         W, d = self.W, self.datum
         if not self.is_biinvariant(F, z):
             raise NotCentral("element is not in the corner subalgebra")
-        reps = {d.antidominant_rep(LatticeElt(w.free, w.tors)) for w in z.d}
+        reps = {d.antidominant_rep(m) for m in {LatticeElt(w.free, w.tors) for w in z.d}}
         candidates: set = set()
         for mu in reps:
             candidates.update(self.datum.saturation_predecessors(mu))

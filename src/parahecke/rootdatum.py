@@ -7,6 +7,12 @@ irreducible component.  Validation enumerates the finite Weyl group, the root
 system with its root/coroot correspondence, the affine Coxeter matrix, and
 the rational interior point of the base alcove used by the length function.
 
+Construction is validation: `Datum(cfg)` either returns a validated datum or
+raises its typed `ParaheckeError`.  `load_datum_file` is the one place where
+outside input becomes a `Datum`: any failure to decode, parse or validate the
+file's contents is raised as `ValidationError("datum NAME: Type: msg")`, NAME
+being the path until the file has supplied a name.
+
 Dominance convention: "antidominant" is the cone pairing ≤ 0 against every
 simple root.  The saturation order on antidominant elements is
 
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,9 +43,6 @@ __all__ = [
     "LatticeElt",
     "RootDatum",
     "Datum",
-    "ValidationReport",
-    "validate_datum",
-    "build_datum",
     "load_datum_file",
     "bundled_datum_path",
     "load_bundled",
@@ -81,34 +85,56 @@ def _identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows·x = rhs with free variables set to 0, or None."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), (len(rows[0]) if rows else 0)
-    pivots = []
-    rank = 0
+def _row_reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring m to reduced row echelon form in place, pivoting only in its first
+    ncols columns; returns the pivot columns."""
+    pivots: list[int] = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         lead = m[rank][col]
         m[rank] = [x / lead for x in m[rank]]
-        for i in range(nrows):
+        for i in range(len(m)):
             if i != rank and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if m[i][-1] != 0:
-            return None
+    return pivots
+
+
+def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """One exact solution of rows·x = rhs with free variables set to 0, or None."""
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _row_reduce(m, ncols)
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
         sol[col] = m[i][-1]
     return sol
+
+
+def _clear_denominators(sol: list[Fraction]) -> tuple[Vec, int]:
+    """(ints, den) with ints/den = sol and den the least common denominator."""
+    den = math.lcm(*(x.denominator for x in sol))
+    return tuple(int(x * den) for x in sol), den
+
+
+def _int_coords(vectors: tuple[Vec, ...], target: Vec) -> Vec | None:
+    """Integer coordinates of target over the linearly independent vectors, if any."""
+    if not vectors:
+        return () if all(x == 0 for x in target) else None
+    rows = [[Fraction(v[k]) for v in vectors] for k in range(len(target))]
+    sol = _solve_rational(rows, [Fraction(x) for x in target])
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
 
 
 @dataclass(frozen=True)
@@ -162,18 +188,6 @@ class RootDatum:
             "antidominant_generators": [list(v) for v in self.antidominant_generators],
             "equal_parameters_simply_laced": self.equal_parameters_simply_laced,
         }
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    name: str
-    weyl_order: int | None = None
-    coxeter_matrix: dict | None = None
-    omega_data: dict | None = None
-    messages: list = field(default_factory=list)
-    error: Exception | None = None
-    datum: "Datum | None" = None
 
 
 class Datum:
@@ -253,7 +267,7 @@ class Datum:
                     raise NonCrystallographic(f"pairing of simples {i},{j} fails crystallographic bounds")
         for vecs, label in ((self.simple_coroots, "coroots"), (self.simple_roots, "roots")):
             rows = [[Fraction(x) for x in v] for v in vecs]
-            if rows and _rank(rows) != n:
+            if rows and len(_row_reduce(rows, r)) != n:
                 raise NonCrystallographic(f"simple {label} are linearly dependent")
         # each generator must act by the stated reflection
         for i, m in enumerate(self.gens):
@@ -322,7 +336,7 @@ class Datum:
             frontier = new
         pos, neg = [], []
         for beta in pairs:
-            coeffs = self._expand_over_simple_roots(beta)
+            coeffs = _int_coords(self.simple_roots, beta)
             if coeffs is None:
                 raise NonCrystallographic("orbit of simple roots left their span")
             if all(c >= 0 for c in coeffs):
@@ -343,15 +357,6 @@ class Datum:
 
     def _simple_refl_index(self, i: int) -> int:
         return self.w_index[self.gens[i]]
-
-    def _expand_over_simple_roots(self, beta: Vec) -> list[int] | None:
-        if self.n_simple == 0:
-            return [] if all(x == 0 for x in beta) else None
-        rows = [[Fraction(self.simple_roots[j][k]) for j in range(self.n_simple)] for k in range(self.r)]
-        sol = _solve_rational(rows, [Fraction(x) for x in beta])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return [int(c) for c in sol]
 
     def _split_components(self):
         n = self.n_simple
@@ -501,11 +506,8 @@ class Datum:
                 raise ValidationError("could not place an interior point in the base alcove")
         else:
             sol = [Fraction(0)] * self.r
-        den = 1
-        for x in sol:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        self.p0_num: Vec = tuple(int(x * den) for x in sol)
-        self.p0_den: int = den
+        self.p0_num, den = _clear_denominators(sol)
+        self.p0_den = den
         for beta in self.pos_roots:
             val = Fraction(dot(beta, self.p0_num), den)
             if not (0 < val < 1):
@@ -527,11 +529,7 @@ class Datum:
             sol = _solve_rational(rows, rhs)
             if sol is None:
                 raise ValidationError("cannot solve for antidominant cone generators")
-            den = 1
-            for x in sol:
-                den = den * x.denominator // _gcd(den, x.denominator)
-            vec = tuple(int(x * den) for x in sol)
-            self.fund_antidom.append((vec, den))
+            self.fund_antidom.append(_clear_denominators(sol))
         self.strict_antidom: Vec = tuple(
             sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r)
         ) if n else (0,) * self.r
@@ -544,14 +542,10 @@ class Datum:
             sol = _solve_rational(rows, [Fraction(1)] * n)
             if sol is None or any(c < 0 for c in sol):
                 raise ValidationError("positive root functional unavailable")
-            den = 1
-            for x in sol:
-                den = den * x.denominator // _gcd(den, x.denominator)
-            coeffs = [int(x * den) for x in sol]
+            coeffs, self.height_den = _clear_denominators(sol)
             self.height_functional: Vec = tuple(
                 sum(coeffs[i] * self.simple_roots[i][k] for i in range(n)) for k in range(self.r)
             )
-            self.height_den = den
         else:
             self.height_functional = (0,) * self.r
             self.height_den = 1
@@ -612,16 +606,7 @@ class Datum:
         """Integer coordinates of m over the simple coroots, if any."""
         if any(m.tors):
             return None
-        n = self.n_simple
-        if n == 0:
-            return () if all(x == 0 for x in m.free) else None
-        rows = [[Fraction(self.simple_coroots[j][k]) for j in range(n)] for k in range(self.r)]
-        sol = _solve_rational(rows, [Fraction(x) for x in m.free])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        coords = tuple(int(c) for c in sol)
-        check = tuple(sum(coords[j] * self.simple_coroots[j][k] for j in range(n)) for k in range(self.r))
-        return coords if check == m.free else None
+        return _int_coords(self.simple_coroots, m.free)
 
     def saturation_predecessors(self, x: LatticeElt) -> list[LatticeElt]:
         """All antidominant m with m − x an N-combination of simple coroots."""
@@ -737,29 +722,6 @@ class Datum:
         return f"Datum({self.name}, |W0|={self.w_order}, rank={self.r}, torsion={list(self.torsion)})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative ints summing to `total`."""
     if parts == 0:
@@ -834,28 +796,6 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return diag, v
 
 
-def build_datum(cfg: RootDatum, max_weyl_order: int = 100000) -> Datum:
-    return Datum(cfg, max_weyl_order=max_weyl_order)
-
-
-def validate_datum(cfg: RootDatum, max_weyl_order: int = 100000) -> ValidationReport:
-    """Run every structural check; never raises."""
-    try:
-        datum = build_datum(cfg, max_weyl_order=max_weyl_order)
-    except Exception as exc:  # noqa: BLE001 - report carries the typed error
-        return ValidationReport(ok=False, name=cfg.name, error=exc, messages=[f"{type(exc).__name__}: {exc}"])
-    cox = {f"s{a},s{b}": (order if order is not None else "inf") for (a, b), order in datum.coxeter_matrix.items()}
-    return ValidationReport(
-        ok=True,
-        name=cfg.name,
-        weyl_order=datum.w_order,
-        coxeter_matrix=cox,
-        omega_data=datum.omega_data(),
-        messages=[],
-        datum=datum,
-    )
-
-
 # ----------------------------------------------------------------------
 # bundled data
 
@@ -869,13 +809,20 @@ def bundled_datum_path(name: str) -> str:
 
 
 def load_datum_file(path: str) -> Datum:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cfg = RootDatum.from_dict(raw)
-    report = validate_datum(cfg)
-    if not report.ok:
-        raise ValidationError(f"datum {cfg.name}: {report.messages[0]}") from report.error
-    return report.datum
+    """The validated datum in the file at path (see the module docstring).
+
+    A file that cannot be read raises OSError; every defect of its contents
+    raises ValidationError.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name = path
+    try:
+        cfg = RootDatum.from_dict(json.loads(blob.decode("utf-8")))
+        name = cfg.name
+        return Datum(cfg)
+    except Exception as exc:  # noqa: BLE001 - outside input: any defect is a validation error
+        raise ValidationError(f"datum {name}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_bundled(name: str) -> Datum:

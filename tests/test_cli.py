@@ -145,6 +145,37 @@ def test_bad_datum_exits_2(capsys, tmp_path):
     assert "NonCrystallographic" in err
 
 
+# Datum files that fail before validation proper: not JSON, not UTF-8, a
+# missing key, a non-integer entry, and a top-level array.
+@pytest.mark.parametrize("content", [b'{"name": ', b"\xff\xfe", b'{"name": "x"}', b'{"free_rank": "a"}', b"[1, 2]"],
+                         ids=["not-json", "not-utf8", "no-free-rank", "non-integer", "array"])
+def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = capture(capsys, ["--datum", str(bad), "validate"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: datum {bad}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# sha256 of `validate` stdout per bundled datum: a change to the bytes of the
+# report fails here.
+VALIDATE_DIGESTS = {
+    "a1": "939c7866ae4aab0e0bf406389e9a85d69d4b9b13569f915477c81403e2c6675f",
+    "a1_torsion2": "8ea4cbd8c5340188fec35a93be7bfa34d8fdce1f7213189d183abf86a6878502",
+    "gl2": "2284cc29fd8c7c2ffec73e535156ddf570bc5fde468818700e2cb69776ec2b16",
+    "a2": "da02231f66c391873eb7093e4df2d4bebbf6da1f11ba9dcc4d10026dda4e65f0",
+    "c2": "dc034bd17f5585aa45a86f20d6162bee1983c0a0909f3248d1b0778de0389646",
+    "a1_unequal": "41ba2f9f28319b7dc9ea620cf13e837a02fd999a8941c61e5703b67c7e340b9c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_DIGESTS))
+def test_validate_output_digest(capsys, name):
+    code, out, _ = capture(capsys, ["--datum", name, "validate"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGESTS[name]
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--datum", "a1", "frobnicate"])
@@ -338,9 +369,17 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert err.startswith("error: cannot write output:") and not target.exists()
 
 
-@pytest.mark.parametrize("args", [["invert", "s9"], ["multiply", "s9", "s1"], ["to-bernstein", "s7"],
-                                  ["theta", "t[0,0]·s3"]])
+@pytest.mark.parametrize("args", [
+    ("c2", ["invert", "s9"], "no affine generator s"),
+    ("c2", ["multiply", "s9", "s1"], "no affine generator s"),
+    ("c2", ["to-bernstein", "s7"], "no affine generator s"),
+    ("c2", ["theta", "t[0,0]·s3"], "no affine generator s"),
+    ("a1", ["theta", "t[x]"], "bad element atom 't[x]'"),
+    ("a1", ["theta", "w[x]"], "bad element atom 'w[x]'"),
+    ("a1", ["theta", "t[1;5]"], "bad element atom 't[1;5]'"),
+])
 def test_unknown_generator_exits_2(capsys, args):
-    code, out, err = capture(capsys, ["--datum", "c2", *args])
+    datum, argv, message = args
+    code, out, err = capture(capsys, ["--datum", datum, *argv])
     assert (code, out) == (2, "")
-    assert err.startswith("error: no affine generator s") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err

@@ -4,7 +4,7 @@ import pytest
 
 from parahecke.engine import engine_for
 from parahecke.ringcore import LaurentPoly
-from parahecke.rootdatum import RootDatum, build_datum
+from parahecke.rootdatum import Datum, RootDatum
 from parahecke.verify import render_results, run_suite
 
 Q = LaurentPoly.q()
@@ -23,7 +23,7 @@ def Exx():
         "component_highest_roots": [[2, 0], [0, 2]],
         "antidominant_generators": [[-1, 0], [0, -1]],
     })
-    return engine_for(build_datum(cfg))
+    return engine_for(Datum(cfg))
 
 
 def test_affine_generators_per_component(Exx):
@@ -71,7 +71,7 @@ def test_rank_zero_pure_torsion_datum():
         "affine_parameters": {},
         "component_highest_roots": [],
     })
-    eng = engine_for(build_datum(cfg))
+    eng = engine_for(Datum(cfg))
     d = eng.datum
     assert d.w_order == 1 and d.saff_indices == []
     xs = [x for x, _ in d.antidominant_set(1)]
