@@ -57,11 +57,22 @@ or the engine's packed form ({id: packed int}, e0, k, N) with N a bound on
 Σ‖coeff‖₁.  Products, inverses and `lincomb` return packed elements; an
 operand enters as it is, repacked only when the result needs a wider digit, and
 an operand that holds `d` is packed in place (its `d` is dropped).  Reading
-`d` unpacks once and drops the packed form.  Two packed elements of the same
-algebra at the same (e0, k) are equal exactly when their packed dicts are
-(packing in-range digits is injective and ids are per algebra); every other
-comparison goes through `d`.  Terms, printing and serialization read `d` in
-W.sort_key order, so ids never decide an output order.
+`d` unpacks once and drops the packed form.  Two packed elements of one
+algebra compare packed: the narrower is widened in place to the wider width k,
+the one with the higher base exponent is shifted left by Δe0·k bits, and
+then the key sets and the ints must agree (packing in-range digits is
+injective, and ids are per algebra).  An element that holds `d` compares
+through `d`; elements of algebras on different data are never equal.  Terms,
+printing and serialization read `d` in W.sort_key order, so ids never decide
+an output order.
+
+Bi-invariant elements (h_x, a·1_K, z_m) carry one coefficient on a whole
+coset or double coset, so one value repeats over |W_J| keys or more.  Each
+conversion therefore runs once per distinct value: reading `d` unpacks each
+distinct packed int once and gives every key that holds it the same
+LaurentPoly (immutable; nothing in the package writes into a coefficient's
+dict), widening repacks each distinct int once, and packing `d` packs each
+distinct LaurentPoly object once.
 """
 
 from __future__ import annotations
@@ -78,8 +89,10 @@ class HeckeElt(SparseElt):
     """Finite sparse Z[v,v^-1]-combination of IM basis elements; parent is the algebra.
 
     Exactly one of the slots `d` and `_pk` = (Z, e0, k, N) is filled.  Reading
-    the empty one lands in __getattr__: `d` is unpacked from `_pk`, which is
-    then emptied, and `_pk` reads as None.
+    the empty one lands in __getattr__: `d` is unpacked from `_pk`, one
+    LaurentPoly per distinct packed int shared by the keys that hold it, `_pk`
+    is then emptied, and `_pk` reads as None.  `==` between two packed
+    elements of one algebra leaves both packed (see the module docstring).
     """
 
     __slots__ = ("_pk",)
@@ -91,7 +104,13 @@ class HeckeElt(SparseElt):
             raise AttributeError(name)
         Z, e0, k, _ = self._pk
         by_id = self.parent.weyl.by_id
-        d = self.d = {by_id[n]: LaurentPoly.__new_raw__(_unpack(P, e0, k)) for n, P in Z.items()}
+        polys: dict = {}  # packed int -> its LaurentPoly, shared by every key holding it
+        d = self.d = {}
+        for n, P in Z.items():
+            p = polys.get(P)
+            if p is None:
+                p = polys[P] = LaurentPoly.__new_raw__(_unpack(P, e0, k))
+            d[by_id[n]] = p
         del self._pk
         return d
 
@@ -102,10 +121,19 @@ class HeckeElt(SparseElt):
     def __eq__(self, other):
         if type(other) is not HeckeElt:
             return NotImplemented
-        p, o = self._pk, other._pk
-        if p is not None and o is not None and self.parent is other.parent and p[1:3] == o[1:3]:
-            return p[0] == o[0]
-        return self.d == other.d
+        H = self.parent
+        if H is not other.parent:  # ids are per algebra; keys mean the same only on one datum
+            return H.datum.cfg == other.parent.datum.cfg and self.d == other.d
+        if self._pk is None or other._pk is None:
+            return self.d == other.d
+        k = max(self._pk[2], other._pk[2])
+        (Za, ea), (Zb, eb) = H._packed(self, k), H._packed(other, k)
+        if ea > eb:
+            (Za, ea), (Zb, eb) = (Zb, eb), (Za, ea)
+        if ea == eb:
+            return Za == Zb
+        shift = (eb - ea) * k
+        return Za.keys() == Zb.keys() and all(P == Zb[n] << shift for n, P in Za.items())
 
     def _coerce(self, x) -> "HeckeElt":
         return self.parent.coerce(x)
@@ -263,17 +291,27 @@ class IwahoriHecke:
         h.d, or of the Z it held.
         """
         N, k0 = _size(h)
+        packed: dict = {}  # each distinct coefficient is packed once; its keys share the int
+        Z = {}
         if not k0:
             d = h.d
             e0 = min(min(p.d) for p in d.values())
             intern = self.weyl.intern
-            Z = {intern(w): _pack(p.d, e0, k) for w, p in d.items()}
+            for w, p in d.items():
+                P = packed.get(id(p))  # by identity: equal values from one unpack share one object
+                if P is None:
+                    P = packed[id(p)] = _pack(p.d, e0, k)
+                Z[intern(w)] = P
             del h.d
         else:
-            Z, e0 = h._pk[:2]
+            Z0, e0 = h._pk[:2]
             if k0 == k:
-                return Z, e0
-            Z = {n: _pack(_unpack(P, e0, k0), e0, k) for n, P in Z.items()}
+                return Z0, e0
+            for n, P0 in Z0.items():
+                P = packed.get(P0)
+                if P is None:
+                    P = packed[P0] = _pack(_unpack(P0, e0, k0), e0, k)
+                Z[n] = P
         h._pk = (Z, e0, k, N)
         return Z, e0
 

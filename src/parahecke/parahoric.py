@@ -271,8 +271,15 @@ class Parahoric:
             if not self.is_biinvariant(F, side):
                 raise NotBiinvariant("operand is not W_J-bi-invariant")
         prod = self.H.mul(a, b)
+        quots: dict = {}  # id of a LaurentPoly that several keys share (HeckeElt.d) -> its quotient
+        out = {}
         try:
-            return HeckeElt(self.H, {w: p.exact_div(F.poincare) for w, p in prod.d.items()})
+            for w, p in prod.d.items():
+                s = quots.get(id(p))
+                if s is None:
+                    s = quots[id(p)] = p.exact_div(F.poincare)
+                out[w] = s
+            return HeckeElt(self.H, out)
         except NonDivisible as exc:  # pragma: no cover - convention bug guard
             raise NonDivisible(f"corner product not divisible by P_J: {exc}") from exc
 

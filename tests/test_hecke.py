@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from parahecke import hecke
 from parahecke.affweyl import AffineWeylGroup
+from parahecke.engine import load_engine
 from parahecke.errors import NonDivisible, SubgroupInvalid
 from parahecke.hecke import HeckeElt, IwahoriHecke, TorsionQuotient
 from parahecke.ringcore import LaurentPoly, SparseElt, _pack
@@ -424,34 +426,144 @@ def test_width_grows_mid_chain():
     assert narrow < 64 < early._pk[2]
 
 
+def _packed_at(H, terms, k, below=0):
+    """The element Σ p·i_w packed at width k, base exponent `below` under its least."""
+    d = H.from_terms(terms).d
+    e0 = min(min(p.d) for p in d.values()) - below
+    Z = {H.weyl.intern(w): _pack(p.d, e0, k) for w, p in d.items()}
+    return H._from_packed(Z, e0, k, sum(abs(c) for p in d.values() for c in p.d.values()))
+
+
 def test_equality_across_forms_widths_and_parents():
     fresh, warmed = (IwahoriHecke.for_datum(load_bundled("c2")) for _ in range(2))
     for x in warmed.weyl.ball(4)[::-3]:
         warmed.weyl.intern(x)
     ball = fresh.weyl.ball(2)
     terms = [(ball[3], LaurentPoly({-1: 2, 2: -1})), (ball[7], LaurentPoly({0: 5}))]
-
-    def packed(H, k, shift=0, terms=terms):
-        h = H.from_terms(terms)
-        Z = {H.weyl.intern(w): _pack(p.d, -1 - shift, k) for w, p in h.d.items()}
-        return H._from_packed(Z, -1 - shift, k, 8)
-
     plain = fresh.from_terms(terms)
     for a, b in [
-        (packed(fresh, 8), packed(fresh, 16)),  # widths differ
-        (packed(fresh, 8), packed(fresh, 8, shift=2)),  # base exponents differ
-        (packed(fresh, 8), plain),  # packed against d
-        (plain, packed(fresh, 16)),
-        (packed(fresh, 8), packed(warmed, 8)),  # same value and (e0, k), other ids
+        (_packed_at(fresh, terms, 8), _packed_at(fresh, terms, 16)),  # widths differ
+        (_packed_at(fresh, terms, 8), _packed_at(fresh, terms, 8, below=2)),  # base exponents differ
+        (_packed_at(fresh, terms, 8), plain),  # packed against d
+        (plain, _packed_at(fresh, terms, 16)),
+        (_packed_at(fresh, terms, 8), _packed_at(warmed, terms, 8)),  # same value and (e0, k), other ids
     ]:
         assert a == b and b == a
-    assert packed(fresh, 8) != fresh.from_terms(terms[:1])
-    assert packed(fresh, 8) != packed(fresh, 8, terms=terms[:1])  # same (e0, k), other value
+    assert _packed_at(fresh, terms, 8) != fresh.from_terms(terms[:1])
+    assert _packed_at(fresh, terms, 8) != _packed_at(fresh, terms[:1], 8)  # same (e0, k), other value
     # the same packed dict and (e0, k) in two algebras names different elements
     n = fresh.weyl.intern(ball[3])
     assert fresh.weyl.by_id[n] != warmed.weyl.by_id[n]
     one_term = {n: _pack({0: 1}, 0, 8)}
     assert fresh._from_packed(one_term, 0, 8, 1) != warmed._from_packed(dict(one_term), 0, 8, 1)
+
+
+def test_packed_equality_stays_packed(Hc2):
+    """== between two packed elements of one algebra widens the narrower side in
+    place and compares digits, whatever the widths and base exponents; neither
+    side is unpacked."""
+    ball = Hc2.weyl.ball(2)
+    terms = [(ball[3], LaurentPoly({-1: 2, 2: -1})), (ball[7], LaurentPoly({0: 5})), (ball[1], Q + 1)]
+    other = terms[:2] + [(ball[1], Q + 2)]  # the same keys, one value changed
+    for (ka, ba), (kb, bb) in [((8, 0), (16, 0)), ((8, 0), (8, 3)), ((24, 2), (8, 0))]:
+        for rhs, equal in ((terms, True), (other, False)):
+            a, b = _packed_at(Hc2, terms, ka, ba), _packed_at(Hc2, rhs, kb, bb)
+            e0s = a._pk[1], b._pk[1]
+            assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+            assert _forms(a) == _forms(b) == ["_pk"]
+            assert a._pk[2] == b._pk[2] == max(ka, kb)  # the narrower side was widened
+            assert (a._pk[1], b._pk[1]) == e0s  # and neither side was rebased
+            assert a.d == Hc2.from_terms(terms).d and b.d == Hc2.from_terms(rhs).d
+
+
+def test_packed_equality_tells_values_apart(Hc2):
+    """Equal key sets and equal (e0, k) do not make two elements equal, and
+    neither do equal packed dicts at different base exponents."""
+    ball = Hc2.weyl.ball(2)
+    terms = [(ball[2], LaurentPoly({0: 1, 4: -3})), (ball[5], LaurentPoly({2: 7}))]
+    a = _packed_at(Hc2, terms, 8)
+    for c in (2, -1, Q):
+        b = _packed_at(Hc2, [(w, p * c) for w, p in terms], 8)
+        assert set(a._pk[0]) == set(b._pk[0])
+        if c is not Q:
+            assert a._pk[1:3] == b._pk[1:3]
+        assert a != b and b != a
+    # v·a packed one exponent higher holds exactly a's packed dict
+    Z, e0, k, N = a._pk
+    va = Hc2._from_packed(dict(Z), e0 + 1, k, N)
+    assert va != a and a != va
+    assert va.d == {w: p * LaurentPoly.v() for w, p in Hc2.from_terms(terms).d.items()}
+
+
+def test_packed_zero_equality(Hc2):
+    ball = Hc2.weyl.ball(2)
+    terms = [(ball[4], LaurentPoly({-2: 3, 1: 1}))]
+    h = _packed_at(Hc2, terms, 8)
+    c = LaurentPoly({-1: 4, 3: -5})
+    zeros = [
+        Hc2._from_packed({}, 0, 8, 0),
+        Hc2._from_packed({}, -7, 32, 0),
+        Hc2.lincomb([(h, c), (_packed_at(Hc2, terms, 16, below=3), -c)]),  # exact cancellation
+    ]
+    nonzero = _packed_at(Hc2, terms, 16, below=1)
+    for z in zeros:
+        assert not z
+        for y in zeros:
+            assert z == y
+        assert z != nonzero and nonzero != z
+    assert all(_forms(h) == ["_pk"] for h in zeros + [nonzero])
+    for z in zeros:
+        assert z == Hc2.zero() and Hc2.zero() == z and z != nonzero  # against d
+
+
+def test_packed_equality_matches_dict_equality(Hc2):
+    """Seeded c2 products, copied at random wider widths and lower base
+    exponents: packed == agrees with comparing their d dicts."""
+    rng = random.Random(59)
+    ball = Hc2.weyl.ball(3)
+
+    def elt():
+        return Hc2.from_terms(
+            (rng.choice(ball), LaurentPoly({rng.randint(-3, 3): rng.randint(-9, 9) or 1})) for _ in range(3)
+        )
+
+    outcomes = []
+    for _ in range(12):
+        a, b, c = elt(), elt(), elt()
+        one = LaurentPoly.one()
+        pairs = [
+            (Hc2.mul(Hc2.mul(a, b), c), Hc2.mul(a, Hc2.mul(b, c))),  # associativity: equal
+            (Hc2.mul(a, b), Hc2.mul(b, a)),
+            (Hc2.mul(a, b), Hc2.lincomb([(Hc2.mul(a, b), one), (Hc2.basis(rng.choice(ball)), one)])),
+        ]
+        for x, y in pairs:
+            widths = x._pk[2], y._pk[2]
+            want = x.d == y.d
+            X = _packed_at(Hc2, x.d.items(), widths[0] + 8 * rng.randint(0, 3), rng.randint(0, 3))
+            Y = _packed_at(Hc2, y.d.items(), widths[1] + 8 * rng.randint(0, 3), rng.randint(0, 3))
+            assert (X == Y) is want and (Y == X) is want
+            assert _forms(X) == _forms(Y) == ["_pk"]
+            outcomes.append(want)
+    assert True in outcomes and False in outcomes  # both outcomes were exercised
+
+
+def test_elements_of_two_algebras_never_compare_equal():
+    """c2 and a2 share the group-element tuples of rank 2, and their id tables
+    can agree too; an element of one algebra still never equals one of the
+    other, in either form and at any widths."""
+    Hc, Ha = (IwahoriHecke.for_datum(load_bundled(n)) for n in ("c2", "a2"))
+    ball = Hc.weyl.ball(2)
+    ids = [(Hc.weyl.intern(x), Ha.weyl.intern(x)) for x in ball]
+    assert all(i == j for i, j in ids)  # the two id tables agree
+    assert Hc.one() != Ha.one() and Ha.one() != Hc.one()
+    for k1, k2 in ((8, 8), (8, 16)):
+        a, b = _packed_at(Hc, [(ball[3], Q + 1)], k1), _packed_at(Ha, [(ball[3], Q + 1)], k2)
+        if k1 == k2:
+            assert a._pk == b._pk  # one packed form
+        assert a != b and b != a
+        assert a.d == b.d  # the same keys and coefficients, in two different algebras
+    # two algebras on one datum agree on elements, whatever their id tables
+    assert IwahoriHecke.for_datum(load_bundled("c2")).basis(ball[3]) == Hc.basis(ball[3])
 
 
 def test_one_form_at_rest():
@@ -486,17 +598,10 @@ def test_lincomb_matches_reference(name):
         return LaurentPoly({rng.randint(-6, 3): rng.choice((-1, 1)) * rng.randint(1, size)
                             for _ in range(rng.randint(1, 3))})
 
-    def packed(terms, k, below):
-        """The element Σ p·i_w packed at width k, base exponent `below` under its least."""
-        d = H.from_terms(terms).d
-        e0 = min(min(p.d) for p in d.values()) - below
-        Z = {H.weyl.intern(w): _pack(p.d, e0, k) for w, p in d.items()}
-        return H._from_packed(Z, e0, k, sum(abs(c) for p in d.values() for c in p.d.values()))
-
     for size in (3, 10**30, 3, 10**30):
         terms = [[(rng.choice(ball), poly(9)) for _ in range(3)] for _ in range(3)]
         refs = [H.from_terms(t).d for t in terms]
-        ops = [H.from_terms(terms[0]), packed(terms[1], 16, 0), packed(terms[2], 64, 5)]
+        ops = [H.from_terms(terms[0]), _packed_at(H, terms[1], 16), _packed_at(H, terms[2], 64, 5)]
         cs = [poly(size) for _ in ops]
         want: dict = {}
         for ref, c in zip(refs, cs):
@@ -508,7 +613,7 @@ def test_lincomb_matches_reference(name):
         assert _forms(got) == ["d"] and all(_forms(h) == ["_pk"] for h in ops)
         # exact cancellation, between two forms of one value and within one operand
         c = poly(10**30)
-        for pairs in ([(packed(terms[0], 16, 2), c), (H.from_terms(terms[0]), -c)],
+        for pairs in ([(_packed_at(H, terms[0], 16, 2), c), (H.from_terms(terms[0]), -c)],
                       [(ops[1], c), (ops[1], -c)]):
             zero = H.lincomb(pairs)
             assert zero == H.zero() and not zero and not zero.d
@@ -530,6 +635,51 @@ def test_explicit_zero_coefficient_is_dropped(H1):
     g = HeckeElt(H1, {H1.weyl.identity: LaurentPoly.zero(), H1.weyl.gen(1): Q})
     assert g == H1.basis(H1.weyl.gen(1)).scale(Q)
     assert H1.lincomb([(g, LaurentPoly.one())]) == g
+
+
+# -- one conversion per distinct coefficient ---------------------------------------------
+
+
+def test_each_distinct_coefficient_is_converted_once(monkeypatch):
+    """a·1_K on the c2 special facet repeats each coset sum over |W_J| keys:
+    reading d unpacks each distinct sum once and shares its LaurentPoly,
+    widening unpacks and repacks each once, and packing d again packs each
+    shared LaurentPoly once; every result equals the per-key conversion."""
+    eng = load_engine("c2")
+    H, F = eng.hecke, eng.para.special_facet()
+    rng = random.Random(67)
+    ball = H.weyl.ball(3)
+    terms = [(rng.choice(ball), LaurentPoly({rng.randint(-3, 3): rng.randint(1, 9)})) for _ in range(6)]
+    prod, wide = H.mul_oneK(H.from_terms(terms), F), H.mul_oneK(H.from_terms(terms), F)
+    Z, e0, k, _ = prod._pk
+    distinct = set(Z.values())
+    assert len(distinct) > 2
+    assert len(Z) == len(F.elements) * len(distinct)  # one sum per coset, on each of its keys
+    unpack, pack = hecke._unpack, hecke._pack
+    want = {H.weyl.by_id[n]: LaurentPoly(unpack(P, e0, k)) for n, P in Z.items()}
+    calls = {"unpack": 0, "pack": 0}
+
+    def counting(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(hecke, "_unpack", counting("unpack", unpack))
+    monkeypatch.setattr(hecke, "_pack", counting("pack", pack))
+    d = prod.d
+    assert calls == {"unpack": len(distinct), "pack": 0}
+    assert d == want and len({id(p) for p in d.values()}) == len(distinct)
+    Zw, e0w = H._packed(wide, k + 8)
+    assert calls == {"unpack": 2 * len(distinct), "pack": len(distinct)}
+    assert e0w == e0 and Zw == {n: pack(unpack(P, e0, k), e0, k + 8) for n, P in Z.items()}
+    assert len({id(P) for P in Zw.values()}) == len(distinct)
+    assert wide.d == want
+    Zd, e0d = H._packed(prod, k)  # d back to packed: one _pack per shared LaurentPoly
+    assert calls["pack"] == 2 * len(distinct)
+    assert Zd == {n: pack(unpack(P, e0, k), e0d, k) for n, P in Z.items()}
+    monkeypatch.undo()
+    assert want == H.mul(H.from_terms(terms), F.one_K).d
 
 
 # -- exact division of packed coefficients ---------------------------------------------

@@ -474,3 +474,43 @@ def test_closed_forms_replace_generic_products(name, monkeypatch):
     calls.clear()
     assert P.compatibility_holds(small, F, ms[-1]) and len(calls) == 1
     assert calls[0][1] is small.one_K
+
+
+def test_shared_coefficients_survive_elimination_and_arithmetic():
+    """An unpacked z-basis combination shares one LaurentPoly between the keys
+    of each distinct coefficient; the z-basis solve and the sparse-module
+    arithmetic read those values without changing them."""
+    eng = load_engine("c2")
+    P, H, W, d = eng.para, eng.hecke, eng.weyl, eng.datum
+    F = P.special_facet()
+    m0, m1 = [m for m, _ in d.antidominant_set(1)][:2]
+    z = H.lincomb([(P.center_elt(F, m0), Q), (P.center_elt(F, m1), Q + 1)])
+    zd = z.d
+    assert len({id(p) for p in zd.values()}) < len(zd)  # shared values
+    before = {w: dict(p.d) for w, p in zd.items()}
+    candidates = set(d.saturation_predecessors(m0)) | set(d.saturation_predecessors(m1))
+    order = sorted(candidates, key=lambda mu: (-W.length(W.translation(mu)), mu))
+    coords = {mu: s for mu, s in P._z_coords(F, z, order) if s is not None}
+    assert coords == {m0: Q, m1: Q + 1}
+    for got, c in [(z + z, 2), (z - z, 0), (-z, -1), (z.scale(Q), Q), (3 * z, 3)]:
+        assert got.d == {w: LaurentPoly(p) * c for w, p in before.items() if c}
+    assert z.d is zd and {w: p.d for w, p in zd.items()} == before
+
+
+def test_corner_product_divides_each_distinct_coefficient_once(monkeypatch):
+    """h_x ∗_K h_y divides the product's coefficients by P_J once per distinct
+    value, and equals the per-key quotient."""
+    eng = _fresh_engine("c2")
+    P, H, d = eng.para, eng.hecke, eng.datum
+    F = P.special_facet()
+    x, y = [m for m, _ in d.antidominant_set(1)][-2:]
+    ref = H.mul(P.kelt(F, x), P.kelt(F, y)).d
+    want = {w: p.exact_div(F.poincare) for w, p in ref.items()}
+    distinct = len({id(p) for p in ref.values()})
+    assert distinct < len(ref)
+    calls = []
+    div = LaurentPoly.exact_div
+    monkeypatch.setattr(LaurentPoly, "exact_div", lambda p, q: calls.append(p) or div(p, q))
+    got = P.parahoric_mul(F, P.kelt(F, x), P.kelt(F, y))
+    assert len(calls) == distinct
+    assert got.d == want
