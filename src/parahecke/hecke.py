@@ -29,7 +29,10 @@ the width bitlen(N(a) · N(b) · 3^ℓ_b) + 2, rounded up to a multiple of 8, or
 at the wider of the widths a and b are already held at; a · i_w^{-1} likewise
 with N(a) · 3^ℓ(w).  `lincomb` sums Σ c·h over LaurentPoly coefficients c the
 same way, an int multiply-add per term, at the width of Σ ‖c‖₁ · N(h) or of
-the widest operand.  The proofs are at `mul`.
+the widest operand.  `mul_word` multiplies by a word of generators, reduced
+or not, one generator step per letter in one packed pass, at the width of
+N(a) · 3^ℓ for a word of ℓ letters or of a's own width.  The proofs are at
+`mul`.
 
 Products with 1_K = Σ_{v ∈ W_J} i_v, for a finite parabolic W_J, have a closed
 form (Curtis–Iwahori–Kilmoyer).  Write w = w'u with w' minimal in wW_J and
@@ -235,7 +238,8 @@ class IwahoriHecke:
     # q_s - 1, so a·b has every exponent ≥ e0(a) + e0(b), and the inverse's
     # q_w^{-1} lowers the base by 2L(w).  For Σ c·h (`lincomb`),
     # Σ_z ‖(Σ c·h)_z‖₁ ≤ B = Σ ‖c‖₁ · N(h), the sum's N, and k = max(_width(B),
-    # the operands' widths) as for a product.
+    # the operands' widths) as for a product.  For a · i_{s_1} ··· i_{s_ℓ}
+    # (`mul_word`) the ℓ generator steps give B = N(a) · 3^ℓ and keep e0(a).
     #
     # a·1_K (`mul_oneK`): a coset sum S_{w'} = Σ_u q_u·a_{w'u} has
     # ‖S_{w'}‖₁ ≤ Σ_u ‖a_{w'u}‖₁ and is copied onto |W_J| elements, so
@@ -263,6 +267,21 @@ class IwahoriHecke:
         acc: dict = {}
         self._mul_rec(Za, entries, 0, len(entries), 0, acc, k)
         return self._from_packed(acc, ea + eb, k, N)
+
+    def mul_word(self, a: HeckeElt, word) -> HeckeElt:
+        """a · i_{s_1} ··· i_{s_ℓ} for word = (s_1, …, s_ℓ) of generator indices,
+        reduced or not; a packed element, with a packed in place.  Each step at
+        most triples Σ‖coeff‖₁ and never lowers an exponent, so N = N(a) · 3^ℓ
+        and the base stays e0(a)."""
+        if not a:
+            return self.zero()
+        Na, ka = _size(a)
+        N = Na * 3 ** len(word)
+        k = max(_width(N), ka)
+        cur, e0 = self._packed(a, k)
+        for i in word:
+            cur = self._apply_gen_right(cur, i, k)
+        return self._from_packed(cur, e0, k, N)
 
     def lincomb(self, pairs) -> HeckeElt:
         """Σ c·h over (HeckeElt, LaurentPoly) pairs, a packed element (zero()

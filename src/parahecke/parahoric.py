@@ -228,7 +228,7 @@ class Parahoric:
     # -- corner multiplication -----------------------------------------------
 
     def is_biinvariant(self, F: FacetType, a: HeckeElt) -> bool:
-        pa = a.scale(F.poincare)
+        pa = self.H.lincomb([(a, F.poincare)])
         return self.H.oneK_mul(F, a) == pa and self.H.mul_oneK(a, F) == pa
 
     def _kelt_rep(self, F: FacetType, x: LatticeElt) -> tuple:

@@ -77,7 +77,7 @@ def _braid_pairs(d):
 
 
 def _check_braid_invariance(eng: Engine, count=500):
-    H, W, d = eng.hecke, eng.weyl, eng.datum
+    H, d = eng.hecke, eng.datum
     if not d.saff_indices:
         return None
     rng = random.Random(_BRAID_SEED)
@@ -85,27 +85,19 @@ def _check_braid_invariance(eng: Engine, count=500):
     for k in range(count):
         word = [rng.choice(d.saff_indices) for _ in range(rng.randint(0, 8))]
         pos = rng.randrange(len(word) + 1)
-        prefix = H.one()
-        for i in word[:pos]:
-            prefix = H.mul(prefix, H.basis(W.gen(i)))
-
-        def tail(p, middle):
-            for i in middle + word[pos:]:
-                p = H.mul(p, H.basis(W.gen(i)))
-            return p
-
+        prefix, rest = H.mul_word(H.one(), word[:pos]), word[pos:]
         if pairs:
             a, b, m = rng.choice(pairs)
-            left = tail(prefix, [a, b] * m)
-            right = tail(prefix, [b, a] * m)
+            left = H.mul_word(prefix, [a, b] * m + rest)
+            right = H.mul_word(prefix, [b, a] * m + rest)
         else:
             # no finite braid relation exists (rank-1 data): the product is
             # still required to be well defined, recheck via quadratic fold
             a = rng.choice(d.saff_indices)
-            left = tail(prefix, [a, a])
+            left = H.mul_word(prefix, [a, a] + rest)
             qs = LaurentPoly.v_power(2 * d.L[a])
-            right = tail(prefix, [])  # i_w * i_s^2 = q_s i_w + (q_s-1) i_w i_s
-            right = right.scale(qs) + tail(prefix, [a]).scale(qs - 1)
+            # i_w * i_s^2 = q_s i_w + (q_s-1) i_w i_s
+            right = H.lincomb([(H.mul_word(prefix, rest), qs), (H.mul_word(prefix, [a] + rest), qs - 1)])
         if left != right:
             return f"braid/quadratic invariance fails on word {word} at iteration {k}"
     return None

@@ -1,15 +1,19 @@
 """The loud convention-bug guards fire when an invariant is sabotaged."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from parahecke.affweyl import AffineWeylGroup
 from parahecke.cli import main
 from parahecke.engine import CACHE_ENV, load_engine
 from parahecke.errors import NegativeCoefficient, NonUnitDiagonal, SolveInconsistent
+from parahecke.hecke import IwahoriHecke
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
-from parahecke.verify import CheckResult, render_results
+from parahecke.rootdatum import load_bundled
+from parahecke.verify import CheckResult, _braid_pairs, _check_braid_invariance, render_results
 
 
 def test_non_unit_diagonal_guard(monkeypatch):
@@ -112,3 +116,32 @@ def test_non_divisible_satake_pivot_is_inconsistent(monkeypatch):
     monkeypatch.setattr(P, "center_elt", lambda F, m: real(F, m).scale(LaurentPoly.q() + 1))
     with pytest.raises(SolveInconsistent, match="not divisible"):
         P._solve_row(P.special_facet(), d.lattice([-1]))
+
+
+@pytest.mark.parametrize("name, failure", [
+    ("c2", "braid/quadratic invariance fails on word [0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a1", "braid/quadratic invariance fails on word [1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+], ids=["c2", "a1"])
+def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, failure):
+    """A wrong q-exponent in the memoized step i_w·i_s, on elements of length ≥ 6
+    only, fails the presentation check: by a braid relation on c2, by the
+    quadratic fold on a1, which has no finite braid relation."""
+    datum = load_bundled(name)
+    assert bool(_braid_pairs(datum)) == (name == "c2")
+
+    def fresh():  # empty rewriting memos, so that every step is computed
+        weyl = AffineWeylGroup(datum)
+        return SimpleNamespace(datum=datum, weyl=weyl, hecke=IwahoriHecke(weyl))
+
+    assert _check_braid_invariance(fresh()) is None
+    real = IwahoriHecke._compute_gen_right
+
+    def sabotaged(self, n, i):
+        ns, e = real(self, n, i)
+        if e is not None and self.weyl.length(self.weyl.by_id[n]) >= 6:
+            e += 2
+            self._gen_cache[n * self._G + i] = (ns, e)
+        return ns, e
+
+    monkeypatch.setattr(IwahoriHecke, "_compute_gen_right", sabotaged)
+    assert _check_braid_invariance(fresh()) == failure

@@ -237,6 +237,61 @@ def test_braid_soundness_random_words(Hc2):
         assert pl == pr
 
 
+# -- products with a generator word in one packed pass --------------------------------
+
+
+def _gen_chain(H, a, word):
+    """a · i_{s_1} ··· i_{s_ℓ} by one mul per letter."""
+    for i in word:
+        a = H.mul(a, H.basis(H.weyl.gen(i)))
+    return a
+
+
+@pytest.mark.parametrize("name", ["c2", "a1_unequal", "a1_torsion2"])
+def test_mul_word_matches_generator_chain(name):
+    """mul_word equals one mul per letter on random words with a repeated
+    letter and on reduced words (there also the reference product), for
+    operands held as d and packed at narrower and wider widths, with negative
+    exponents and coefficients near 10^30."""
+    H = IwahoriHecke.for_datum(load_bundled(name))
+    W, gens = H.weyl, H.datum.saff_indices
+    rng = random.Random(41)
+    ball = W.ball(3)
+    big = 10**30
+    for t in range(8):
+        if t % 2:
+            word = list(W.reduced_word(rng.choice(ball))[0])
+        else:
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 7))]
+            j = rng.randrange(len(word))
+            word[j:j] = [word[j]]  # a non-reduced word: s·s
+        terms = [
+            (rng.choice(ball), LaurentPoly({rng.randint(-6, 6): rng.randint(-big, big) for _ in range(3)}))
+            for _ in range(3)
+        ]
+        want = _gen_chain(H, H.from_terms(terms), word).d
+        if t % 2:  # a reduced word of x: the product is a · i_x
+            assert want == reference_mul(H, H.from_terms(terms), H.basis(W.word_to_elt(word)))
+        operands = [H.from_terms(terms), _packed_at(H, terms, 104), _packed_at(H, terms, 256, below=3)]
+        N = operands[1]._pk[3] * 3 ** len(word)
+        for a in operands:
+            got = H.mul_word(a, word)
+            assert _forms(got) == ["_pk"] and _forms(a) == ["_pk"]
+            assert got._pk[3] == N
+            assert got.d == want
+        # repacked when N(a)·3^ℓ needs more digits; never narrowed
+        assert operands[1]._pk[2] == max(104, hecke._width(N))
+        assert operands[2]._pk[2] == 256
+
+
+def test_mul_word_empty_word_and_zero(Hc2):
+    W = Hc2.weyl
+    terms = [(W.ball(2)[3], LaurentPoly({-2: 3, 1: -1})), (W.identity, Q)]
+    assert Hc2.mul_word(Hc2.from_terms(terms), []).d == Hc2.from_terms(terms).d
+    for word in ([], [0, 1, 0], [2, 2]):
+        assert not Hc2.mul_word(Hc2.zero(), word)
+
+
 # -- an independent reference product ------------------------------------------
 
 
