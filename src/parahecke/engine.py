@@ -2,16 +2,17 @@
 
 An Engine bundles the validated datum with its Weyl group, Hecke algebra,
 Bernstein module and parahoric layer, so suites and the CLI share memo
-tables.  When PARAHECKE_CACHE_DIR is set, Θ-element and Θ·1_K product
-tables persist across processes (their entries are held packed in memory:
-saving unpacks a copy of each, and loaded ones stay unpacked until used, so
-loading does no arithmetic).  A cache file is one JSON header line (format
-version, package version, datum content hash and the sha256 of the rest)
-followed by the JSON payload; a file whose header does not match this engine
-or its payload is never read, so stale, edited and truncated caches are
-misses.  A run that loaded the file and added nothing to the tables does not
-rewrite it.  Cache I/O never fails a run: an unusable directory or a file of
-the wrong shape just means no cache.
+tables.  When PARAHECKE_CACHE_DIR is set, the Θ-element table persists
+across processes (its entries are held packed in memory: saving unpacks a
+copy of each, and loaded ones stay unpacked until used, so loading does no
+arithmetic).  Products Θ·1_K are not persisted: each is one coset-sum pass
+from Θ, cheaper than parsing it back.  Even so a warm run is no faster than a
+cold one.  A cache file is one JSON header line (format version, package
+version, datum content hash and the sha256 of the rest) followed by the JSON
+payload; a file whose header does not match this engine or its payload is
+never read, so stale, edited and truncated caches are misses.  A run that loaded the file
+and added no Θ entry does not rewrite it.  Cache I/O never fails a run: an
+unusable directory or a file of the wrong shape just means no cache.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rootdatum import BUNDLED_NAMES, Datum, LatticeElt, load_bundled, load_datu
 __all__ = ["Engine", "engine_for", "load_engine", "CACHE_ENV", "CACHE_VERSION"]
 
 CACHE_ENV = "PARAHECKE_CACHE_DIR"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _REGISTRY: dict = {}
 
@@ -44,7 +45,7 @@ class Engine:
     hecke: IwahoriHecke
     bern: Bernstein
     para: Parahoric
-    # (path, Θ entries, Θ·1_K entries) when that file holds exactly the memo tables
+    # (path, Θ entries) when that file holds exactly the Θ memo table
     _saved: tuple | None = field(default=None, init=False, repr=False)
 
     # -- persisted memo tables -------------------------------------------
@@ -55,9 +56,6 @@ class Engine:
     def _cache_header(self, digest: str) -> dict:
         return {"version": CACHE_VERSION, "package": __version__,
                 "datum": self.datum.content_hash(), "sha256": digest}
-
-    def _table_sizes(self) -> tuple:
-        return len(self.bern._theta), len(self.para._theta_oneK)
 
     def load_cache(self, cache_dir: str | None = None) -> bool:
         cache_dir = cache_dir or os.environ.get(CACHE_ENV)
@@ -80,18 +78,12 @@ class Engine:
         try:  # a payload of the wrong shape is a miss; nothing is installed from it
             blob = json.loads(body)
             theta = {_lattice_from(key): self._hecke_from(terms) for key, terms in blob["theta"]}
-            theta_oneK = {
-                (tuple(jkey), _lattice_from(key)): self._hecke_from(terms)
-                for jkey, key, terms in blob["theta_oneK"]
-            }
         except (AttributeError, LookupError, TypeError, ValueError):
             return False
         for m, h in theta.items():
             self.bern._theta.setdefault(m, h)
-        for key, h in theta_oneK.items():
-            self.para._theta_oneK.setdefault(key, h)
-        if self._table_sizes() == (len(theta), len(theta_oneK)):
-            self._saved = (path, len(theta), len(theta_oneK))
+        if len(self.bern._theta) == len(theta):
+            self._saved = (path, len(theta))
         return True
 
     def save_cache(self, cache_dir: str | None = None) -> bool:
@@ -99,15 +91,11 @@ class Engine:
         if not cache_dir:
             return False
         path = self._cache_path(cache_dir)
-        if self._saved == (path, *self._table_sizes()):
-            return True  # the memo tables only grow, so the file already holds them
+        if self._saved == (path, len(self.bern._theta)):
+            return True  # the memo table only grows, so the file already holds it
         body = json.dumps({
             "theta": [
                 [_lattice_to(m), self._hecke_to(h)] for m, h in sorted(self.bern._theta.items())
-            ],
-            "theta_oneK": [
-                [list(j), _lattice_to(m), self._hecke_to(self.para._theta_oneK[j, m])]
-                for j, m in sorted(self.para._theta_oneK)
             ],
         }).encode()
         header = json.dumps(self._cache_header(_digest(body))).encode()
@@ -125,7 +113,7 @@ class Engine:
                 except OSError:
                     pass
             return False
-        self._saved = (path, *self._table_sizes())
+        self._saved = (path, len(self.bern._theta))
         return True
 
     def _hecke_to(self, h: HeckeElt) -> list:

@@ -473,24 +473,13 @@ class Datum:
             return False
         for i in range(self.n_simple):
             for j in range(i + 1, self.n_simple):
-                order = self._finite_order(i, j)
-                if order > 3:
+                if self.coxeter_matrix[(i + 1, j + 1)] > 3:
                     return False
         # a halvable coroot triggers the mixed parameter case
         for i in range(self.n_simple):
             if all(c % 2 == 0 for c in self.simple_coroots[i]):
                 return False
         return True
-
-    def _finite_order(self, i: int, j: int) -> int:
-        a = self._simple_refl_index(i)
-        b = self._simple_refl_index(j)
-        prod = self.w_mult[a][b]
-        cur, k = prod, 1
-        while cur != 0:
-            cur = self.w_mult[cur][prod]
-            k += 1
-        return k
 
     def _build_alcove_point(self):
         """Rational interior point p0 of the base alcove: ⟨p0, α_i⟩ = 1/(h_c+1)."""

@@ -187,17 +187,19 @@ def test_missing_command_exits_2(capsys):
     assert code == 2 and "command is required" in err
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("PARAHECKE_CACHE_DIR", str(tmp_path))
-    env = {"PARAHECKE_CACHE_DIR": str(tmp_path)}
-    cmd = [sys.executable, "-m", "parahecke", "--datum", "a1", "satake", "--height", "2"]
-    first = subprocess.run(cmd, capture_output=True, text=True, env={**_base_env(), **env})
-    assert first.returncode == 0
-    cached = list(tmp_path.glob("parahecke-v*.json"))
-    assert len(cached) == 1
-    second = subprocess.run(cmd, capture_output=True, text=True, env={**_base_env(), **env})
-    assert second.returncode == 0
-    assert first.stdout == second.stdout
+def test_cache_roundtrip(tmp_path):
+    """A cold run writes a cache holding only the Θ table, and a warm run on
+    it prints the cold run's bytes."""
+    for datum in ("a1", "c2", "a2"):
+        env = {**_base_env(), "PARAHECKE_CACHE_DIR": str(tmp_path / datum)}
+        cmd = [sys.executable, "-m", "parahecke", "--datum", datum, "satake", "--height", "2"]
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert first.returncode == 0
+        (path,) = (tmp_path / datum).glob("parahecke-v*.json")
+        assert list(json.loads(path.read_bytes().split(b"\n", 1)[1])) == ["theta"]
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert second.returncode == 0
+        assert first.stdout == second.stdout
 
 
 def _base_env():
@@ -243,7 +245,7 @@ def test_corrupt_cache_ignored(tmp_path, monkeypatch):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(blob, fh)
         assert eng.load_cache(str(tmp_path)) is False
-        assert eng.bern._theta == {} and eng.para._theta_oneK == {}
+        assert eng.bern._theta == {}
     assert eng.save_cache(str(tmp_path)) is True
     assert eng.load_cache(str(tmp_path)) is True
 
@@ -294,55 +296,57 @@ def test_tampered_cache(capsys, tmp_path, monkeypatch, edit):
 
 
 def test_warm_run_leaves_cache_file_alone(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    """A warm run prints the cold bytes and leaves the file untouched; a run
+    that adds Θ entries rewrites it."""
 
-    def run(expr):
-        assert _fresh_run(capsys, monkeypatch, ["--datum", "a1", "theta", expr])[0] == 0
-        (path,) = tmp_path.glob("parahecke-v*.json")
+    def run(datum, args):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / datum))
+        code, out = _fresh_run(capsys, monkeypatch, ["--datum", datum, *args])
+        assert code == 0
+        (path,) = (tmp_path / datum).glob("parahecke-v*.json")
         st = path.stat()
-        return st.st_ino, st.st_mtime_ns, len(json.loads(path.read_bytes().split(b"\n", 1)[1])["theta"])
+        n_theta = len(json.loads(path.read_bytes().split(b"\n", 1)[1])["theta"])
+        return out, (st.st_ino, st.st_mtime_ns, n_theta)
 
-    first = run("t[1]")
-    assert run("t[1]") == first
-    grown = run("t[2]")
-    assert grown[:2] != first[:2] and grown[2] > first[2]
+    for datum, first, grown in (
+        ("a1", ["theta", "t[1]"], ["theta", "t[2]"]),
+        ("c2", ["satake", "--height", "2"], ["theta", "t[5,5]"]),
+    ):
+        cold = run(datum, first)
+        assert run(datum, first) == cold
+        _, after = run(datum, grown)
+        assert after[:2] != cold[1][:2] and after[2] > cold[1][2]
 
 
-def test_theta_oneK_cache_interplay(capsys, tmp_path, monkeypatch):
-    """The packed Θ·1_K memo saves the same entries a fresh product gives,
-    load_cache leaves them unpacked, and a warm run prints the same bytes and
-    leaves the file alone."""
-    args = ["--datum", "c2", "satake", "--height", "2"]
+def test_cache_of_an_older_version_is_a_miss(capsys, tmp_path, monkeypatch):
+    """A version-2 file, which also held Θ·1_K products, is never read: not at
+    its own name, and not at the current name."""
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    cold = _fresh_run(capsys, monkeypatch, args)
-    assert cold[0] == 0
+    assert _fresh_run(capsys, monkeypatch, ["--datum", "a1", "theta", "t[1]"])[0] == 0
     (path,) = tmp_path.glob("parahecke-v*.json")
-    before = path.read_bytes(), path.stat().st_mtime_ns
-    saved = json.loads(before[0].split(b"\n", 1)[1])["theta_oneK"]
-    assert saved
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["version"] = 2
+    old = json.dumps(header).encode() + b"\n" + body
+    path.unlink()
     monkeypatch.setattr(engine_mod, "_REGISTRY", {})
-    eng = load_engine("c2")
-    H, B, P = eng.hecke, eng.bern, eng.para
-    for jkey, key, terms in saved:
-        F, m = P.facet(jkey), engine_mod._lattice_from(key)
-        assert eng._hecke_from(terms) == H.mul(B.theta(m), F.one_K)
-    assert eng.load_cache(str(tmp_path)) is True
-    assert len(P._theta_oneK) == len(saved)
-    assert all(h._pk is None for h in P._theta_oneK.values())  # loaded entries hold d
-    assert _fresh_run(capsys, monkeypatch, args) == cold
-    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    eng = load_engine("a1")
+    for name in (path.name.replace(f"-v{CACHE_VERSION}-", "-v2-"), path.name):
+        (tmp_path / name).write_bytes(old)
+        assert eng.load_cache(str(tmp_path)) is False
+        assert eng.bern._theta == {}
 
 
 def test_save_cache_leaves_entries_packed(tmp_path, monkeypatch):
-    """Saving serializes a copy of each packed memo entry, so both tables stay
-    packed: unpacking them in place raised a2's peak memory by about 7%."""
+    """Saving serializes a copy of each packed Θ entry, so the table stays
+    packed: unpacking it in place raised a2's peak memory by about 7%."""
     monkeypatch.setattr(engine_mod, "_REGISTRY", {})
     eng = load_engine("c2")
     P = eng.para
     F = P.special_facet()
     for m, _ in eng.datum.antidominant_set(1):
         P.center_elt(F, m)
-    entries = [*eng.bern._theta.values(), *P._theta_oneK.values()]
+    entries = list(eng.bern._theta.values())
     assert entries and all(h._pk is not None for h in entries)
     assert eng.save_cache(str(tmp_path)) is True
     assert all(h._pk is not None for h in entries)
