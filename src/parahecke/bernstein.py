@@ -97,6 +97,7 @@ class Bernstein:
         self.datum = H.datum
         self._E: dict[LatticeElt, int] = {}
         self._theta: dict[LatticeElt, HeckeElt] = {}
+        self._orbit_sums: dict[LatticeElt, GroupAlgElt] = {}
 
     # -- the exponent homomorphism ------------------------------------------
 
@@ -136,7 +137,11 @@ class Bernstein:
         return GroupAlgElt._wrap(d, _lincomb(pairs))
 
     def orbit_sum_r(self, m: LatticeElt) -> GroupAlgElt:
-        """r_m = Σ_{orbit} v^{E(m)-E(μ)}·μ for antidominant m."""
+        """r_m = Σ_{orbit} v^{E(m)-E(μ)}·μ for antidominant m, memoized: callers
+        share the element and never write into it."""
+        got = self._orbit_sums.get(m)
+        if got is not None:
+            return got
         d = self.datum
         if not d.is_antidominant(m):
             raise NotAntidominant(f"{m} is not antidominant")
@@ -144,7 +149,8 @@ class Bernstein:
         out = {
             mu: LaurentPoly.v_power(em - self.exponent_E(mu)) for mu in d.orbit(m)
         }
-        return GroupAlgElt(d, out)
+        got = self._orbit_sums[m] = GroupAlgElt(d, out)
+        return got
 
     def from_orbit_sums(self, pairs) -> GroupAlgElt:
         """Σ s·r_m over (m, s) pairs."""

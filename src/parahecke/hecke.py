@@ -40,13 +40,17 @@ u ∈ W_J; then i_w = i_{w'}·i_u, i_u·1_K = q_u·1_K and i_{w'}·i_v = i_{w'v}
 
     a · 1_K = Σ_{w'} (Σ_{u ∈ W_J} q_u · a_{w'u}) · Σ_{v ∈ W_J} i_{w'v}.
 
-`mul_oneK` computes a·1_K this way: one shift by 2L(u)·k bits and one add
-per term into its coset's sum, then each sum is copied onto w'W_J; its N is
-|W_J| · N(a).  For a·i_w·1_K it first forms a·i_w with `mul`.  1_K is
-∨-stable, so 1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a divisor P, `mul_oneK`
-divides each coset sum exactly (LaurentPoly.exact_div), once per coset rather
-than once per term; the quotients' N is recomputed from their coefficients,
-because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
+`coset_sums` computes the sums S_{w'} = Σ_u q_u · a_{w'u}, one shift by
+2L(u)·k bits and one add per term into its coset's sum, as a packed element
+keyed by the ids of the w' (its N is N(a)); `mul_oneK` copies each sum onto
+w'W_J, so a·1_K has N = |W_J| · N(a).  X·1_K is determined by X's coset sums,
+linearly, so a caller that only compares such products can compare their
+coset sums and skip the copy.  For a·i_w·1_K both first form a·i_w with
+`mul`.  1_K is ∨-stable, so 1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a
+divisor P, `coset_sums` divides each coset sum exactly (LaurentPoly.exact_div),
+once per coset rather than once per term; the quotients' N is recomputed from
+their coefficients, because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x)
+has norm n + 1).
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
@@ -241,12 +245,14 @@ class IwahoriHecke:
     # the operands' widths) as for a product.  For a · i_{s_1} ··· i_{s_ℓ}
     # (`mul_word`) the ℓ generator steps give B = N(a) · 3^ℓ and keep e0(a).
     #
-    # a·1_K (`mul_oneK`): a coset sum S_{w'} = Σ_u q_u·a_{w'u} has
-    # ‖S_{w'}‖₁ ≤ Σ_u ‖a_{w'u}‖₁ and is copied onto |W_J| elements, so
-    # Σ_z ‖(a·1_K)_z‖₁ ≤ B = |W_J| · N(a), the product's N, with k as above.
-    # Multiplying by q_u shifts exponents up, so the base stays e0(a).  Exact
-    # quotients S/P are taken unpacked and repacked at max(k, _width(N)) for
-    # N = |W_J| · Σ_{w'} ‖S_{w'}/P‖₁, since division bounds no digit.
+    # a·1_K (`coset_sums`, `mul_oneK`): a coset sum S_{w'} = Σ_u q_u·a_{w'u}
+    # has ‖S_{w'}‖₁ ≤ Σ_u ‖a_{w'u}‖₁, so the sums have N = N(a), and each is
+    # copied onto |W_J| elements, so Σ_z ‖(a·1_K)_z‖₁ ≤ B = |W_J| · N(a), the
+    # product's N; the sums are packed at the product's k, as above, so that
+    # the copy repacks nothing.  Multiplying by q_u shifts exponents up, so
+    # the base stays e0(a).  Exact quotients S/P are taken unpacked and
+    # repacked at max(k, _width(|W_J| · N)) for N = Σ_{w'} ‖S_{w'}/P‖₁, since
+    # division bounds no digit.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a or not b:
@@ -438,18 +444,19 @@ class IwahoriHecke:
     # F is a facet type (parahoric.FacetType): F.J lists the generators of a
     # finite parabolic W_J and F.elements its elements.
 
-    def mul_oneK(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
-        """a·i_w·1_K (a·1_K when w is None), divided exactly by divisor when one
-        is given; a packed element (closed form and proofs above `mul`)."""
+    def coset_sums(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
+        """The coset sums S_{w'} of a·i_w (of a when w is None), divided exactly
+        by divisor when one is given: a packed element keyed by the id of each
+        minimal representative w' of wW_J, with N = Σ_{w'} ‖S_{w'}‖₁, held at
+        the width that a·i_w·1_K needs (closed form and proofs above `mul`)."""
         if w is not None:
             a = self.mul(a, self.basis(w))
         if not a:
             return self.zero()
-        Na, ka = _size(a)
-        N = len(F.elements) * Na
-        k = max(_width(N), ka)
+        N, ka = _size(a)
+        k = max(_width(len(F.elements) * N), ka)
         cur, e0 = self._packed(a, k)
-        red, cosets = self._cosets.setdefault(F.J, ({}, {}))
+        red = self._cosets.setdefault(F.J, ({}, {}))[0]
         sums: dict = {}
         get = sums.get
         for n, P in cur.items():
@@ -457,16 +464,26 @@ class IwahoriHecke:
             sums[m] = get(m, 0) + (P << e * k)
         if divisor is not None:
             quots = {m: LaurentPoly(_unpack(S, e0, k)).exact_div(divisor).d for m, S in sums.items() if S}
-            N = len(F.elements) * sum(map(_norm, quots.values()))
-            k = max(k, _width(N))
+            N = sum(map(_norm, quots.values()))
+            k = max(k, _width(len(F.elements) * N))
             e0 = min((min(t) for t in quots.values()), default=e0)
             sums = {m: _pack(t, e0, k) for m, t in quots.items()}
+        return self._from_packed(sums, e0, k, N)
+
+    def mul_oneK(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
+        """a·i_w·1_K (a·1_K when w is None), divided exactly by divisor when one
+        is given: each of `coset_sums` copied onto its coset w'W_J; a packed
+        element."""
+        S = self.coset_sums(a, F, w, divisor)
+        if not S:
+            return S
+        Z, e0, k, N = S._pk
+        cosets = self._cosets[F.J][1]
         out = {}
-        for m, S in sums.items():
-            if S:
-                for n in cosets.get(m) or self._coset_ids(cosets, F, m):
-                    out[n] = S
-        return self._from_packed(out, e0, k, N)
+        for m, P in Z.items():
+            for n in cosets.get(m) or self._coset_ids(cosets, F, m):
+                out[n] = P
+        return self._from_packed(out, e0, k, len(F.elements) * N)
 
     def oneK_mul(self, F, a: HeckeElt) -> HeckeElt:
         """1_K·a = ∨(∨a · 1_K), 1_K being ∨-stable."""

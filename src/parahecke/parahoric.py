@@ -26,11 +26,16 @@ t = q - 1 (the universal form of point-count positivity).  Lifting to a
 bigger facet is the corner product z ∗_{K_small} 1_{K_big} = z·1_{K_big} /
 P_{J_small}, divided per coset of W_{J_big}.
 
-Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K) is one IwahoriHecke.lincomb over a memo of
-the products Θ_m * 1_K.  Each entry is read once and packed at the width of
-its exact norm: the product's proved bound |W_J|·N(Θ_m) counts no
-cancellation inside a coset sum, and a looser bound would widen every sum the
-entry enters (the width rule is in `hecke`).
+z_m is one closed-form product of the Θ̇(r_m) that its one-sidedness check
+needs anyway.  Multiplicativity of the Satake transform is checked in
+orbit-sum coordinates on coset sums (proof at `_check_multiplicative`): the
+product of two rows is read off orbit-sum structure constants, and the
+comparison is between coset sums (`IwahoriHecke.coset_sums`), which decide
+equality of products X·1_K without the copy onto each coset.  z_m and each
+memoized coset sum of Θ̇(r_μ) are read once and packed at the width of their
+exact norm: the proved bound |W_J|·N counts no cancellation inside a coset
+sum, and a looser bound would widen every product or sum they enter (the
+width rule is in `hecke`).
 
 `facet` enumerates W_J breadth-first by length and stops as soon as an
 element is longer than the longest element w₀ of W₀: no element of a finite
@@ -55,7 +60,7 @@ from .errors import (
     SolveInconsistent,
 )
 from .hecke import HeckeElt, _size, _width
-from .ringcore import LaurentPoly, _eliminate
+from .ringcore import LaurentPoly, _axpy, _eliminate, _mul
 from .rootdatum import LatticeElt
 
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
@@ -135,7 +140,6 @@ class Parahoric:
         self._centers: dict = {}
         self._kelts: dict = {}
         self._kelt_reps: dict = {}
-        self._theta_oneK: dict = {}
 
     # -- facet data --------------------------------------------------------
 
@@ -211,19 +215,12 @@ class Parahoric:
         self._kelts[key] = out
         return out
 
-    def theta_oneK(self, F: FacetType, m: LatticeElt) -> HeckeElt:
-        """Θ_m * 1_K, memoized packed at the width of its exact norm."""
-        key = (F.J, m)
-        got = self._theta_oneK.get(key)
-        if got is None:
-            got = self._theta_oneK[key] = self.H.mul_oneK(self.bern.theta(m), F)
-            got.d  # read once, so that the norm _size gives is exact
-            self.H._packed(got, _width(_size(got)[0]))
-        return got
-
-    def _theta_of_times_oneK(self, F: FacetType, r) -> HeckeElt:
-        """Θ̇(r) * 1_K = Σ_m p_m·(Θ_m * 1_K), a packed element."""
-        return self.H.lincomb((self.theta_oneK(F, m), p) for m, p in r.d.items())
+    def _exact_width(self, h: HeckeElt) -> HeckeElt:
+        """h, read once (so that the norm _size gives is exact) and packed at that norm's width."""
+        if h:
+            h.d
+            self.H._packed(h, _width(_size(h)[0]))
+        return h
 
     # -- corner multiplication -----------------------------------------------
 
@@ -293,9 +290,8 @@ class Parahoric:
             return got
         if not self.datum.is_antidominant(m):
             raise NotAntidominant(f"{m} is not antidominant")
-        r_m = self.bern.orbit_sum_r(m)
-        theta_r = self.bern.theta_of(r_m)
-        z = self._theta_of_times_oneK(F, r_m)
+        theta_r = self.bern.theta_of(self.bern.orbit_sum_r(m))
+        z = self._exact_width(self.H.mul_oneK(theta_r, F))
         if z != self.H.oneK_mul(F, theta_r):
             raise CentralityFailure(f"z_m is one-sided at m={m}, J={list(F.J)}")
         x = self.noncommuting_kelt(F, z, [x for x, _ in self.datum.antidominant_set(1)])
@@ -391,13 +387,50 @@ class Parahoric:
         return self.H.mul_oneK(self.kelt(F, x), F, *self._kelt_rep(F, y))
 
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
-        """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y)."""
-        transforms = {id(r): self.transform_of_row(r) for r in table.rows}
+        """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y).
+
+        The Satake transform inverts r ↦ Θ̇(r)·1_K, so the identity at (x, y) is
+        Θ̇(t_x·t_y)·1_K = h_x ∗_K h_y with t_x = transform(h_x) = Σ_m s_{x,m} r_m,
+        the row's entries.  It is decided without forming either side:
+        - t_x·t_y = Σ_μ c_μ r_μ with c_μ = Σ_{m,n} s_{x,m}·s_{y,n}·c^μ_{mn}, from
+          the structure constants r_m·r_n = Σ_μ c^μ_{mn} r_μ
+          (Bernstein.expand_over_orbit_sums, memoized per unordered pair for
+          this call);
+        - Θ̇ is linear, so Θ̇(t_x·t_y)·1_K = Σ_μ c_μ·(Θ̇(r_μ)·1_K);
+        - h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d}, which _kelt_rep(F, x) and
+          _kelt_rep(F, y) certify (see kelt_product), and H is free over
+          Z[v^±1] with P_{J,d} ≠ 0, so multiplying both sides by P_{J,d}
+          changes no outcome: the identity holds exactly when
+          Σ_μ (c_μ·P_{J,d})·(Θ̇(r_μ)·1_K) = h_x·i_d·1_K;
+        - both sides have the form X·1_K, whose coefficients on a coset w'W_J
+          all equal X's coset sum at w', and coset sums are linear in X; so the
+          two sides are equal exactly when Σ_μ (c_μ·P_{J,d})·S_μ equals the
+          coset sums of h_x·i_d, S_μ being the coset sums of Θ̇(r_μ)
+          (memoized per μ for this call).
+        Nothing is divided.
+        """
+        H, B = self.H, self.bern
+        consts: dict = {}  # frozenset({m, n}) -> {μ: c^μ_{mn}}
+        sums: dict = {}  # μ -> coset sums of Θ̇(r_μ)
         for i, rx in enumerate(table.rows):
+            self._kelt_rep(F, rx.x)
             for ry in table.rows[i:]:
-                prod = self.kelt_product(F, rx.x, ry.x)
-                rhs = transforms[id(rx)] * transforms[id(ry)]
-                if self._theta_of_times_oneK(F, rhs) != prod:
+                d, P_d = self._kelt_rep(F, ry.x)
+                coords: dict = {}  # μ -> raw c_μ
+                for m, s in rx.entries:
+                    for n, t in ry.entries:
+                        key = frozenset((m, n))
+                        c = consts.get(key)
+                        if c is None:
+                            c = consts[key] = B.expand_over_orbit_sums(B.orbit_sum_r(m) * B.orbit_sum_r(n))
+                        _axpy(coords, c, _mul(s.d, t.d))
+                pairs = []
+                for mu, c in coords.items():
+                    S = sums.get(mu)
+                    if S is None:
+                        S = sums[mu] = self._exact_width(H.coset_sums(B.theta_of(B.orbit_sum_r(mu)), F))
+                    pairs.append((S, LaurentPoly.__new_raw__(_mul(c, P_d.d))))
+                if H.lincomb(pairs) != H.coset_sums(self.kelt(F, rx.x), F, d):
                     raise SolveInconsistent(
                         f"Satake transform not multiplicative at x={rx.x}, y={ry.x}"
                     )

@@ -93,6 +93,25 @@ def test_orbit_sums(B1, Bt2):
         B1.orbit_sum_r(lat(B1, [1]))
 
 
+def test_orbit_sum_memo_is_shared_and_left_unchanged():
+    """orbit_sum_r returns one memoized element per antidominant m, and the
+    group-algebra product, from_orbit_sums and expand_over_orbit_sums leave
+    every memo entry as it was."""
+    B = Bernstein(IwahoriHecke.for_datum(load_bundled("c2")))
+    ms = [m for m, _ in B.datum.antidominant_set(2)]
+    memo = {m: B.orbit_sum_r(m) for m in ms}
+    before = {m: {mu: dict(p.d) for mu, p in r.d.items()} for m, r in memo.items()}
+    assert all(B.orbit_sum_r(m) is r for m, r in memo.items())
+    for m in ms:
+        for n in ms:
+            prod = memo[m] * memo[n]
+            coords = B.expand_over_orbit_sums(prod)
+            assert B.from_orbit_sums(coords.items()) == prod
+    B.from_orbit_sums([(m, Q + 2) for m in ms])
+    assert all(B.orbit_sum_r(m) is r for m, r in memo.items())
+    assert {m: {mu: p.d for mu, p in r.d.items()} for m, r in memo.items()} == before
+
+
 def test_orbit_sum_coefficients_nonneg_q_powers(Bc2):
     for m, _ in Bc2.datum.antidominant_set(2):
         for mu, p in Bc2.orbit_sum_r(m).d.items():

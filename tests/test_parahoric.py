@@ -278,14 +278,15 @@ def test_compatibility_diagram_example(E1):
 
 @pytest.mark.parametrize("name", ["c2", "a2", "gl2", "a1_torsion2"])
 def test_packed_theta_times_oneK_matches_reference(name):
-    """Θ̇(r)·1_K summed over the packed memo equals Σ_m p_m·(Θ_m·1_K) in plain
-    LaurentPoly arithmetic over fresh products, while the memo entries' digit
-    widths grow under the calls: small coefficients first, then one monomial
-    of size 10^30 on the entry with the largest coefficient, then random
+    """Θ̇(r)·1_K, as the closed-form product mul_oneK of the packed sum Θ̇(r) and
+    as the copy of its coset sums onto the cosets, equals Σ_m p_m·(Θ_m·1_K) in
+    plain LaurentPoly arithmetic over fresh generic products, while the sums
+    widen the Θ_m memo entries in place: small coefficients first, then one
+    monomial of size 10^30 on the Θ_m with the largest coefficient, then random
     coefficients up to 10^30."""
     d = load_engine(name).datum
     P = Parahoric(Bernstein(IwahoriHecke.for_datum(d)))
-    H, rng = P.H, random.Random(name)
+    H, B, W, rng = P.H, P.bern, P.W, random.Random(name)
     ms = sorted({x for m, _ in d.antidominant_set(2) for x in d.orbit(m)})
     refs: dict = {}
 
@@ -293,9 +294,9 @@ def test_packed_theta_times_oneK_matches_reference(name):
         return LaurentPoly({rng.randint(-6, 4): rng.choice((-1, 1)) * rng.randint(1, size)
                             for _ in range(rng.randint(1, 3))})
 
-    def ref(F, m):  # Θ_m·1_K as a fresh product; reading a memo entry's d would unpack it
+    def ref(F, m):  # Θ_m·1_K as a fresh generic product; reading a memo entry's d would unpack it
         if (F.J, m) not in refs:
-            refs[F.J, m] = H.mul(P.bern.theta(m), F.one_K).d
+            refs[F.J, m] = H.mul(B.theta(m), F.one_K).d
         return refs[F.J, m]
 
     def check(F, coeffs):
@@ -303,23 +304,22 @@ def test_packed_theta_times_oneK_matches_reference(name):
         for m, p in coeffs.items():
             for w, c in ref(F, m).items():
                 want[w] = want.get(w, LaurentPoly.zero()) + p * c
-        got = P._theta_of_times_oneK(F, GroupAlgElt(d, coeffs))
-        assert got.d == {w: c for w, c in want.items() if c}
+        want = {w: c for w, c in want.items() if c}
+        r = GroupAlgElt(d, coeffs)
+        assert H.mul_oneK(B.theta_of(r), F).d == want
+        assert _expand_cosets(W, F, H.coset_sums(B.theta_of(r), F)) == want
 
     for J in [(), P.special_facet().J]:
         F = P.facet(J)
         for _ in range(6):
             check(F, {m: poly(3) for m in rng.sample(ms, 3)})
         top = max(ms, key=lambda m: max(abs(c) for p in ref(F, m).values() for c in p.d.values()))
-        P.theta_oneK(F, top)
-        small = P._theta_oneK[J, top]._pk[2]
-        packed = [m for m in ms if (J, m) in P._theta_oneK]
         check(F, {top: LaurentPoly({-3: -(10 ** 30)})})
-        assert P._theta_oneK[J, top]._pk[2] > small
         for _ in range(6):
             check(F, {m: poly(10 ** 30) for m in rng.sample(ms, 3)})
-        for m in packed:  # entries packed before the width grew still unpack to Θ_m·1_K
-            assert P.theta_oneK(F, m) == H.mul(P.bern.theta(m), F.one_K)
+        for m in ms:  # memo entries widened by the sums still give Θ_m·1_K
+            if m in B._theta:
+                assert H.mul_oneK(B.theta(m), F).d == ref(F, m)
 
 
 # -- closed-form products with 1_K and with double-coset sums ----------------------
@@ -338,6 +338,11 @@ def _fresh_engine(name):
 def _fresh(H, h):
     """A d-form copy of h, so that a reference product does not share operands."""
     return H.from_terms(list(h.d.items()))
+
+
+def _expand_cosets(W, F, sums):
+    """Σ_{w'} S_{w'}·Σ_{v ∈ W_J} i_{w'v} as a dict, for coset sums keyed by w'."""
+    return {W.compose(x, v): p for x, p in sums.d.items() for v in F.elements}
 
 
 def _random_elt(H, rng, ball, size):
@@ -387,6 +392,79 @@ def test_oneK_closed_forms_match_mul(name):
             assert H.mul_oneK(H.mul_oneK(_fresh(H, a), F), F, dx, P_d).d == a_hx
             left = H.mul_oneK(H.mul_oneK(H.vee_involution(_fresh(H, a)), F), F, W.inverse(dx), P_d)
             assert H.vee_involution(left).d == hx_a
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_coset_sums_expand_to_mul_oneK(name):
+    """Copying each coset sum S_{w'} onto its coset w'W_J gives mul_oneK: with w,
+    with a divisor, and with neither, for random a on W.ball(4) with
+    coefficients up to 10^30, on every finite facet; each key w' is the
+    shortest element of its coset."""
+    eng = _fresh_engine(name)
+    H, W = eng.hecke, eng.weyl
+    rng = random.Random(name)
+    ball = W.ball(4)
+    for F in _finite_facets(eng):
+        for size in (9, 10**30):
+            a = _random_elt(H, rng, ball, size)
+            w = rng.choice(ball)
+            for b, args in [(a, ()), (a, (w,)), (a.scale(F.poincare), (None, F.poincare)),
+                            (a.scale(F.poincare), (w, F.poincare))]:
+                sums = H.coset_sums(_fresh(H, b), F, *args)
+                assert sums
+                assert all(W.length(W.compose(x, v)) > W.length(x)
+                           for x in sums.d for v in F.elements if v != W.identity)
+                assert _expand_cosets(W, F, sums) == H.mul_oneK(_fresh(H, b), F, *args).d
+
+
+@pytest.mark.parametrize("name", ["c2", "a2"])
+def test_multiplicativity_check_catches_a_wrong_row(name):
+    """Adding q to the last entry of a non-minuscule Satake row makes the
+    product check fail, first at x = 0 and y = that row."""
+    eng = _fresh_engine(name)
+    P, d = eng.para, eng.datum
+    F = P.special_facet()
+    table = P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=False)
+    P._check_multiplicative(F, table)
+    row = next(r for r in table.rows if len(r.entries) > 1)
+    m, s = row.entries[-1]
+    row.entries[-1] = (m, s + Q)
+    x0 = table.rows[0].x
+    with pytest.raises(SolveInconsistent) as exc:
+        P._check_multiplicative(F, table)
+    assert str(exc.value) == f"Satake transform not multiplicative at x={x0}, y={row.x}"
+
+
+@pytest.mark.parametrize("name", ["c2", "a2"])
+def test_multiplicativity_check_catches_a_wrong_structure_constant(name, monkeypatch):
+    """One wrong orbit-sum structure constant, c^μ_{xx} + q for the last row's x,
+    makes the product check fail at the first pair of rows that both have an
+    entry at x."""
+    eng = _fresh_engine(name)
+    P, d, B = eng.para, eng.datum, eng.bern
+    F = P.special_facet()
+    table = P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=False)
+    x = table.rows[-1].x
+    target = B.orbit_sum_r(x) * B.orbit_sum_r(x)
+    real = B.expand_over_orbit_sums
+    hits = []
+
+    def perturbed(r):
+        out = real(r)
+        if r == target:
+            hits.append(r)
+            mu = min(out)
+            out = {**out, mu: out[mu] + Q}
+        return out
+
+    monkeypatch.setattr(B, "expand_over_orbit_sums", perturbed)
+    rows = table.rows
+    first = next((rx.x, ry.x) for i, rx in enumerate(rows) for ry in rows[i:]
+                 if x in dict(rx.entries) and x in dict(ry.entries))
+    with pytest.raises(SolveInconsistent) as exc:
+        P._check_multiplicative(F, table)
+    assert str(exc.value) == "Satake transform not multiplicative at x={}, y={}".format(*first)
+    assert len(hits) == 1
 
 
 @pytest.mark.parametrize("name", ALL_DATA)
