@@ -5,7 +5,9 @@ part); the finite part is an index into the enumerated finite Weyl group.
 Length is the wall-crossing count through a fixed rational interior point of
 the base alcove; reduced words are produced by greedy left descent with
 lowest-index tie-break, ending in a length-zero element of Ω (which is never
-enumerated, only decomposed against).
+enumerated, only decomposed against).  Reduced words are memoized for every
+element on the descent path, and a descent stops at the first element already
+memoized.
 
 The Bruhat order is the Coxeter order on the affine part, fiberwise over Ω:
 two elements are comparable only when their Ω-parts coincide.
@@ -119,26 +121,39 @@ class AffineWeylGroup:
         return ell
 
     def reduced_word(self, x: ExtWeylElt) -> tuple[tuple[int, ...], ExtWeylElt]:
-        """Deterministic decomposition x = (Π word) · ω with ℓ(ω) = 0."""
-        got = self._red.get(x)
+        """Deterministic decomposition x = (Π word) · ω with ℓ(ω) = 0.
+
+        The greedy descent stops at the first element whose word is already
+        memoized and splices that word on; every element it passed through is
+        memoized too.  word(y) = (i,) + word(s_i·y) for y's first descent i,
+        which is what the greedy descent computes from s_i·y, so the memo
+        never changes a word.
+        """
+        red = self._red
+        got = red.get(x)
         if got is not None:
             return got
-        word: list[int] = []
+        path: list[tuple[ExtWeylElt, int]] = []  # (element, its first descent)
         cur = x
         ell = self.length(cur)
-        while ell > 0:
+        while got is None and ell > 0:
             for i in self.datum.saff_indices:
                 nxt = self.compose(self._gens[i], cur)
                 nell = self.length(nxt)
                 if nell < ell:
-                    word.append(i)
+                    path.append((cur, i))
                     cur, ell = nxt, nell
                     break
             else:
                 raise RuntimeError(f"no left descent at positive length: {x}")
-        out = (tuple(word), cur)
-        self._red[x] = out
-        return out
+            got = red.get(cur)
+        if got is None:  # the descent reached ℓ = 0 at cur ∈ Ω
+            got = red[cur] = ((), cur)
+        word, om = got
+        for y, i in reversed(path):
+            word = (i,) + word
+            got = red[y] = (word, om)
+        return got
 
     def weighted_length(self, x: ExtWeylElt) -> int:
         wl = self._wlen.get(x)

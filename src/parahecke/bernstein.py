@@ -13,7 +13,11 @@ computed as IwahoriHecke.mul_inverse(i_{m+m∘}, t_{m∘}): the single basis
 element is shifted by the length-zero part of t_{m∘} and the ℓ(t_{m∘})
 two-term factors of the inverse are applied to it one at a time, so the
 inverse itself is never built.  The IM ↔ Bernstein change of basis is a
-triangular elimination whose diagonal is a unit monomial.
+triangular elimination whose diagonal is a unit monomial.  Both directions
+run over the products Θ_m·i_w (w ∈ W₀), memoized per (m, w) in the dict form
+{w: LaurentPoly} that the elimination and the sums read.  A packed HeckeElt
+entry would be unpacked by each elimination step that reads it and repacked by
+each sum, on every call.
 
 GroupAlgElt (elements of R = Z[v^{±1}][Λ]) and BernsteinElt (coordinates over
 {Θ_m * i_w}) are ringcore.SparseElt modules like HeckeElt: each adds only its
@@ -97,6 +101,7 @@ class Bernstein:
         self.datum = H.datum
         self._E: dict[LatticeElt, int] = {}
         self._theta: dict[LatticeElt, HeckeElt] = {}
+        self._theta_fin: dict[tuple[LatticeElt, int], dict] = {}
         self._orbit_sums: dict[LatticeElt, GroupAlgElt] = {}
 
     # -- the exponent homomorphism ------------------------------------------
@@ -201,28 +206,36 @@ class Bernstein:
 
     # -- IM <-> Bernstein change of basis -----------------------------------
 
+    def _theta_times_finite(self, m: LatticeElt, wi: int) -> dict:
+        """Θ_m·i_w for w = W.finite(wi), as the dict {w: LaurentPoly} that
+        _eliminate and _lincomb read, memoized: callers never write into it."""
+        got = self._theta_fin.get((m, wi))
+        if got is None:
+            H = self.H
+            got = self._theta_fin[(m, wi)] = H.mul(self.theta(m), H.basis(self.W.finite(wi))).d
+        return got
+
     def bern_to_im(self, b: BernsteinElt) -> HeckeElt:
-        H, W = self.H, self.W
-        return H.lincomb((H.mul(self.theta(m), H.basis(W.finite(wi))), p) for (m, wi), p in b.d.items())
+        pairs = ((self._theta_times_finite(m, wi), p.d) for (m, wi), p in b.d.items())
+        return HeckeElt._wrap(self.H, _lincomb(pairs))
 
     def im_to_bern(self, h: HeckeElt) -> BernsteinElt:
         """Triangular elimination against the Bruhat-maximal support element."""
-        W, H = self.W, self.H
+        W = self.W
         residual = {w: dict(p.d) for w, p in h.d.items()}
         out: dict = {}
         prev_key = None
         while residual:
-            x = max(residual, key=W.sort_key)
-            key = W.sort_key(x)
+            key, x = max((W.sort_key(w), w) for w in residual)
             if prev_key is not None and key >= prev_key:
                 raise SolveInconsistent("elimination failed to decrease")
             prev_key = key
             mx = LatticeElt(x.free, x.tors)
-            prod = H.mul(self.theta(mx), H.basis(W.finite(x.w)))
-            diag = prod.d.get(x)
+            prod = self._theta_times_finite(mx, x.w)
+            diag = prod.get(x)
             if diag is None or not diag.is_unit_monomial():
                 raise NonUnitDiagonal(f"diagonal at {W.format_elt(x)} is {diag}")
-            out[(mx, x.w)] = _eliminate(residual, prod.d, x)
+            out[(mx, x.w)] = _eliminate(residual, prod, x)
         return BernsteinElt(self, out)
 
     # -- the Bernstein relation (equal-parameter case) -----------------------

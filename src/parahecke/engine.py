@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 from . import __version__
 from .affweyl import AffineWeylGroup, ExtWeylElt
@@ -38,15 +37,16 @@ CACHE_VERSION = 3
 _REGISTRY: dict = {}
 
 
-@dataclass
 class Engine:
-    datum: Datum
-    weyl: AffineWeylGroup
-    hecke: IwahoriHecke
-    bern: Bernstein
-    para: Parahoric
-    # (path, Θ entries) when that file holds exactly the Θ memo table
-    _saved: tuple | None = field(default=None, init=False, repr=False)
+    def __init__(self, datum: Datum, weyl: AffineWeylGroup, hecke: IwahoriHecke, bern: Bernstein,
+                 para: Parahoric):
+        self.datum = datum
+        self.weyl = weyl
+        self.hecke = hecke
+        self.bern = bern
+        self.para = para
+        # (path, Θ entries) when that file holds exactly the Θ memo table
+        self._saved: tuple | None = None
 
     # -- persisted memo tables -------------------------------------------
 

@@ -46,7 +46,7 @@ after ℓ(w₀) + 1 levels instead of after `facet_bound` elements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bernstein import Bernstein, GroupAlgElt
 from .errors import (
@@ -66,28 +66,45 @@ from .rootdatum import LatticeElt
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
 
 
-@dataclass(frozen=True)
 class FacetType:
-    """A finite parabolic W_J with its unit mass and Poincaré polynomial."""
+    """A finite parabolic W_J with its unit mass and Poincaré polynomial.
 
-    J: tuple
-    elements: tuple
-    poincare: LaurentPoly
-    one_K: HeckeElt = field(compare=False)
+    Immutable.  Equality and hashing read J, elements and poincare; one_K is
+    determined by them, and a HeckeElt is not hashable.
+    """
+
+    __slots__ = ("J", "elements", "poincare", "one_K")
+
+    def __init__(self, J: tuple, elements: tuple, poincare: LaurentPoly, one_K: HeckeElt):
+        for name, value in zip(self.__slots__, (J, elements, poincare, one_K)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FacetType is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FacetType is immutable; cannot delete {name}")
+
+    def _key(self) -> tuple:
+        return self.J, self.elements, self.poincare
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is FacetType else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"FacetType(J={list(self.J)}, |W_J|={len(self.elements)})"
 
 
-@dataclass
-class SatakeRow:
+class SatakeRow(NamedTuple):
     x: LatticeElt
     entries: list  # [(m, LaurentPoly)] in elimination order (rank, lex)
     checks: dict
 
 
-@dataclass
-class SatakeTable:
+class SatakeTable(NamedTuple):
     datum: str
     facet: tuple
     rows: list

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -137,9 +136,8 @@ def _int_coords(vectors: tuple[Vec, ...], target: Vec) -> Vec | None:
     return tuple(int(c) for c in sol)
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """Raw configuration, exactly as ingested from a datum file."""
+class RootDatum(NamedTuple):
+    """Raw configuration, exactly as ingested from a datum file (immutable)."""
 
     name: str
     free_rank: int

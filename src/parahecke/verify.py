@@ -12,7 +12,7 @@ suite halts immediately and surfaces the serialized counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bernstein import GroupAlgElt
 from .engine import Engine
@@ -30,8 +30,7 @@ _ROUNDTRIP_SEED = 0x0B450
 _SAMPLE_SEED = 0x5EED
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "PASS" | "FAIL" | "SKIP" | "FALSIFIED"
     detail: str | None = None

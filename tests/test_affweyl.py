@@ -1,9 +1,11 @@
 """Group law, length anchors, reduced words, Bruhat order."""
 
+import random
+
 import pytest
 
 from parahecke.affweyl import AffineWeylGroup
-from parahecke.rootdatum import load_bundled
+from parahecke.rootdatum import BUNDLED_NAMES, load_bundled
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,37 @@ def test_reduced_words_recompose(c2):
         word, om = c2.reduced_word(x)
         assert len(word) == c2.length(x)
         assert c2.compose(c2.word_to_elt(word), om) == x
+
+
+def _greedy_word(W, x):
+    """Greedy left descent with lowest-index tie-break, from compose and length alone."""
+    word = []
+    while W.length(x) > 0:
+        i = next(i for i in W.datum.saff_indices if W.length(W.compose(W.gen(i), x)) < W.length(x))
+        word.append(i)
+        x = W.compose(W.gen(i), x)
+    return tuple(word), x
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_reduced_word_memo_is_order_independent(name):
+    """Words spliced from the memo are the greedy words, whatever the query order."""
+    datum = load_bundled(name)
+    ball = AffineWeylGroup(datum).ball(6)
+    ref = AffineWeylGroup(datum)
+    expected = {x: _greedy_word(ref, x) for x in ball}
+    for seed in (1, 2):
+        W = AffineWeylGroup(datum)
+        order = list(ball)
+        random.Random(seed).shuffle(order)
+        for x in order:
+            assert W.reduced_word(x) == expected[x]
+        for y, (word, om) in W._red.items():
+            if word:
+                assert W.reduced_word(W.compose(W.gen(word[0]), y)) == (word[1:], om)
+            else:
+                assert y == om and W.length(y) == 0
+        assert sorted(ball, key=W.sort_key) == ball
 
 
 def test_length_inverse_invariance(c2):

@@ -2,14 +2,18 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from parahecke.bernstein import Bernstein, BernsteinElt, GroupAlgElt
+from parahecke.engine import Engine
 from parahecke.errors import NotAntidominant, SolveInconsistent, UnsupportedParameters
 from parahecke.hecke import HeckeElt, IwahoriHecke
+from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
+from parahecke.verify import _check_roundtrip, suite_bern
 
 Q = LaurentPoly.q()
 
@@ -235,6 +239,76 @@ def test_change_basis_roundtrip_with_omega(Bt2):
     for _ in range(10):
         h = H.basis(rng.choice(ball)) + H.basis(rng.choice(ball)).scale(Q)
         assert Bt2.bern_to_im(Bt2.im_to_bern(h)) == h
+
+
+# -- the memo of Θ_m·i_w behind the change of basis ---------------------------
+
+
+def _fresh_bern(name):
+    return Bernstein(IwahoriHecke.for_datum(load_bundled(name)))
+
+
+def _memo_snapshot(B):
+    """A deep copy of the Θ_m·i_w memo, as raw dicts."""
+    return {key: {w: dict(p.d) for w, p in prod.items()} for key, prod in B._theta_fin.items()}
+
+
+@pytest.mark.parametrize("name", ["a1_torsion2", "c2"])
+def test_change_basis_memo_fresh_equals_warm(name):
+    """Each direction gives the same result on an empty memo as on a warm one."""
+    warm = _fresh_bern(name)
+    eng = SimpleNamespace(bern=warm, hecke=warm.H, weyl=warm.W)
+    assert _check_roundtrip(eng) is None  # warms the memo
+    rng = random.Random(31)
+    ball = warm.W.ball(4)
+    for _ in range(6):
+        h = warm.H.zero()
+        for _ in range(rng.randint(1, 3)):
+            h = h + warm.H.basis(rng.choice(ball)).scale(LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)}))
+        b = warm.im_to_bern(h)
+        assert b.d == _fresh_bern(name).im_to_bern(h).d
+        assert warm.bern_to_im(b) == _fresh_bern(name).bern_to_im(b) == h
+
+
+def test_change_basis_memo_entries_stay_unchanged():
+    """The 200-sample round trip never writes into a memo entry: each entry
+    equals a fresh Θ_m·i_w after one pass and is untouched by a second."""
+    B = _fresh_bern("c2")
+    eng = SimpleNamespace(bern=B, hecke=B.H, weyl=B.W)
+    assert _check_roundtrip(eng) is None
+    before = _memo_snapshot(B)
+    assert before
+    ref = _fresh_bern("c2")
+    for (m, wi), prod in before.items():
+        fresh = ref.H.mul(ref.theta(m), ref.H.basis(ref.W.finite(wi)))
+        assert prod == {w: p.d for w, p in fresh.d.items()}
+    assert _check_roundtrip(eng) is None
+    assert _memo_snapshot(B) == before
+
+
+@pytest.mark.parametrize("sabotage, detail", [
+    ("scale", "NonUnitDiagonal: diagonal at"),
+    ("extend", "SolveInconsistent: elimination failed to decrease"),
+])
+def test_sabotaged_memo_entry_fails_the_roundtrip_row(monkeypatch, sabotage, detail):
+    """A wrong memoized Θ_m·i_w makes change_basis_roundtrip_200_random a FAIL row:
+    a diagonal that is not a unit monomial, or a term above the pivot."""
+    d = load_bundled("a1")
+    P = Parahoric(_fresh_bern("a1"))
+    eng = Engine(datum=d, weyl=P.W, hecke=P.H, bern=P.bern, para=P)
+    assert _check_roundtrip(eng) is None
+    B, W = eng.bern, eng.weyl
+    (m, wi), prod = next(iter(B._theta_fin.items()))  # the first pivot of the first sample
+    if sabotage == "scale":
+        bad = {w: p * (LaurentPoly.q() + 1) for w, p in prod.items()}
+    else:  # a term at an element longer than every term of the entry
+        top = max(prod, key=W.sort_key)
+        up = max((W.compose(top, W.gen(i)) for i in d.saff_indices), key=W.sort_key)
+        bad = {**prod, up: LaurentPoly.one()}
+    monkeypatch.setitem(B._theta_fin, (m, wi), bad)
+    rows = {r.name: r for r in suite_bern(eng)}
+    row = rows["change_basis_roundtrip_200_random"]
+    assert row.status == "FAIL" and row.detail.startswith(detail)
 
 
 def test_bernstein_slots_stay_in_bruhat_ideal(Bc2):

@@ -1,17 +1,21 @@
-"""CLI commands, expression grammar, exit codes, cache persistence."""
+"""CLI commands, expression grammar, exit codes, cache persistence, start-up imports."""
 
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from parahecke import engine as engine_mod
-from parahecke.engine import CACHE_ENV, CACHE_VERSION, load_engine
+from parahecke.engine import CACHE_ENV, CACHE_VERSION, Engine, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_hecke_expr, parse_lattice
+from parahecke.parahoric import FacetType
 from parahecke.ringcore import LaurentPoly
+from parahecke.rootdatum import RootDatum
+from parahecke.verify import CheckResult
 from parahecke import cli
 
 Q = LaurentPoly.q()
@@ -387,3 +391,45 @@ def test_unknown_generator_exits_2(capsys, args):
     code, out, err = capture(capsys, ["--datum", datum, *argv])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+# -- start-up: no dataclasses, and the records keep their semantics --------------
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Importing the CLI pulls in neither `dataclasses` nor `inspect` (-S keeps
+    site hooks out of the count)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import parahecke.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_record_semantics(E1):
+    d, P = E1.datum, E1.para
+    # RootDatum: equal by value, immutable
+    cfg = RootDatum.from_dict(d.cfg.to_dict())
+    assert cfg == d.cfg and cfg is not d.cfg
+    assert RootDatum.from_dict({**d.cfg.to_dict(), "name": "other"}) != d.cfg
+    with pytest.raises(AttributeError):
+        cfg.name = "other"
+    # FacetType: equality and hashing ignore one_K, immutable
+    F = P.special_facet()
+    G = FacetType(J=F.J, elements=F.elements, poincare=F.poincare, one_K=E1.hecke.zero())
+    assert F == G and hash(F) == hash(G) and {F: 1}[G] == 1
+    assert F != P.facet(())
+    for name in ("J", "one_K"):
+        with pytest.raises(AttributeError):
+            setattr(F, name, None)
+        with pytest.raises(AttributeError):
+            delattr(F, name)
+    # Engine: keyword construction
+    eng = Engine(datum=d, weyl=E1.weyl, hecke=E1.hecke, bern=E1.bern, para=P)
+    assert (eng.datum, eng.weyl, eng.hecke, eng.bern, eng.para) == (d, E1.weyl, E1.hecke, E1.bern, P)
+    # CheckResult: three fields, detail defaults to None
+    r = CheckResult(name="n", status="PASS")
+    assert (r.name, r.status, r.detail) == ("n", "PASS", None)
+    assert CheckResult("n", "FAIL", "why").detail == "why"

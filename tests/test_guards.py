@@ -29,10 +29,12 @@ def test_non_unit_diagonal_guard(monkeypatch):
     h = H.basis(eng.weyl.elt([1]))
     monkeypatch.setattr(H, "mul", bad_mul)
     B._theta.clear()
+    B._theta_fin.clear()  # a memoized Θ_m·i_w would skip the sabotaged mul
     with pytest.raises(NonUnitDiagonal):
         B.im_to_bern(h)
     monkeypatch.undo()
     B._theta.clear()
+    B._theta_fin.clear()
 
 
 def test_negative_coefficient_counterexample(monkeypatch):
