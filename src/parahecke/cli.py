@@ -31,7 +31,7 @@ def _add_shared_flags(p, suppress: bool):
                    help=f"datum file path or bundled name {BUNDLED_NAMES}")
     p.add_argument("--out", default=d(None), help="write output to this file instead of stdout")
     p.add_argument("--format", default=d("json"), choices=("json", "csv", "pretty"), help="output format")
-    p.add_argument("--q", type=int, default=d(None), help="specialize q at this prime power")
+    p.add_argument("--q", type=int, default=d(None), help="specialize q at this prime power (satake, json or csv)")
     p.add_argument("--jobs", type=int, default=d(1), help="accepted for compatibility; has no effect (computation is single-threaded)")
     p.add_argument("--height", type=int, default=d(2), help="antidominant enumeration bound")
     p.add_argument("--facet", default=d(""), help="comma-separated affine generator indices, e.g. '1,2'")
@@ -114,6 +114,9 @@ def run(args) -> int:
         return 2
     if args.q is not None and not is_prime_power(args.q):
         print(f"error: --q must be a prime power, got {args.q}", file=sys.stderr)
+        return 2
+    if args.q is not None and (args.command != "satake" or args.format == "pretty"):
+        print("error: --q is only available for the satake command with --format json or csv", file=sys.stderr)
         return 2
     if args.height < 0:
         print("error: --height must be >= 0", file=sys.stderr)

@@ -11,6 +11,8 @@ primitive rewriting step is right multiplication by a generator:
 and i_w · i_ω = i_{wω} for length-zero ω.  Products decompose the right
 factor along its reduced word; the per-(element, generator) results are
 memoized, and right factors with shared word prefixes are cascaded together.
+`mul_basis_each` forms a·i_w for several w in the same walk, each leaf of the
+trie of their reduced words flushing into its own product.
 
 The same memoized step serves inversion.  For w = s_1···s_ℓ·ω reduced,
 
@@ -45,12 +47,13 @@ u ∈ W_J; then i_w = i_{w'}·i_u, i_u·1_K = q_u·1_K and i_{w'}·i_v = i_{w'v}
 keyed by the ids of the w' (its N is N(a)); `mul_oneK` copies each sum onto
 w'W_J, so a·1_K has N = |W_J| · N(a).  X·1_K is determined by X's coset sums,
 linearly, so a caller that only compares such products can compare their
-coset sums and skip the copy.  For a·i_w·1_K both first form a·i_w with
-`mul`.  1_K is ∨-stable, so 1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a
-divisor P, `coset_sums` divides each coset sum exactly (LaurentPoly.exact_div),
-once per coset rather than once per term; the quotients' N is recomputed from
-their coefficients, because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x)
-has norm n + 1).
+coset sums and skip the copy.  `coset_reps` keeps the terms of a at the
+shortest coset elements (for a = X·1_K, an X with that support).  For
+a·i_w·1_K both first form a·i_w with `mul`.  1_K is ∨-stable, so
+1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a divisor P, `coset_sums` divides
+each coset sum exactly (LaurentPoly.exact_div), once per coset rather than
+once per term; the quotients' N is recomputed from their coefficients,
+because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
@@ -267,12 +270,31 @@ class IwahoriHecke:
         Za, ea = self._packed(a, k)
         Zb, eb = self._packed(b, k)
         intern = W.intern
-        entries = sorted(
-            ((word, intern(om), C) for (word, om), C in zip(words, Zb.values())), key=lambda e: e[0]
-        )
         acc: dict = {}
-        self._mul_rec(Za, entries, 0, len(entries), 0, acc, k)
+        entries = sorted(
+            ((word, intern(om), C, acc) for (word, om), C in zip(words, Zb.values())), key=lambda e: e[0]
+        )
+        self._mul_rec(Za, entries, 0, len(entries), 0, k)
         return self._from_packed(acc, ea + eb, k, N)
+
+    def mul_basis_each(self, a: HeckeElt, ws) -> list:
+        """[a·i_w for w in ws], packed elements at one width, with a packed in
+        place: one walk of the trie of the ws' reduced words, so words that
+        share a prefix share its generator steps, and each leaf flushes into
+        its own product.  a·i_w has N = N(a) · 3^ℓ(w) (width rule above)."""
+        W = self.weyl
+        words = [W.reduced_word(w) for w in ws]
+        if not a:
+            return [self.zero() for _ in words]
+        Na, ka = _size(a)
+        k = max(_width(Na * 3 ** max((len(word) for word, _ in words), default=0)), ka)
+        Za, ea = self._packed(a, k)
+        accs = [{} for _ in words]
+        entries = sorted(
+            ((word, W.intern(om), 1, acc) for (word, om), acc in zip(words, accs)), key=lambda e: e[0]
+        )
+        self._mul_rec(Za, entries, 0, len(entries), 0, k)
+        return [self._from_packed(acc, ea, k, Na * 3 ** len(word)) for (word, _), acc in zip(words, accs)]
 
     def mul_word(self, a: HeckeElt, word) -> HeckeElt:
         """a · i_{s_1} ··· i_{s_ℓ} for word = (s_1, …, s_ℓ) of generator indices,
@@ -347,17 +369,22 @@ class IwahoriHecke:
         out._pk = ({n: P for n, P in Z.items() if P}, e0, k, N)
         return out
 
-    def _mul_rec(self, cur, entries, lo, hi, depth, acc, k):
+    def _mul_rec(self, cur, entries, lo, hi, depth, k):
+        """One walk of the trie of the words of entries[lo:hi], sorted by word,
+        from cur = a · (their common prefix of length depth): each entry
+        (word, id of ω, C, acc) whose word ends here gets acc += cur · i_ω · C,
+        and the entries whose next letter is g share one step cur · i_g."""
         i = lo
         while i < hi and len(entries[i][0]) == depth:
-            self._flush(cur, entries[i][1], entries[i][2], acc)
+            _, om, C, acc = entries[i]
+            self._flush(cur, om, C, acc)
             i += 1
         while i < hi:
             g = entries[i][0][depth]
             j = i
             while j < hi and entries[j][0][depth] == g:
                 j += 1
-            self._mul_rec(self._apply_gen_right(cur, g, k), entries, i, j, depth + 1, acc, k)
+            self._mul_rec(self._apply_gen_right(cur, g, k), entries, i, j, depth + 1, k)
             i = j
 
     def _flush(self, cur, om, C, acc):
@@ -488,6 +515,19 @@ class IwahoriHecke:
     def oneK_mul(self, F, a: HeckeElt) -> HeckeElt:
         """1_K·a = ∨(∨a · 1_K), 1_K being ∨-stable."""
         return self.vee_involution(self.mul_oneK(self.vee_involution(a), F))
+
+    def coset_reps(self, a: HeckeElt, F) -> HeckeElt:
+        """a's terms at the shortest elements w' of the cosets w'W_J, a packed
+        element (a packed in place).  When a is constant on each coset, as
+        a = X·1_K is, this X satisfies a = X·1_K, and its coset sums are X."""
+        if not a:
+            return self.zero()
+        N, k = _size(a)
+        k = k or _width(N)
+        Z, e0 = self._packed(a, k)
+        red = self._cosets.setdefault(F.J, ({}, {}))[0]
+        out = {n: P for n, P in Z.items() if (red.get(n) or self._coset_min(red, F.J, n))[0] == n}
+        return self._from_packed(out, e0, k, N)
 
     def _coset_min(self, red: dict, J, n: int) -> tuple:
         """(id of w', 2L(u)) for w = by_id[n] = w'u with w' minimal in wW_J and

@@ -9,11 +9,16 @@ take the closed forms of `hecke` (IwahoriHecke.mul_oneK, oneK_mul).  For d the
 shortest element of W_J t_y W_J, 1_K·i_d·1_K = P_{J,d}·h_y, with P_{J,d} its
 coefficient at d (checked once per (J, y)), so
 
-    h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d},
+    h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d}.
 
-and z commutes with h_y exactly when (z·1_K)·i_d·1_K = 1_K·i_d·(1_K·z), both
-sides P_{J,d} times the products (H is free over Z[v^±1], so the factor
-changes no outcome and nothing is divided).
+A bi-invariant z (z·1_K = P_J·z = 1_K·z) commutes with h_y exactly when
+z·i_d·1_K = 1_K·i_d·z.  Both sides are constant on every double coset, so
+they are compared at the shortest element u of each: the coset sums of z·i_d
+at u against those of ∨z·i_{d⁻¹} at u⁻¹, with z·i_d for every y from one walk
+of the trie of the d's reduced words (proof at `noncommuting_kelt`).  Center
+products are compared on coset sums too: z₁·z₂ = (z₁·X₂)·1_K for X₂ the terms
+of z₂ at the shortest coset elements (proof at `center_product_expand`).
+Neither check divides.
 
 Central elements are z_m = Θ̇(r_m) * 1_K (antidominant m); at the special
 maximal facet they are everything, and solving h_x = Σ_m s_{x,m} z_m by
@@ -267,18 +272,45 @@ class Parahoric:
     def noncommuting_kelt(self, F: FacetType, z: HeckeElt, xs):
         """The first x in xs with z·h_x != h_x·z, or None.
 
-        Both sides are compared times P_{J,d} (see _kelt_rep):
-        (z·1_K)·i_d·1_K against ∨(((∨z)·1_K)·i_{d⁻¹}·1_K) = 1_K·i_d·1_K·z.  H is
-        a free Z[v^±1]-module and P_{J,d} ≠ 0, so the factor changes no outcome.
+        z must be W_J-bi-invariant: z·1_K = P_J·z = 1_K·z.  center_elt's z_m is,
+        being Θ̇(r_m)·1_K by construction and 1_K·Θ̇(r_m) by its check, with
+        1_K·1_K = P_J·1_K (checked by facet); so is every h_y.  Proof, for d
+        the shortest element of W_J t_x W_J:
+        - h_x = 1_K·i_d·1_K / P_{J,d} (_kelt_rep), so z·h_x = P_J·L / P_{J,d}
+          and h_x·z = P_J·R / P_{J,d} for L = z·i_d·1_K and R = 1_K·i_d·z.  H
+          is free over Z[v^±1], so z commutes with h_x exactly when L = R.
+        - L·1_K = P_J·L = 1_K·L, and likewise for R.  An element a with
+          a·1_K = P_J·a is constant on each coset wW_J (it is (a/P_J)·1_K), and
+          one with 1_K·a = P_J·a on each W_J w; so L and R are constant on each
+          double coset, and L = R exactly when they agree at the shortest
+          element u of every double coset.
+        - u is shortest in uW_J, so L at u is the coset sum of z·i_d at u.
+          R = ∨(∨z·i_{d⁻¹}·1_K) and u⁻¹ is shortest in its double coset, so R
+          at u is the coset sum of ∨z·i_{d⁻¹} at u⁻¹.  _double_coset_sums of
+          z·i_d gives the first at each u keyed by u⁻¹, and ∨ of those of
+          ∨z·i_{d⁻¹} gives the second keyed the same way.
+        The products z·i_d and ∨z·i_{d⁻¹} for all of xs come from one trie walk
+        each (IwahoriHecke.mul_basis_each).  Nothing is divided, and neither
+        side is copied onto its cosets.
         """
         H, W = self.H, self.W
-        right = H.mul_oneK(z, F)
-        left = H.mul_oneK(H.vee_involution(z), F)
-        for x in xs:
-            d, _ = self._kelt_rep(F, x)
-            if H.mul_oneK(right, F, d) != H.vee_involution(H.mul_oneK(left, F, W.inverse(d))):
+        xs = list(xs)
+        ds = [self._kelt_rep(F, x)[0] for x in xs]
+        lefts = H.mul_basis_each(z, ds)
+        rights = H.mul_basis_each(H.vee_involution(z), [W.inverse(d) for d in ds])
+        for x, left, right in zip(xs, lefts, rights):
+            if self._double_coset_sums(F, left) != H.vee_involution(self._double_coset_sums(F, right)):
                 return x
         return None
+
+    def _double_coset_sums(self, F: FacetType, a: HeckeElt) -> HeckeElt:
+        """The coset sums of a at the shortest elements u of the double cosets
+        W_J u W_J, keyed by u⁻¹.  The coset sums are keyed by the shortest
+        element u of each coset uW_J, and u is shortest in W_J u W_J exactly
+        when u⁻¹ is also shortest in u⁻¹W_J; so after ∨ the keys that
+        coset_reps keeps are these u⁻¹."""
+        H = self.H
+        return H.coset_reps(H.vee_involution(H.coset_sums(a, F)), F)
 
     def parahoric_mul(self, F: FacetType, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         for side in (a, b):
@@ -318,11 +350,24 @@ class Parahoric:
         return z
 
     def center_product_expand(self, F: FacetType, m1: LatticeElt, m2: LatticeElt) -> dict:
-        """Coordinates of z_{m1} ∗_K z_{m2} over the z-basis (via the R-side)."""
-        r_prod = self.bern.orbit_sum_r(m1) * self.bern.orbit_sum_r(m2)
-        coeffs = self.bern.expand_over_orbit_sums(r_prod)
-        lhs = self.parahoric_mul(F, self.center_elt(F, m1), self.center_elt(F, m2))
-        rhs = self.H.lincomb((self.center_elt(F, m), c) for m, c in coeffs.items())
+        """Coordinates c_μ of z_{m1} ∗_K z_{m2} = Σ_μ c_μ z_μ over the z-basis,
+        read off the R-side (r_{m1}·r_{m2} = Σ_μ c_μ r_μ) and checked in H.
+
+        Each z_μ must be W_J-bi-invariant, as center_elt's checks make it (see
+        noncommuting_kelt).  Proof: z_μ is constant on each coset wW_J, so
+        z_μ = X_μ·1_K for X_μ its terms at the shortest coset elements
+        (IwahoriHecke.coset_reps).  z_{m1} ∗_K z_{m2} = z_{m1}·z_{m2} / P_J and
+        H is free over Z[v^±1], so the identity is
+        (z_{m1}·X_{m2})·1_K = (P_J·Σ_μ c_μ X_μ)·1_K.  Both sides have the form
+        X·1_K, which X's coset sums determine, and the coset sums of an element
+        supported on shortest coset elements are that element; so the identity
+        holds exactly when coset_sums(z_{m1}·X_{m2}) = P_J·Σ_μ c_μ X_μ.
+        Nothing is divided.
+        """
+        B, H = self.bern, self.H
+        coeffs = B.expand_over_orbit_sums(B.orbit_sum_r(m1) * B.orbit_sum_r(m2))
+        lhs = H.coset_sums(H.mul(self.center_elt(F, m1), H.coset_reps(self.center_elt(F, m2), F)), F)
+        rhs = H.lincomb((H.coset_reps(self.center_elt(F, mu), F), c * F.poincare) for mu, c in coeffs.items())
         if lhs != rhs:
             raise SolveInconsistent("center product does not match its z-basis expansion")
         return coeffs

@@ -370,6 +370,20 @@ def test_facet_only_for_center_basis(capsys, args):
     assert err.startswith("error: --facet") and "center-basis" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "presentation"],
+    ["multiply", "s1", "s1"],
+    ["center-basis", "--height", "1"],
+    ["satake", "--height", "1", "--format", "pretty"],
+], ids=["verify", "multiply", "center-basis", "satake-pretty"])
+def test_q_only_for_satake_json_or_csv(capsys, args):
+    """--q is not silently ignored: where no output reads it, the run exits 2
+    with one error line and prints nothing."""
+    code, out, err = capture(capsys, ["--datum", "a1", *args, "--q", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --q") and "satake" in err and err.count("\n") == 1
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = capture(capsys, ["--datum", "a1", "satake", "--height", "1", "--out", str(target)])

@@ -385,6 +385,31 @@ def test_step_memos_match_group_layer(name):
         assert H.mul(a, b).d == reference_mul(H, a, b)
 
 
+@pytest.mark.parametrize("name", ["a1", "a1_unequal", "a1_torsion2", "gl2", "c2", "a2"])
+def test_mul_basis_each_matches_mul(name):
+    """One trie walk gives a·i_w for each w, as the generic product does: on
+    words that are prefixes of one another, a repeated w, the identity and
+    (gl2) ω ≠ 1; each product is an element of its own."""
+    H = IwahoriHecke.for_datum(load_bundled(name))
+    W = H.weyl
+    rng = random.Random(name)
+    ball = W.ball(3)
+    ws = [W.identity, *W.ball(2, with_omega=False), *rng.sample(ball, min(10, len(ball)))]
+    ws.append(ws[-1])
+    words = [W.reduced_word(w)[0] for w in ws]
+    assert any(0 < len(u) < len(v) and v[:len(u)] == u for u in words for v in words)
+    assert name != "gl2" or any(W.reduced_word(w)[1] != W.identity for w in ws)
+    a = random_elt(H, rng, ball)
+    ref = H.from_terms(list(a.d.items()))
+    got = H.mul_basis_each(a, ws)
+    assert len(got) == len(ws) and got[-1] is not got[-2]
+    for w, word, g in zip(ws, words, got):
+        assert g._pk[3] == a._pk[3] * 3 ** len(word)  # the norm bound of the width rule
+        assert g.d == H.mul(ref, H.basis(w)).d
+    assert a == ref
+    assert [g.d for g in H.mul_basis_each(H.zero(), ws)] == [{}] * len(ws)
+
+
 def test_results_do_not_depend_on_id_order():
     """Two c2 engines whose id tables were filled in different orders agree."""
     fresh, warmed = (IwahoriHecke.for_datum(load_bundled("c2")) for _ in range(2))

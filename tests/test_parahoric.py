@@ -519,6 +519,60 @@ def test_center_and_compat_suites_on_every_datum(name):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("name", ["c2", "a2"])
+def test_commutation_check_matches_generic_products(name):
+    """For z' = z_m + h_y, with m and y of height ≤ 1, on every finite facet,
+    noncommuting_kelt returns the first x of height ≤ 2 with
+    z'·h_x != h_x·z' in generic products, or None; some z' fail to commute,
+    so the comparison is not vacuous."""
+    eng = _fresh_engine(name)
+    P, H, d = eng.para, eng.hecke, eng.datum
+    xs = [x for x, _ in d.antidominant_set(2)]
+    ones = [m for m, _ in d.antidominant_set(1)]
+    failing = 0
+    for F in _finite_facets(eng):
+        kelts = {x: _fresh(H, P.kelt(F, x)) for x in xs}
+        for m in ones:
+            for y in ones:
+                z = H.lincomb([(P.center_elt(F, m), LaurentPoly.one()), (P.kelt(F, y), LaurentPoly.one())])
+                ref = _fresh(H, z)
+                want = next((x for x in xs if H.mul(ref, kelts[x]) != H.mul(kelts[x], ref)), None)
+                assert P.noncommuting_kelt(F, z, xs) == want
+                failing += want is not None
+    assert failing
+
+
+@pytest.mark.parametrize("J", [(), (1, 2)], ids=["iwahori", "J12"])
+@pytest.mark.parametrize("name", ["c2", "a2"])
+def test_center_product_check_catches_a_wrong_coefficient(name, J, monkeypatch):
+    """One z-basis coefficient of z_m ∗_K z_m off by q, through a monkeypatched
+    expand_over_orbit_sums, makes center_product_expand raise exactly its
+    SolveInconsistent."""
+    eng = _fresh_engine(name)
+    P, d, B = eng.para, eng.datum, eng.bern
+    F = P.facet(J)
+    m = [m for m, _ in d.antidominant_set(1)][-1]
+    assert P.center_product_expand(F, m, m)
+    target = B.orbit_sum_r(m) * B.orbit_sum_r(m)
+    real = B.expand_over_orbit_sums
+    hits = []
+
+    def perturbed(r):
+        out = real(r)
+        if r == target:
+            hits.append(r)
+            mu = min(out)
+            out = {**out, mu: out[mu] + Q}
+        return out
+
+    monkeypatch.setattr(B, "expand_over_orbit_sums", perturbed)
+    with pytest.raises(SolveInconsistent) as exc:
+        P.center_product_expand(F, m, m)
+    assert type(exc.value) is SolveInconsistent
+    assert str(exc.value) == "center product does not match its z-basis expansion"
+    assert len(hits) == 1
+
+
 def _is_basis(h):
     """h is a single i_w with coefficient 1."""
     return len(h.d) == 1 and LaurentPoly.one() in h.d.values()
