@@ -15,7 +15,6 @@ import sys
 
 from .engine import Engine, load_engine
 from .errors import ExprSyntaxError, InfiniteFacetGroup, ParaheckeError, ValidationError
-from .exprs import parse_hecke_expr, parse_lattice
 from .ringcore import is_prime_power
 from .rootdatum import BUNDLED_NAMES
 from .verify import SUITE_NAMES, render_results, run_suite
@@ -30,10 +29,12 @@ def _add_shared_flags(p, suppress: bool):
     p.add_argument("--datum", required=False, default=d(None),
                    help=f"datum file path or bundled name {BUNDLED_NAMES}")
     p.add_argument("--out", default=d(None), help="write output to this file instead of stdout")
-    p.add_argument("--format", default=d("json"), choices=("json", "csv", "pretty"), help="output format")
+    p.add_argument("--format", default=d("json"), choices=("json", "csv", "pretty"),
+                   help="output format (csv: satake; pretty: multiply, theta, satake)")
     p.add_argument("--q", type=int, default=d(None), help="specialize q at this prime power (satake, json or csv)")
     p.add_argument("--jobs", type=int, default=d(1), help="accepted for compatibility; has no effect (computation is single-threaded)")
-    p.add_argument("--height", type=int, default=d(2), help="antidominant enumeration bound")
+    p.add_argument("--height", type=int, default=d(None),
+                   help="antidominant enumeration bound (satake, center-basis; default 2)")
     p.add_argument("--facet", default=d(""), help="comma-separated affine generator indices, e.g. '1,2'")
 
 
@@ -118,11 +119,18 @@ def run(args) -> int:
     if args.q is not None and (args.command != "satake" or args.format == "pretty"):
         print("error: --q is only available for the satake command with --format json or csv", file=sys.stderr)
         return 2
-    if args.height < 0:
+    if args.height is not None and args.command not in ("satake", "center-basis"):
+        print("error: --height is only available for the satake and center-basis commands", file=sys.stderr)
+        return 2
+    if args.height is not None and args.height < 0:
         print("error: --height must be >= 0", file=sys.stderr)
         return 2
     if args.format == "csv" and args.command != "satake":
         print("error: --format csv is only available for the satake command", file=sys.stderr)
+        return 2
+    if args.format == "pretty" and args.command not in ("multiply", "theta", "satake"):
+        print("error: --format pretty is only available for the multiply, theta and satake commands",
+              file=sys.stderr)
         return 2
     if args.facet.strip() and args.command != "center-basis":
         print("error: --facet is only available for the center-basis command", file=sys.stderr)
@@ -157,6 +165,7 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
     """(exit code, output text) of one command."""
     H = eng.hecke
     fmt_m = _fmt_lattice(eng)
+    height = 2 if args.height is None else args.height
 
     if args.command == "validate":  # eng.datum exists, so it passed every check
         d = eng.datum
@@ -169,6 +178,10 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
             },
             "omega_data": d.omega_data(),
         })
+
+    # only the four commands that parse an expression import the parser
+    if args.command in ("multiply", "invert", "theta", "to-bernstein"):
+        from .exprs import parse_hecke_expr, parse_lattice
 
     if args.command == "multiply":
         prod = H.mul(parse_hecke_expr(H, args.e1), parse_hecke_expr(H, args.e2))
@@ -199,7 +212,7 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
     if args.command == "center-basis":
         F = _parse_facet(eng, args.facet)
         out = []
-        for m, h in eng.datum.antidominant_set(args.height):
+        for m, h in eng.datum.antidominant_set(height):
             z = eng.para.center_elt(F, m)
             out.append({"m": fmt_m(m), "height": h, "element": _hecke_obj(eng, z)})
         return 0, _json({
@@ -209,7 +222,7 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
         })
 
     if args.command == "satake":
-        xs = [x for x, _ in eng.datum.antidominant_set(args.height)]
+        xs = [x for x, _ in eng.datum.antidominant_set(height)]
         table = eng.para.satake_table(xs)
         if args.format == "csv":
             return 0, table.to_csv(fmt_m, q_eval=args.q)

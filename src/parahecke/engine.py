@@ -13,13 +13,17 @@ payload; a file whose header does not match this engine or its payload is
 never read, so stale, edited and truncated caches are misses.  A run that loaded the file
 and added no Θ entry does not rewrite it.  Cache I/O never fails a run: an
 unusable directory or a file of the wrong shape just means no cache.
+
+Only the cache path imports hashlib (and with it OpenSSL, about 3.8 MB of
+resident memory) and tempfile: engine_for keys its registry by the datum's
+canonical JSON, not by its digest, so a run without PARAHECKE_CACHE_DIR
+loads neither.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from . import __version__
 from .affweyl import AffineWeylGroup, ExtWeylElt
@@ -99,6 +103,8 @@ class Engine:
             ],
         }).encode()
         header = json.dumps(self._cache_header(_digest(body))).encode()
+        import tempfile  # imported on use, like hashlib: only the cache path needs it
+
         tmp = None
         try:  # an unusable cache directory only loses the cache
             os.makedirs(cache_dir, exist_ok=True)
@@ -131,9 +137,7 @@ class Engine:
 
 
 def _digest(body: bytes) -> str:
-    # imported on use, as in Datum.content_hash; importing it with this module
-    # raised a run's peak resident memory by about 0.3 MB
-    import hashlib
+    import hashlib  # imported on use, as in Datum.content_hash
 
     return hashlib.sha256(body).hexdigest()
 
@@ -147,7 +151,8 @@ def _lattice_from(key) -> LatticeElt:
 
 
 def engine_for(datum: Datum) -> Engine:
-    key = datum.content_hash()
+    """The one Engine per datum configuration, keyed by its canonical JSON."""
+    key = datum.canonical_json
     got = _REGISTRY.get(key)
     if got is not None:
         return got

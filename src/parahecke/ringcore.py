@@ -31,8 +31,6 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NonDivisible, OddHalfPower
 
 __all__ = ["LaurentPoly", "is_prime_power"]
@@ -425,6 +423,8 @@ class LaurentPoly:
         on even v-support; otherwise OddHalfPower is raised.  Returns an int
         when integral, otherwise an exact Fraction (negative q-exponents).
         """
+        from fractions import Fraction  # imported on use: only --q reaches here
+
         if n <= 0:
             raise ValueError("evaluation point must be a positive integer")
         total = Fraction(0)

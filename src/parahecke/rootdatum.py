@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -84,9 +83,12 @@ def _identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _row_reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Bring m to reduced row echelon form in place, pivoting only in its first
-    ncols columns; returns the pivot columns."""
+def _row_reduce(m: list[list[int]], ncols: int) -> list[int]:
+    """Bring the integer matrix m to echelon form in place without fractions:
+    each pivot column is zero outside its pivot row (whose entry need not be
+    1), and rows are only combined and scaled by nonzero integers, so the
+    solution set stays the same.  Pivots only in the first ncols columns;
+    returns the pivot columns."""
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -96,44 +98,44 @@ def _row_reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        m[rank] = [x / lead for x in m[rank]]
+        lead_row = m[rank]
+        lead = lead_row[col]
         for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+            f = m[i][col]
+            if i != rank and f != 0:
+                row = [lead * a - f * b for a, b in zip(m[i], lead_row)]
+                g = math.gcd(*row)  # keeps the entries from growing
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
     return pivots
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows·x = rhs with free variables set to 0, or None."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+def _solve(rows: list[list[int]], rhs: list[int], rhs_den: int = 1) -> tuple[Vec, int] | None:
+    """One exact solution x of rows·x = rhs/rhs_den with free variables set to 0,
+    as (ints, den) with x = ints/den and den the least common denominator;
+    None when there is no solution."""
     ncols = len(rows[0]) if rows else 0
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = _row_reduce(m, ncols)
     if any(row[-1] != 0 for row in m[len(pivots):]):
         return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][-1]
-    return sol
-
-
-def _clear_denominators(sol: list[Fraction]) -> tuple[Vec, int]:
-    """(ints, den) with ints/den = sol and den the least common denominator."""
-    den = math.lcm(*(x.denominator for x in sol))
-    return tuple(int(x * den) for x in sol), den
+    # x[col] = b / (lead·rhs_den) for the pivot row's lead and right-hand side b
+    quots = [(col, m[i][-1], m[i][col] * rhs_den) for i, col in enumerate(pivots)]
+    den = math.lcm(*(d // math.gcd(d, b) for _, b, d in quots))
+    ints = [0] * ncols
+    for col, b, d in quots:
+        ints[col] = b * den // d
+    return tuple(ints), den
 
 
 def _int_coords(vectors: tuple[Vec, ...], target: Vec) -> Vec | None:
     """Integer coordinates of target over the linearly independent vectors, if any."""
     if not vectors:
         return () if all(x == 0 for x in target) else None
-    rows = [[Fraction(v[k]) for v in vectors] for k in range(len(target))]
-    sol = _solve_rational(rows, [Fraction(x) for x in target])
-    if sol is None or any(c.denominator != 1 for c in sol):
+    got = _solve([[v[k] for v in vectors] for k in range(len(target))], list(target))
+    if got is None or got[1] != 1:
         return None
-    return tuple(int(c) for c in sol)
+    return got[0]
 
 
 class RootDatum(NamedTuple):
@@ -212,6 +214,9 @@ class Datum:
         self._build_cone_data()
         self.zero = LatticeElt((0,) * self.r, (0,) * len(self.torsion))
         self._pred_cache: dict = {}
+        # the configuration as canonical JSON: equal exactly for equal
+        # configurations, so it keys the engine registry and content_hash
+        self.canonical_json = json.dumps(cfg.to_dict(), sort_keys=True).encode()
 
     # ------------------------------------------------------------------
     # validation passes
@@ -264,8 +269,7 @@ class Datum:
                 if a > 0 or b > 0 or a * b not in (0, 1, 2, 3):
                     raise NonCrystallographic(f"pairing of simples {i},{j} fails crystallographic bounds")
         for vecs, label in ((self.simple_coroots, "coroots"), (self.simple_roots, "roots")):
-            rows = [[Fraction(x) for x in v] for v in vecs]
-            if rows and len(_row_reduce(rows, r)) != n:
+            if vecs and len(_row_reduce([list(v) for v in vecs], r)) != n:
                 raise NonCrystallographic(f"simple {label} are linearly dependent")
         # each generator must act by the stated reflection
         for i, m in enumerate(self.gens):
@@ -480,28 +484,25 @@ class Datum:
         return True
 
     def _build_alcove_point(self):
-        """Rational interior point p0 of the base alcove: ⟨p0, α_i⟩ = 1/(h_c+1)."""
-        eps = {}
-        for ci, theta in enumerate(self.theta):
-            h = self.pos_root_height[theta] + 1
-            eps[ci] = Fraction(1, h + 1)
-        rows = [[Fraction(x) for x in self.simple_roots[i]] for i in range(self.n_simple)]
-        rhs = [eps[self.comp_of_simple[i]] for i in range(self.n_simple)]
+        """Rational interior point p0 = p0_num/den of the base alcove, with
+        ⟨p0, α_i⟩ = 1/(h_c+1) and den the least common denominator."""
         if self.n_simple:
-            sol = _solve_rational(rows, rhs)
-            if sol is None:
+            # the right-hand sides over the common denominator L
+            hs = [self.pos_root_height[theta] + 2 for theta in self.theta]
+            L = math.lcm(*hs)
+            got = _solve([list(self.simple_roots[i]) for i in range(self.n_simple)],
+                         [L // hs[self.comp_of_simple[i]] for i in range(self.n_simple)], L)
+            if got is None:
                 raise ValidationError("could not place an interior point in the base alcove")
+            p0_num, den = got
         else:
-            sol = [Fraction(0)] * self.r
-        self.p0_num, den = _clear_denominators(sol)
-        self.p0_den = den
+            p0_num, den = (0,) * self.r, 1
         for beta in self.pos_roots:
-            val = Fraction(dot(beta, self.p0_num), den)
-            if not (0 < val < 1):
+            if not (0 < dot(beta, p0_num) < den):
                 raise ValidationError(f"alcove point fails 0 < <p0,{beta}> < 1")
         # floor of <u(p0), beta> is 0 or -1 according to the inversion set
         self.floor_tab = [
-            tuple(dot(beta, self.act_w(u, self.p0_num)) // den for beta in self.pos_roots)
+            tuple(dot(beta, self.act_w(u, p0_num)) // den for beta in self.pos_roots)
             for u in range(self.w_order)
         ]
 
@@ -511,25 +512,20 @@ class Datum:
         n = self.n_simple
         self.fund_antidom: list[tuple[Vec, int]] = []
         for i in range(n):
-            rows = [[Fraction(x) for x in self.simple_roots[j]] for j in range(n)]
-            rhs = [Fraction(-1) if j == i else Fraction(0) for j in range(n)]
-            sol = _solve_rational(rows, rhs)
-            if sol is None:
+            got = _solve([list(self.simple_roots[j]) for j in range(n)], [-1 if j == i else 0 for j in range(n)])
+            if got is None:
                 raise ValidationError("cannot solve for antidominant cone generators")
-            self.fund_antidom.append(_clear_denominators(sol))
+            self.fund_antidom.append(got)
         self.strict_antidom: Vec = tuple(
             sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r)
         ) if n else (0,) * self.r
         # f = Σ u_i α_i with ⟨α∨_j, f⟩ = D_f for all j (inverse Cartan is ≥ 0)
         if n:
-            rows = [
-                [Fraction(dot(self.simple_roots[i], self.simple_coroots[j])) for i in range(n)]
-                for j in range(n)
-            ]
-            sol = _solve_rational(rows, [Fraction(1)] * n)
-            if sol is None or any(c < 0 for c in sol):
+            rows = [[dot(self.simple_roots[i], self.simple_coroots[j]) for i in range(n)] for j in range(n)]
+            got = _solve(rows, [1] * n)
+            if got is None or any(c < 0 for c in got[0]):
                 raise ValidationError("positive root functional unavailable")
-            coeffs, self.height_den = _clear_denominators(sol)
+            coeffs, self.height_den = got
             self.height_functional: Vec = tuple(
                 sum(coeffs[i] * self.simple_roots[i][k] for i in range(n)) for k in range(self.r)
             )
@@ -700,10 +696,11 @@ class Datum:
         }
 
     def content_hash(self) -> str:
+        """Short digest of canonical_json; only the Θ cache needs it, so
+        hashlib (about 3.8 MB of resident memory) is imported on use."""
         import hashlib
 
-        blob = json.dumps(self.cfg.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return hashlib.sha256(self.canonical_json).hexdigest()[:16]
 
     def __repr__(self):
         return f"Datum({self.name}, |W0|={self.w_order}, rank={self.r}, torsion={list(self.torsion)})"

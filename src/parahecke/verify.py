@@ -381,7 +381,9 @@ def _finite_facets(eng: Engine):
 
 def _check_center_commutation(eng: Engine):
     P, d = eng.para, eng.datum
-    xs = [x for x, _ in d.antidominant_set(2)]
+    # center_elt's guard has already tested each z_m against the h_x of
+    # height ≤ 1 (it raises otherwise), so only height 2 is left to test
+    xs = [x for x, h in d.antidominant_set(2) if h > 1]
     for F in _finite_facets(eng):
         for m, _ in d.antidominant_set(2):
             x = P.noncommuting_kelt(F, P.center_elt(F, m), xs)

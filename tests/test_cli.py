@@ -447,3 +447,103 @@ def test_record_semantics(E1):
     r = CheckResult(name="n", status="PASS")
     assert (r.name, r.status, r.detail) == ("n", "PASS", None)
     assert CheckResult("n", "FAIL", "why").detail == "why"
+
+
+# -- flags that a command would ignore ------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "presentation", "--height", "1"],
+    ["multiply", "s1", "s1", "--height", "2"],
+    ["invert", "s1", "--height", "1"],
+    ["theta", "t[-1]", "--height", "1"],
+    ["to-bernstein", "s1", "--height", "1"],
+    ["validate", "--height", "1"],
+    ["invert", "s1", "--format", "pretty"],
+    ["to-bernstein", "s1", "--format", "pretty"],
+    ["center-basis", "--format", "pretty"],
+    ["validate", "--format", "pretty"],
+    ["verify", "presentation", "--format", "pretty"],
+], ids="-".join)
+def test_ignored_flag_exits_2(capsys, args):
+    """A flag that the command's output never reads is not silently ignored:
+    the run exits 2 with one error line and prints nothing."""
+    flag = "--height" if "--height" in args else "--format pretty"
+    code, out, err = capture(capsys, ["--datum", "a1", *args])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} is only available") and err.count("\n") == 1
+
+
+# -- cold start: no digest, no rationals, no expression parser ------------------
+
+_COLD_ABSENT = ("hashlib", "_hashlib", "fractions", "decimal", "tempfile", "parahecke.exprs")
+
+
+@pytest.mark.parametrize("argv", [["satake", "--height", "1"], ["verify", "all"]], ids=["satake", "verify"])
+def test_cold_run_imports_no_digest_or_rationals(argv):
+    """A run without a cache directory imports neither hashlib (OpenSSL) nor
+    fractions (with decimal), tempfile or the expression parser; a module
+    that `import random, json, argparse` already loads does not count (-S
+    keeps site hooks out)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, os\n"
+        "import random, json, argparse\n"
+        "base = set(sys.modules)\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from parahecke import cli\n"
+        f"code = cli.main(['--datum', 'a1', '--out', os.devnull, *{argv!r}])\n"
+        f"print(code, sorted((set(sys.modules) - base) & set({_COLD_ABSENT!r})))\n"
+    )
+    env = {k: v for k, v in _base_env().items() if k != CACHE_ENV}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "0 []\n"
+
+
+def test_engine_registry_keys_on_the_configuration(monkeypatch):
+    """Two loads of one datum share an Engine; a configuration that differs in
+    any field gets an Engine of its own."""
+    from parahecke.rootdatum import Datum, load_bundled
+
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
+    first, again = load_bundled("a1"), load_bundled("a1")
+    assert first is not again and engine_mod.engine_for(first) is engine_mod.engine_for(again)
+    cfg = first.cfg
+    variants = [
+        cfg._replace(name="a1-renamed"),
+        cfg._replace(description="another description"),
+        cfg._replace(torsion_invariants=(2,)),
+        cfg._replace(affine_parameters={"s0": 2, "s1": 1}),
+        cfg._replace(antidominant_generators=((-2,),)),
+        cfg._replace(equal_parameters_simply_laced=False),
+    ]
+    engines = [engine_mod.engine_for(Datum(v)) for v in variants]
+    assert len({id(e) for e in engines + [engine_mod.engine_for(first)]}) == len(variants) + 1
+    assert [e.datum.cfg for e in engines] == variants
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["satake", "--height", "2", "--q", "4"], "fa269244d15860c69a8e188778fdddfc722f41aeeca1c1da393d754bd93db5e3"),
+    (["satake", "--height", "2", "--format", "csv", "--q", "9"],
+     "2d77b175e0f5a18ff8f9f035e2f71733ed94e66893242cff4d7c8d52e76104b7"),
+], ids=["json", "csv"])
+def test_q_output_bytes(capsys, args, digest):
+    """--q output keeps its bytes now that fractions is imported on use."""
+    code, out, _ = capture(capsys, ["--datum", "a1", *args])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_non_integral_coeff_at_q():
+    """A coefficient with negative q-powers specializes to a reduced fraction:
+    [numerator, denominator] in JSON and n/d in CSV."""
+    from parahecke.parahoric import SatakeRow, SatakeTable
+
+    p = LaurentPoly.q_power(-2) * (Q * 3 - LaurentPoly.one())
+    table = SatakeTable("toy", (0,), [SatakeRow("x", [("m", p), ("n", Q - LaurentPoly.one())], {})])
+    assert json.dumps(table.to_obj(str, q_eval=4)["rows"]) == (
+        '[{"x": "x", "entries": [{"m": "m", "coeff": [[-4, -1], [-2, 3]], "coeff_at_q": [11, 16]}, '
+        '{"m": "n", "coeff": [[0, -1], [2, 1]], "coeff_at_q": 3}], "checks": {}}]'
+    )
+    assert table.to_csv(str, q_eval=4) == (
+        'x,m,coeff,coeff_at_q\n"x","m","3*q^-1 - q^-2",11/16\n"x","n","q - 1",3\n'
+    )

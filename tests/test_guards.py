@@ -1,11 +1,14 @@
 """The loud convention-bug guards fire when an invariant is sabotaged."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from parahecke import engine as engine_mod
 from parahecke.affweyl import AffineWeylGroup
+from parahecke.bernstein import Bernstein
 from parahecke.cli import main
 from parahecke.engine import CACHE_ENV, load_engine
 from parahecke.errors import NegativeCoefficient, NonUnitDiagonal, SolveInconsistent
@@ -13,7 +16,7 @@ from parahecke.hecke import IwahoriHecke
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
-from parahecke.verify import CheckResult, _braid_pairs, _check_braid_invariance, render_results
+from parahecke.verify import CheckResult, _braid_pairs, _check_braid_invariance, _finite_facets, render_results
 
 
 def test_non_unit_diagonal_guard(monkeypatch):
@@ -147,3 +150,67 @@ def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, failure):
 
     monkeypatch.setattr(IwahoriHecke, "_compute_gen_right", sabotaged)
     assert _check_braid_invariance(fresh()) == failure
+
+
+def test_center_commutation_tests_each_pair_once(monkeypatch, capsys):
+    """c2 `verify center` tests each z_m against each h_x of height ≤ 2 exactly
+    once per finite facet: center_elt's guard takes the x of height ≤ 1 and
+    the commutation check only the rest."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})  # empty memos, so that every guard runs
+    building = []  # m of each center_elt call in progress
+    tested = Counter()
+    real_center, real_test = Parahoric.center_elt, Parahoric.noncommuting_kelt
+
+    def center_elt(self, F, m):
+        building.append(m)
+        try:
+            return real_center(self, F, m)
+        finally:
+            building.pop()
+
+    def noncommuting_kelt(self, F, z, xs):
+        xs = list(xs)
+        # the guard runs inside center_elt; the check passes a memoized z_m
+        m = building[-1] if building else next(m for (J, m), got in self._centers.items() if J == F.J and got is z)
+        tested.update((F.J, m, x) for x in xs)
+        return real_test(self, F, z, xs)
+
+    monkeypatch.setattr(Parahoric, "center_elt", center_elt)
+    monkeypatch.setattr(Parahoric, "noncommuting_kelt", noncommuting_kelt)
+    assert main(["--datum", "c2", "verify", "center"]) == 0
+    capsys.readouterr()
+    eng = load_engine("c2")
+    graded = [m for m, _ in eng.datum.antidominant_set(2)]
+    want = {(F.J, m, x) for F in _finite_facets(eng) for m in graded for x in graded}
+    assert set(tested) == want and set(tested.values()) == {1}
+    assert len(want) == 252
+
+
+@pytest.mark.parametrize("height, m, x", [
+    (1, "(-1, -1)", "(-1, 0)"),
+    (2, "(-2, -2)", "(-1, 0)"),
+])
+def test_sabotaged_center_element_fails_the_commutation_row(monkeypatch, capsys, height, m, x):
+    """A z_m that is W_J-bi-invariant but not central (Θ̇(r_m) + i_{s1} on the
+    Iwahori facet) fails the commutation row as it did when the check itself
+    tested every height: center_elt's guard names the first h_x of height ≤ 1
+    that z_m does not commute with."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
+    real = Bernstein.theta_of
+
+    def sabotaged(self, r):
+        out = real(self, r)
+        target = next(mu for mu, h in self.datum.antidominant_set(2) if h == height)
+        if r == self.orbit_sum_r(target):
+            out = self.H.lincomb([(out, LaurentPoly.one()), (self.H.basis(self.W.gen(1)), LaurentPoly.one())])
+        return out
+
+    monkeypatch.setattr(Bernstein, "theta_of", sabotaged)
+    assert main(["--datum", "c2", "verify", "center"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == (
+        "[FAIL] center_elements_commute_with_double_cosets_height_2: CentralityFailure: "
+        f"z_LatticeElt(free={m}, tors=()) does not commute with h_LatticeElt(free={x}, tors=()) at J=[]"
+    )
