@@ -48,11 +48,11 @@ keyed by the ids of the w' (its N is N(a)); `mul_oneK` copies each sum onto
 w'W_J, so a·1_K has N = |W_J| · N(a).  X·1_K is determined by X's coset sums,
 linearly, so a caller that only compares such products can compare their
 coset sums and skip the copy.  `coset_reps` keeps the terms of a at the
-shortest coset elements (for a = X·1_K, an X with that support).  For
-a·i_w·1_K both first form a·i_w with `mul`.  1_K is ∨-stable, so
-1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a divisor P, `coset_sums` divides
-each coset sum exactly (LaurentPoly.exact_div), once per coset rather than
-once per term; the quotients' N is recomputed from their coefficients,
+shortest coset elements (for a = X·1_K, an X with that support).  1_K is
+∨-stable, so 1_K·a = ∨(∨a · 1_K) (`oneK_mul`).  Given a divisor P,
+`coset_sums` divides the coset sums exactly (LaurentPoly.exact_div), once
+per distinct packed sum: a bi-invariant a repeats one sum over every coset
+of a double coset.  The quotients' N is recomputed from their coefficients,
 because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
 
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
@@ -471,13 +471,11 @@ class IwahoriHecke:
     # F is a facet type (parahoric.FacetType): F.J lists the generators of a
     # finite parabolic W_J and F.elements its elements.
 
-    def coset_sums(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
-        """The coset sums S_{w'} of a·i_w (of a when w is None), divided exactly
-        by divisor when one is given: a packed element keyed by the id of each
-        minimal representative w' of wW_J, with N = Σ_{w'} ‖S_{w'}‖₁, held at
-        the width that a·i_w·1_K needs (closed form and proofs above `mul`)."""
-        if w is not None:
-            a = self.mul(a, self.basis(w))
+    def coset_sums(self, a: HeckeElt, F, divisor: LaurentPoly | None = None) -> HeckeElt:
+        """The coset sums S_{w'} of a, divided exactly by divisor when one is
+        given: a packed element keyed by the id of each minimal representative
+        w' of a coset w'W_J, with N = Σ_{w'} ‖S_{w'}‖₁, held at the width that
+        a·1_K needs (closed form and proofs above `mul`)."""
         if not a:
             return self.zero()
         N, ka = _size(a)
@@ -490,18 +488,20 @@ class IwahoriHecke:
             m, e = red.get(n) or self._coset_min(red, F.J, n)
             sums[m] = get(m, 0) + (P << e * k)
         if divisor is not None:
-            quots = {m: LaurentPoly(_unpack(S, e0, k)).exact_div(divisor).d for m, S in sums.items() if S}
-            N = sum(map(_norm, quots.values()))
+            sums = {m: S for m, S in sums.items() if S}
+            # each distinct packed sum -> its quotient, divided once
+            quots = {S: LaurentPoly(_unpack(S, e0, k)).exact_div(divisor).d for S in dict.fromkeys(sums.values())}
+            N = sum(_norm(quots[S]) for S in sums.values())
             k = max(k, _width(len(F.elements) * N))
             e0 = min((min(t) for t in quots.values()), default=e0)
-            sums = {m: _pack(t, e0, k) for m, t in quots.items()}
+            quots = {S: _pack(t, e0, k) for S, t in quots.items()}
+            sums = {m: quots[S] for m, S in sums.items()}
         return self._from_packed(sums, e0, k, N)
 
-    def mul_oneK(self, a: HeckeElt, F, w: ExtWeylElt | None = None, divisor: LaurentPoly | None = None) -> HeckeElt:
-        """a·i_w·1_K (a·1_K when w is None), divided exactly by divisor when one
-        is given: each of `coset_sums` copied onto its coset w'W_J; a packed
-        element."""
-        S = self.coset_sums(a, F, w, divisor)
+    def mul_oneK(self, a: HeckeElt, F, divisor: LaurentPoly | None = None) -> HeckeElt:
+        """a·1_K, divided exactly by divisor when one is given: each of
+        `coset_sums` copied onto its coset w'W_J; a packed element."""
+        S = self.coset_sums(a, F, divisor)
         if not S:
             return S
         Z, e0, k, N = S._pk
@@ -528,6 +528,14 @@ class IwahoriHecke:
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
         out = {n: P for n, P in Z.items() if (red.get(n) or self._coset_min(red, F.J, n))[0] == n}
         return self._from_packed(out, e0, k, N)
+
+    def exact_width(self, h: HeckeElt) -> HeckeElt:
+        """h, read once (so that the norm _size gives is exact) and packed in
+        place at that norm's width."""
+        if h:
+            h.d
+            self._packed(h, _width(_size(h)[0]))
+        return h
 
     def _coset_min(self, red: dict, J, n: int) -> tuple:
         """(id of w', 2L(u)) for w = by_id[n] = w'u with w' minimal in wW_J and

@@ -3,13 +3,16 @@
 A facet type is a subset J of the affine generators spanning a finite
 parabolic W_J.  The attached subalgebra is the span of the double-coset sums
 h_x = Σ_{W_J t_x W_J} i_w; its unit for the corner product is 1_K = Σ_{W_J} i_w,
-with 1_K·1_K = P_J·1_K for the Poincaré polynomial P_J = Σ q_w.  Corner
-multiplication divides the Iwahori product exactly by P_J.  Products with 1_K
-take the closed forms of `hecke` (IwahoriHecke.mul_oneK, oneK_mul).  For d the
-shortest element of W_J t_y W_J, 1_K·i_d·1_K = P_{J,d}·h_y, with P_{J,d} its
-coefficient at d (checked once per (J, y)), so
+with 1_K·1_K = P_J·1_K for the Poincaré polynomial P_J = Σ q_w.  Products
+with 1_K take the closed forms of `hecke` (IwahoriHecke.mul_oneK, oneK_mul),
+and so does the corner product: a bi-invariant b is X·1_K for X its terms at
+the shortest coset elements, so
 
-    h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d}.
+    a ∗_K b = a·b / P_J = (a·X)·1_K / P_J,
+
+one `mul_oneK` that divides each distinct coset sum once (`parahoric_mul`).
+For d the shortest element of W_J t_y W_J, 1_K·i_d·1_K = P_{J,d}·h_y, with
+P_{J,d} its coefficient at d (checked once per (J, y)).
 
 A bi-invariant z (z·1_K = P_J·z = 1_K·z) commutes with h_y exactly when
 z·i_d·1_K = 1_K·i_d·z.  Both sides are constant on every double coset, so
@@ -29,7 +32,7 @@ term in the caller's order; the rows add their diagonal and positivity
 checks.  Positivity of the entries is asserted in the shifted variable
 t = q - 1 (the universal form of point-count positivity).  Lifting to a
 bigger facet is the corner product z ∗_{K_small} 1_{K_big} = z·1_{K_big} /
-P_{J_small}, divided per coset of W_{J_big}.
+P_{J_small}, the same `mul_oneK` with P_{J_small} as its divisor.
 
 z_m is one closed-form product of the Θ̇(r_m) that its one-sidedness check
 needs anyway.  Multiplicativity of the Satake transform is checked in
@@ -42,10 +45,8 @@ exact norm: the proved bound |W_J|·N counts no cancellation inside a coset
 sum, and a looser bound would widen every product or sum they enter (the
 width rule is in `hecke`).
 
-`facet` enumerates W_J breadth-first by length and stops as soon as an
-element is longer than the longest element w₀ of W₀: no element of a finite
-parabolic W_J is (the proof is at `facet`), so an infinite W_J is detected
-after ℓ(w₀) + 1 levels instead of after `facet_bound` elements.
+`facet` enumerates W_J and stops as soon as it finds more than |W₀|
+elements: a finite W_J has at most that many (the proof is at `facet`).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .errors import (
     NotCentral,
     SolveInconsistent,
 )
-from .hecke import HeckeElt, _size, _width
+from .hecke import HeckeElt
 from .ringcore import LaurentPoly, _axpy, _eliminate, _mul
 from .rootdatum import LatticeElt
 
@@ -152,12 +153,11 @@ class SatakeTable(NamedTuple):
 class Parahoric:
     """Facet-level operations over one Bernstein/Hecke engine."""
 
-    def __init__(self, bern: Bernstein, facet_bound: int = 4096):
+    def __init__(self, bern: Bernstein):
         self.bern = bern
         self.H = bern.H
         self.W = bern.W
         self.datum = bern.datum
-        self.facet_bound = facet_bound
         self._facets: dict = {}
         self._centers: dict = {}
         self._kelts: dict = {}
@@ -173,35 +173,23 @@ class Parahoric:
         for j in J:
             if j not in self.datum.saff_indices:
                 raise ValueError(f"s{j} is not an affine generator")
-        # The BFS depth is the Coxeter length (in W_J it equals the length in
-        # the whole group).  A finite W_J fixes a point (the barycentre of an
-        # orbit), so its reflections are in distinct hyperplanes through that
-        # point and have distinct linear parts, distinct reflections of W₀.  An
-        # element of W_J is at most as long as W_J's longest element, which
-        # has one inversion per reflection; so no element of a finite W_J is
-        # longer than ℓ(w₀) = max(w_len), and a frontier past that length
-        # proves W_J infinite.  facet_bound stays as a backstop.
-        W = self.W
-        lmax = max(self.datum.w_len)
+        # A finite W_J fixes a point (the barycentre of an orbit), and the
+        # affine generators carry no torsion part, so two elements of W_J with
+        # the same linear part differ by a translation in Z^r that fixes the
+        # point, which is 1.  So a finite W_J has at most |W₀| elements, and
+        # more than that prove it infinite.
+        W, order = self.W, self.datum.w_order
         seen = {W.identity}
-        frontier = [W.identity]
-        depth = 0
-        while frontier:
-            if depth > lmax:
-                raise InfiniteFacetGroup(f"W_J for J={list(J)} has an element longer than ℓ(w₀) = {lmax}")
-            depth += 1
-            new = []
-            for x in frontier:
-                for j in J:
-                    y = W.compose(x, W.gen(j))
-                    if y not in seen:
-                        if len(seen) >= self.facet_bound:
-                            raise InfiniteFacetGroup(
-                                f"W_J for J={list(J)} exceeded {self.facet_bound} elements"
-                            )
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
+        todo = [W.identity]
+        while todo:
+            x = todo.pop()
+            for j in J:
+                y = W.compose(x, W.gen(j))
+                if y not in seen:
+                    if len(seen) == order:
+                        raise InfiniteFacetGroup(f"W_J for J={list(J)} has more than |W₀| = {order} elements")
+                    seen.add(y)
+                    todo.append(y)
         elements = tuple(sorted(seen, key=W.sort_key))
         poincare = LaurentPoly.zero()
         for w in elements:
@@ -236,13 +224,6 @@ class Parahoric:
         out = self.H.from_terms([(w, LaurentPoly.one()) for w in support])
         self._kelts[key] = out
         return out
-
-    def _exact_width(self, h: HeckeElt) -> HeckeElt:
-        """h, read once (so that the norm _size gives is exact) and packed at that norm's width."""
-        if h:
-            h.d
-            self.H._packed(h, _width(_size(h)[0]))
-        return h
 
     # -- corner multiplication -----------------------------------------------
 
@@ -313,21 +294,17 @@ class Parahoric:
         return H.coset_reps(H.vee_involution(H.coset_sums(a, F)), F)
 
     def parahoric_mul(self, F: FacetType, a: HeckeElt, b: HeckeElt) -> HeckeElt:
+        """a ∗_K b = a·b / P_J for W_J-bi-invariant a and b.
+
+        b·1_K = P_J·b, so b is constant on each coset wW_J: b = X·1_K for X =
+        coset_reps(b), and a·b = (a·X)·1_K, whose coset sums mul_oneK divides
+        by P_J once per distinct sum before copying them onto the cosets.
+        """
         for side in (a, b):
             if not self.is_biinvariant(F, side):
                 raise NotBiinvariant("operand is not W_J-bi-invariant")
-        prod = self.H.mul(a, b)
-        quots: dict = {}  # id of a LaurentPoly that several keys share (HeckeElt.d) -> its quotient
-        out = {}
-        try:
-            for w, p in prod.d.items():
-                s = quots.get(id(p))
-                if s is None:
-                    s = quots[id(p)] = p.exact_div(F.poincare)
-                out[w] = s
-            return HeckeElt(self.H, out)
-        except NonDivisible as exc:  # pragma: no cover - convention bug guard
-            raise NonDivisible(f"corner product not divisible by P_J: {exc}") from exc
+        H = self.H
+        return H.mul_oneK(H.mul(a, H.coset_reps(b, F)), F, divisor=F.poincare)
 
     # -- central elements ------------------------------------------------------
 
@@ -340,7 +317,7 @@ class Parahoric:
         if not self.datum.is_antidominant(m):
             raise NotAntidominant(f"{m} is not antidominant")
         theta_r = self.bern.theta_of(self.bern.orbit_sum_r(m))
-        z = self._exact_width(self.H.mul_oneK(theta_r, F))
+        z = self.H.exact_width(self.H.mul_oneK(theta_r, F))
         if z != self.H.oneK_mul(F, theta_r):
             raise CentralityFailure(f"z_m is one-sided at m={m}, J={list(F.J)}")
         x = self.noncommuting_kelt(F, z, [x for x, _ in self.datum.antidominant_set(1)])
@@ -441,13 +418,6 @@ class Parahoric:
     def transform_of_row(self, row: SatakeRow) -> GroupAlgElt:
         return self.bern.from_orbit_sums(row.entries)
 
-    def kelt_product(self, F: FacetType, x: LatticeElt, y: LatticeElt) -> HeckeElt:
-        """h_x ∗_K h_y = h_x·h_y / P_J = (h_x·i_d·1_K) / P_{J,d}, because
-        h_y = 1_K·i_d·1_K / P_{J,d} and h_x·1_K = P_J·h_x (both checked by
-        _kelt_rep)."""
-        self._kelt_rep(F, x)
-        return self.H.mul_oneK(self.kelt(F, x), F, *self._kelt_rep(F, y))
-
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
         """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y).
 
@@ -459,8 +429,9 @@ class Parahoric:
           (Bernstein.expand_over_orbit_sums, memoized per unordered pair for
           this call);
         - Θ̇ is linear, so Θ̇(t_x·t_y)·1_K = Σ_μ c_μ·(Θ̇(r_μ)·1_K);
-        - h_x ∗_K h_y = (h_x·i_d·1_K) / P_{J,d}, which _kelt_rep(F, x) and
-          _kelt_rep(F, y) certify (see kelt_product), and H is free over
+        - h_x ∗_K h_y = h_x·h_y / P_J = (h_x·i_d·1_K) / P_{J,d}, because
+          h_y = 1_K·i_d·1_K / P_{J,d} and h_x·1_K = P_J·h_x, which
+          _kelt_rep(F, y) and _kelt_rep(F, x) certify; H is free over
           Z[v^±1] with P_{J,d} ≠ 0, so multiplying both sides by P_{J,d}
           changes no outcome: the identity holds exactly when
           Σ_μ (c_μ·P_{J,d})·(Θ̇(r_μ)·1_K) = h_x·i_d·1_K;
@@ -490,9 +461,9 @@ class Parahoric:
                 for mu, c in coords.items():
                     S = sums.get(mu)
                     if S is None:
-                        S = sums[mu] = self._exact_width(H.coset_sums(B.theta_of(B.orbit_sum_r(mu)), F))
+                        S = sums[mu] = H.exact_width(H.coset_sums(B.theta_of(B.orbit_sum_r(mu)), F))
                     pairs.append((S, LaurentPoly.__new_raw__(_mul(c, P_d.d))))
-                if H.lincomb(pairs) != H.coset_sums(self.kelt(F, rx.x), F, d):
+                if H.lincomb(pairs) != H.coset_sums(H.mul(self.kelt(F, rx.x), H.basis(d)), F):
                     raise SolveInconsistent(
                         f"Satake transform not multiplicative at x={rx.x}, y={ry.x}"
                     )

@@ -155,23 +155,38 @@ class RootDatum(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RootDatum":
-        def vecs(key):
-            return tuple(tuple(int(x) for x in row) for row in d.get(key, ()))
+        """The configuration in a decoded datum file.  Integer fields take JSON
+        integers only (no bool, float or string, which int() would convert),
+        and equal_parameters_simply_laced only true, false or null; anything
+        else raises TypeError."""
+        def num(key, x):
+            if type(x) is not int:
+                raise TypeError(f"{key} takes JSON integers only, not {x!r}")
+            return x
 
+        def vecs(key):
+            return tuple(tuple(num(key, x) for x in row) for row in d.get(key, ()))
+
+        override = d.get("equal_parameters_simply_laced")
+        if override is not None and type(override) is not bool:
+            raise TypeError(f"equal_parameters_simply_laced must be true, false or null, not {override!r}")
         return cls(
             name=str(d.get("name", "unnamed")),
             description=str(d.get("description", "")),
-            free_rank=int(d["free_rank"]),
-            torsion_invariants=tuple(int(x) for x in d.get("torsion_invariants", ())),
+            free_rank=num("free_rank", d["free_rank"]),
+            torsion_invariants=tuple(num("torsion_invariants", x) for x in d.get("torsion_invariants", ())),
             simple_coroots=vecs("simple_coroots"),
             simple_roots=vecs("simple_roots"),
             finite_generators=tuple(
-                tuple(tuple(int(x) for x in row) for row in m) for m in d.get("finite_generators", ())
+                tuple(tuple(num("finite_generators", x) for x in row) for row in m)
+                for m in d.get("finite_generators", ())
             ),
-            affine_parameters=dict(d.get("affine_parameters", {})),
+            affine_parameters={
+                k: num("affine_parameters", v) for k, v in dict(d.get("affine_parameters", {})).items()
+            },
             component_highest_roots=vecs("component_highest_roots"),
             antidominant_generators=vecs("antidominant_generators"),
-            equal_parameters_simply_laced=d.get("equal_parameters_simply_laced"),
+            equal_parameters_simply_laced=override,
         )
 
     def to_dict(self) -> dict:

@@ -14,7 +14,7 @@ from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_hecke_expr, parse_lattice
 from parahecke.parahoric import FacetType
 from parahecke.ringcore import LaurentPoly
-from parahecke.rootdatum import RootDatum
+from parahecke.rootdatum import RootDatum, bundled_datum_path
 from parahecke.verify import CheckResult
 from parahecke import cli
 
@@ -159,6 +159,38 @@ def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
     code, out, err = capture(capsys, ["--datum", str(bad), "validate"])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: datum {bad}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# Values of the wrong JSON type in a1_unequal's file, which int() would truncate
+# or which are truthy: each exits 2 with one error line; a JSON bool or null in
+# the override is accepted.
+@pytest.mark.parametrize("field, value, ok", [
+    ("free_rank", 1.9, False),
+    ("free_rank", "1", False),
+    ("s0", 1.5, False),
+    ("s0", True, False),
+    ("torsion_invariants", [2.0], False),
+    ("simple_roots", [["2"]], False),
+    ("finite_generators", [[[False]]], False),
+    ("equal_parameters_simply_laced", "false", False),
+    ("equal_parameters_simply_laced", 0, False),
+    ("equal_parameters_simply_laced", False, True),
+    ("equal_parameters_simply_laced", None, True),
+])
+def test_datum_field_types_are_checked(capsys, tmp_path, field, value, ok):
+    raw = json.loads(Path(bundled_datum_path("a1_unequal")).read_text())
+    if field == "s0":
+        raw["affine_parameters"]["s0"] = value
+    else:
+        raw[field] = value
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = capture(capsys, ["--datum", str(bad), "validate"])
+    if ok:
+        assert code == 0 and err == ""
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: datum {bad}: TypeError: ") and err.count("\n") == 1
 
 
 # sha256 of `validate` stdout per bundled datum: a change to the bytes of the
