@@ -12,12 +12,15 @@ minimal combination of the antidominant fundamental generators.  Θ_m is
 computed as IwahoriHecke.mul_inverse(i_{m+m∘}, t_{m∘}): the single basis
 element is shifted by the length-zero part of t_{m∘} and the ℓ(t_{m∘})
 two-term factors of the inverse are applied to it one at a time, so the
-inverse itself is never built.  The IM ↔ Bernstein change of basis is a
-triangular elimination whose diagonal is a unit monomial.  Both directions
-run over the products Θ_m·i_w (w ∈ W₀), memoized per (m, w) in the dict form
-{w: LaurentPoly} that the elimination and the sums read.  A packed HeckeElt
-entry would be unpacked by each elimination step that reads it and repacked by
-each sum, on every call.
+inverse itself is never built.  Where only the coset sums of Θ̇(r) over a
+finite W_J are wanted (they decide products Θ̇(r)·1_K), `theta_coset_sums`
+takes them through IwahoriHecke.inverse_coset_sums, which skips the factors
+of t_{m∘}'s inverse that lie in W_J, and builds no Θ_m.  The IM ↔ Bernstein
+change of basis is a triangular elimination whose diagonal is a unit
+monomial.  Both directions run over the products Θ_m·i_w (w ∈ W₀), memoized
+per (m, w) in the dict form {w: LaurentPoly} that the elimination and the
+sums read.  A packed HeckeElt entry would be unpacked by each elimination
+step that reads it and repacked by each sum, on every call.
 
 GroupAlgElt (elements of R = Z[v^{±1}][Λ]) and BernsteinElt (coordinates over
 {Θ_m * i_w}) are ringcore.SparseElt modules like HeckeElt: each adds only its
@@ -203,6 +206,22 @@ class Bernstein:
     def theta_of(self, r: GroupAlgElt) -> HeckeElt:
         """Θ̇(r) = Σ p·Θ_m over the terms p·x_m of r."""
         return self.H.lincomb((self.theta(m), p) for m, p in r.d.items())
+
+    def theta_coset_sums(self, r: GroupAlgElt, F) -> HeckeElt:
+        """The coset sums of Θ̇(r) over W_J = F, without building any Θ_m.
+
+        Coset sums are linear, so they are Σ p·(coset sums of Θ_m) over the
+        terms p·x_m of r, and Θ_m = i_{t_{m+m∘}}·i_{t_{m∘}}^{-1} by definition
+        (m∘ = 0 gives i_{t_m}·i_e^{-1}), so each is
+        IwahoriHecke.inverse_coset_sums(i_{t_{m+m∘}}, t_{m∘}, F).  Nothing is
+        memoized: each call recomputes the sums of its terms.
+        """
+        d, W, H = self.datum, self.W, self.H
+        pairs = []
+        for m, p in r.d.items():
+            mc = self.m_circ(m)
+            pairs.append((H.inverse_coset_sums(H.basis_translation(d.add(m, mc)), W.translation(mc), F), p))
+        return H.lincomb(pairs)
 
     # -- IM <-> Bernstein change of basis -----------------------------------
 

@@ -7,11 +7,15 @@ across processes (its entries are held packed in memory: saving unpacks a
 copy of each, and loaded ones stay unpacked until used, so loading does no
 arithmetic).  Products Θ·1_K are not persisted: each is one coset-sum pass
 from Θ, cheaper than parsing it back.  Even so a warm run is no faster than a
-cold one.  A cache file is one JSON header line (format version, package
-version, datum content hash and the sha256 of the rest) followed by the JSON
-payload; a file whose header does not match this engine or its payload is
-never read, so stale, edited and truncated caches are misses.  A run that loaded the file
-and added no Θ entry does not rewrite it.  Cache I/O never fails a run: an
+cold one: the Satake product check builds no Θ_μ (it takes coset sums through
+Bernstein.theta_coset_sums), so the cache holds only the Θ_m of the center
+elements, 112 entries (117 KB) over the benchmark's `satake` jobs, and
+loading them saves about as much as it costs.  A cache file is one JSON
+header line (format version, package version, datum content hash and the
+sha256 of the rest) followed by the JSON payload; a file whose header does
+not match this engine or its payload is never read, so stale, edited and
+truncated caches are misses.  A run that loaded the file and added no Θ
+entry does not rewrite it.  Cache I/O never fails a run: an
 unusable directory or a file of the wrong shape just means no cache.
 
 Only the cache path imports hashlib (and with it OpenSSL, about 3.8 MB of

@@ -55,6 +55,19 @@ per distinct packed sum: a bi-invariant a repeats one sum over every coset
 of a double coset.  The quotients' N is recomputed from their coefficients,
 because division can raise ‖·‖₁ ((1 − x^{n+1})/(1 − x) has norm n + 1).
 
+The same fact inverts: for v ∈ W_J, i_v·1_K = q_v·1_K gives
+i_v^{-1}·1_K = q_v^{-1}·1_K (Haines–Kottwitz–Prasad).  Write w = v·u with
+v ∈ W_J and u shortest in W_J·u; then ℓ(w) = ℓ(v) + ℓ(u), so i_w = i_v·i_u,
+i_w^{-1} = i_u^{-1}·i_v^{-1} and
+
+    a · i_w^{-1} · 1_K = q_v^{-1} · (a · i_u^{-1}) · 1_K.
+
+Coset sums are linear, so those of a·i_w^{-1} are those of a·i_u^{-1} with the
+base exponent lowered by 2L(v).  `inverse_coset_sums` computes them: the coset
+reduction of w⁻¹ = u⁻¹·v⁻¹ gives u⁻¹ and 2L(v), and only the ℓ(u) star factors
+of i_u^{-1} are applied, never the ℓ(v) factors that would come last and act
+on the widest support.  Its sums have N = N(a)·3^ℓ(u), not N(a)·3^ℓ(w).
+
 The same loops key group elements by dense int ids (AffineWeylGroup.intern),
 so they hash small ints, not nested tuples.  The memoized step maps the int
 n·G + i (G generators, w of id n) to (id of ws, None) or (id of ws, 2L(s)),
@@ -255,7 +268,9 @@ class IwahoriHecke:
     # the copy repacks nothing.  Multiplying by q_u shifts exponents up, so
     # the base stays e0(a).  Exact quotients S/P are taken unpacked and
     # repacked at max(k, _width(|W_J| · N)) for N = Σ_{w'} ‖S_{w'}/P‖₁, since
-    # division bounds no digit.
+    # division bounds no digit.  `inverse_coset_sums` is `coset_sums` of
+    # a·i_u^{-1}, so N = N(a) · 3^ℓ(u) with that width; lowering the base by
+    # 2L(v) multiplies by q_v^{-1} and leaves every digit as it is.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if not a or not b:
@@ -511,6 +526,19 @@ class IwahoriHecke:
             for n in cosets.get(m) or self._coset_ids(cosets, F, m):
                 out[n] = P
         return self._from_packed(out, e0, k, len(F.elements) * N)
+
+    def inverse_coset_sums(self, a: HeckeElt, w: ExtWeylElt, F) -> HeckeElt:
+        """coset_sums(a·i_w^{-1}, F), applying only the star factors of the
+        part of w outside W_J (proof and width above `mul`); a is packed in place."""
+        W = self.weyl
+        red = self._cosets.setdefault(F.J, ({}, {}))[0]
+        n = W.intern(W.inverse(w))
+        m, e = red.get(n) or self._coset_min(red, F.J, n)
+        S = self.coset_sums(self.mul_inverse(a, W.inverse(W.by_id[m])), F)
+        if not S:
+            return S
+        Z, e0, k, N = S._pk
+        return self._from_packed(Z, e0 - e, k, N)
 
     def oneK_mul(self, F, a: HeckeElt) -> HeckeElt:
         """1_K·a = ∨(∨a · 1_K), 1_K being ∨-stable."""

@@ -39,11 +39,14 @@ needs anyway.  Multiplicativity of the Satake transform is checked in
 orbit-sum coordinates on coset sums (proof at `_check_multiplicative`): the
 product of two rows is read off orbit-sum structure constants, and the
 comparison is between coset sums (`IwahoriHecke.coset_sums`), which decide
-equality of products X·1_K without the copy onto each coset.  z_m and each
-memoized coset sum of Θ̇(r_μ) are read once and packed at the width of their
-exact norm: the proved bound |W_J|·N counts no cancellation inside a coset
-sum, and a looser bound would widen every product or sum they enter (the
-width rule is in `hecke`).
+equality of products X·1_K without the copy onto each coset.  The coset
+sums of Θ̇(r_μ) are taken without building Θ_μ (Bernstein.theta_coset_sums),
+and so are those on the last edge of the compatibility square
+(`compatibility_holds`); apart from facet's own check of 1_K·1_K, no product
+with 1_K is a generic one.  z_m and each memoized coset sum of Θ̇(r_μ) are
+read once and packed at the width of their exact norm: the proved bound
+|W_J|·N counts no cancellation inside a coset sum, and a looser bound would
+widen every product or sum they enter (the width rule is in `hecke`).
 
 `facet` enumerates W_J and stops as soon as it finds more than |W₀|
 elements: a finite W_J has at most that many (the proof is at `facet`).
@@ -440,7 +443,12 @@ class Parahoric:
           two sides are equal exactly when Σ_μ (c_μ·P_{J,d})·S_μ equals the
           coset sums of h_x·i_d, S_μ being the coset sums of Θ̇(r_μ)
           (memoized per μ for this call).
-        Nothing is divided.
+        S_μ comes from Bernstein.theta_coset_sums, which builds no Θ_m: for
+        Θ_m = i_{t_{m+m∘}}·i_{t_{m∘}}^{-1} and t_{m∘} = v·u with v ∈ W_J and u
+        shortest in W_J·u, i_v^{-1}·1_K = q_v^{-1}·1_K, so the coset sums of Θ_m
+        are q_v^{-1} times those of i_{t_{m+m∘}}·i_u^{-1}
+        (IwahoriHecke.inverse_coset_sums), and the ℓ(v) factors of the inverse
+        are never applied.  Nothing is divided.
         """
         H, B = self.H, self.bern
         consts: dict = {}  # frozenset({m, n}) -> {μ: c^μ_{mn}}
@@ -461,7 +469,7 @@ class Parahoric:
                 for mu, c in coords.items():
                     S = sums.get(mu)
                     if S is None:
-                        S = sums[mu] = H.exact_width(H.coset_sums(B.theta_of(B.orbit_sum_r(mu)), F))
+                        S = sums[mu] = H.exact_width(B.theta_coset_sums(B.orbit_sum_r(mu), F))
                     pairs.append((S, LaurentPoly.__new_raw__(_mul(c, P_d.d))))
                 if H.lincomb(pairs) != H.coset_sums(H.mul(self.kelt(F, rx.x), H.basis(d)), F):
                     raise SolveInconsistent(
@@ -496,7 +504,17 @@ class Parahoric:
         return self.H.mul_oneK(z, F_big, divisor=F_small.poincare)
 
     def compatibility_holds(self, F_small: FacetType, F_big: FacetType, m: LatticeElt) -> bool:
-        """The Bernstein-Satake square commutes on the z-basis element at m."""
+        """The Bernstein-Satake square commutes on the z-basis element at m.
+
+        Its last edge, Θ̇(r_big)·1_{K_small} == z_small, is decided on coset
+        sums over W_{J_small}.  Both sides have the form X·1_K: the left by
+        definition, and z_small = Θ̇(r_m)·1_K by construction (center_elt), so
+        it is constant on each coset and equals X·1_K for X = coset_reps(z_small).
+        X·1_K has X's coset sum at w' on every element of w'W_J, so two such
+        products are equal exactly when the coset sums of their X are.  On the
+        left they are Bernstein.theta_coset_sums(r_big); on the right X is
+        supported on shortest coset elements, so its coset sums are X itself.
+        """
         z_small = self.center_elt(F_small, m)
         lifted = self.lift_center(F_small, F_big, z_small)
         if lifted != self.center_elt(F_big, m):
@@ -505,5 +523,4 @@ class Parahoric:
         r_big = self.satake_general(F_big, lifted)
         if r_small != r_big:
             return False
-        back = self.H.mul(self.bern.theta_of(r_big), F_small.one_K)
-        return back == z_small
+        return self.bern.theta_coset_sums(r_big, F_small) == self.H.coset_reps(z_small, F_small)

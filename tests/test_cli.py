@@ -565,6 +565,16 @@ def test_q_output_bytes(capsys, args, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("c2", "fbce741593e272d60b779aed519a7c633ab915de40c3a1cd58e97f2d713622b0"),
+    ("a2", "a85dc3d34ca76ce9a0c148f48b2a2df1edb45fb05ce2f392be0b25578bb2678e"),
+])
+def test_satake_height_3_output_bytes(capsys, name, digest):
+    """The sha256 of `satake --height 3` stdout on the rank-2 data."""
+    code, out, _ = capture(capsys, ["--datum", name, "satake", "--height", "3"])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_non_integral_coeff_at_q():
     """A coefficient with negative q-powers specializes to a reduced fraction:
     [numerator, denominator] in JSON and n/d in CSV."""

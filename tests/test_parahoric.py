@@ -307,6 +307,7 @@ def test_packed_theta_times_oneK_matches_reference(name):
         r = GroupAlgElt(d, coeffs)
         assert H.mul_oneK(B.theta_of(r), F).d == want
         assert _expand_cosets(W, F, H.coset_sums(B.theta_of(r), F)) == want
+        assert _expand_cosets(W, F, B.theta_coset_sums(r, F)) == want
 
     for J in [(), P.special_facet().J]:
         F = P.facet(J)
@@ -415,6 +416,92 @@ def test_coset_sums_expand_to_mul_oneK(name):
                 assert all(W.length(W.compose(x, v)) > W.length(x)
                            for x in sums.d for v in F.elements if v != W.identity)
                 assert _expand_cosets(W, F, sums) == H.mul_oneK(_fresh(H, b), F, *args).d
+
+
+def _shortest_in_right_coset(W, F, w):
+    """u shortest in W_J·w: the v⁻¹·w (v ∈ W_J) of least length."""
+    return min((W.compose(W.inverse(v), w) for v in F.elements), key=W.length)
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_inverse_coset_sums_match_coset_sums_of_mul_inverse(name, monkeypatch):
+    """inverse_coset_sums(a, w, F) is coset_sums(a·i_w^{-1}, F), for random
+    three-term a and w on W.ball(5) (with ω ≠ 1 where Ω is nontrivial) with
+    coefficients up to 10^30, on every finite facet, and it applies only the
+    ℓ(u) star factors of u shortest in W_J·w."""
+    eng = _fresh_engine(name)
+    H, W = eng.hecke, eng.weyl
+    rng = random.Random(name)
+    ball = W.ball(5)
+    stars = []
+    star = H._right_star
+    monkeypatch.setattr(H, "_right_star", lambda cur, word, k: stars.append(len(word)) or star(cur, word, k))
+    ws, skipped = [], []
+    for F in _finite_facets(eng):
+        for size in (9, 9, 10**30, 10**30):
+            a = _random_elt(H, rng, ball, size)
+            w = rng.choice(ball)
+            ws.append(w)
+            want = H.coset_sums(H.mul_inverse(_fresh(H, a), w), F).d
+            stars.clear()
+            assert H.inverse_coset_sums(_fresh(H, a), w, F).d == want
+            lu = W.length(_shortest_in_right_coset(W, F, w))
+            assert stars == [lu]
+            skipped.append(W.length(w) - lu)
+    assert any(skipped)
+    if name in ("gl2", "a1_torsion2"):
+        assert any(W.reduced_word(w)[1] != W.identity for w in ws)
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_theta_coset_sums_match_coset_sums_of_theta(name):
+    """theta_coset_sums(r_μ, F) is coset_sums(Θ̇(r_μ), F) for every antidominant
+    μ up to height 2 on c2 and a2 and height 3 on the rank-1 data and gl2, on
+    every finite facet, and it builds no Θ_m."""
+    eng = _fresh_engine(name)
+    H, B, d = eng.hecke, eng.bern, eng.datum
+    mus = [m for m, _ in d.antidominant_set(2 if d.n_simple == 2 else 3)]
+    facets = _finite_facets(eng)
+    got = {(F.J, mu): B.theta_coset_sums(B.orbit_sum_r(mu), F).d for F in facets for mu in mus}
+    assert not B._theta
+    for F in facets:
+        for mu in mus:
+            assert got[F.J, mu] == H.coset_sums(B.theta_of(B.orbit_sum_r(mu)), F).d
+
+
+@pytest.mark.parametrize("name", ["c2", "a2"])
+def test_multiplicativity_check_needs_the_inverse_shift(name, monkeypatch):
+    """With inverse_coset_sums' division by q_v undone (v ∈ W_J the part of
+    t_{m∘} it skips), the product check at height 2 fails."""
+    eng = _fresh_engine(name)
+    P, H, W, d = eng.para, eng.hecke, eng.weyl, eng.datum
+    F = P.special_facet()
+    table = P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=False)
+    P._check_multiplicative(F, table)
+    real = H.inverse_coset_sums
+    shifts = []
+
+    def unshifted(a, w, G):
+        e = 2 * (W.weighted_length(w) - W.weighted_length(_shortest_in_right_coset(W, G, w)))
+        shifts.append(e)
+        return real(a, w, G).scale(LaurentPoly.v_power(e))
+
+    monkeypatch.setattr(H, "inverse_coset_sums", unshifted)
+    with pytest.raises(SolveInconsistent):
+        P._check_multiplicative(F, table)
+    assert any(shifts)
+
+
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_satake_table_builds_theta_only_for_the_z_basis(name):
+    """After satake_table at height 2, products check included, every memoized
+    Θ_m has m in the W₀-orbit of a saturation predecessor of some row: the
+    z-basis elements need them, and the product check builds none."""
+    eng = _fresh_engine(name)
+    P, B, d = eng.para, eng.bern, eng.datum
+    table = P.satake_table([x for x, _ in d.antidominant_set(2)])
+    allowed = {m for r in table.rows for mu in d.saturation_predecessors(r.x) for m in d.orbit(mu)}
+    assert B._theta and set(B._theta) <= allowed
 
 
 @pytest.mark.parametrize("name", ["c2", "a2"])
@@ -602,9 +689,9 @@ def _is_basis(h):
 
 @pytest.mark.parametrize("name", ["a1_torsion2", "c2"])
 def test_closed_forms_replace_generic_products(name, monkeypatch):
-    """Centers, their checks, bi-invariance, lifts, corner products and the
-    center suite's commutation check run without the generic product; the
-    compatibility square's Θ̇(r)·1_K cross-check still uses it."""
+    """Centers, their checks, bi-invariance, lifts, corner products, the
+    center suite's commutation check and the compatibility square run without
+    the generic product."""
     eng = _fresh_engine(name)
     P, H, d = eng.para, eng.hecke, eng.datum
     facets = _finite_facets(eng)  # the facet check 1_K·1_K = P_J·1_K is a generic product
@@ -620,14 +707,12 @@ def test_closed_forms_replace_generic_products(name, monkeypatch):
     small = P.facet(())
     assert P.lift_center(small, F, P.center_elt(small, ms[-1])) == P.center_elt(F, ms[-1])
     assert _check_center_commutation(eng) is None
+    assert P.compatibility_holds(small, F, ms[-1])
     # mul_oneK forms a·i_d as a product by the single basis element i_d, a walk
     # along d's reduced word; only those calls are allowed.  Each facet's 1_K
     # counts as a product with 1_K even where it is one term (i_e for J = ∅).
     units = {id(G.one_K) for G in facets}
     assert calls and all(id(b) not in units and _is_basis(b) for _, b in calls)
-    calls.clear()
-    assert P.compatibility_holds(small, F, ms[-1]) and len(calls) == 1
-    assert calls[0][1] is small.one_K
 
 
 def test_shared_coefficients_survive_elimination_and_arithmetic():
