@@ -109,31 +109,16 @@ class Bernstein:
 
     # -- the exponent homomorphism ------------------------------------------
 
-    def _antidominant_shift(self, m: LatticeElt) -> int:
-        """Least N ≥ 0 with m + N·z antidominant (z the strict generator)."""
-        d = self.datum
-        best = 0
-        for i, alpha in enumerate(d.simple_roots):
-            v = dot(alpha, m.free)
-            if v > 0:
-                den = d.fund_antidom[i][1]
-                best = max(best, -(-v // den))
-        return best
-
     def exponent_E(self, m: LatticeElt) -> int:
-        """E(m) = L(t_m) for antidominant m, extended as a homomorphism."""
+        """E(m) = L(t_m) for antidominant m, extended as a homomorphism:
+        E(m) = L(t_{m+m∘}) − L(t_{m∘}), m∘ and m + m∘ being antidominant (m_circ)."""
         got = self._E.get(m)
-        if got is not None:
-            return got
-        d, W = self.datum, self.W
-        n = self._antidominant_shift(m)
-        if n == 0:
-            out = W.weighted_length(W.translation(m))
-        else:
-            z = d.lattice(tuple(n * c for c in d.strict_antidom))
-            out = W.weighted_length(W.translation(d.add(m, z))) - W.weighted_length(W.translation(z))
-        self._E[m] = out
-        return out
+        if got is None:
+            W, mc = self.W, self.m_circ(m)
+            got = self._E[m] = (
+                W.weighted_length(W.translation(self.datum.add(m, mc))) - W.weighted_length(W.translation(mc))
+            )
+        return got
 
     def dot_coeff(self, m: LatticeElt, wi: int) -> LaurentPoly:
         """c(m, w) = v^{E(m) - E(w(m))}."""

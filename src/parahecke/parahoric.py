@@ -15,10 +15,12 @@ For d the shortest element of W_J t_y W_J, 1_K·i_d·1_K = P_{J,d}·h_y, with
 P_{J,d} its coefficient at d (checked once per (J, y)).
 
 A bi-invariant z (z·1_K = P_J·z = 1_K·z) commutes with h_y exactly when
-z·i_d·1_K = 1_K·i_d·z.  Both sides are constant on every double coset, so
-they are compared at the shortest element u of each: the coset sums of z·i_d
-at u against those of ∨z·i_{d⁻¹} at u⁻¹, with z·i_d for every y from one walk
-of the trie of the d's reduced words (proof at `noncommuting_kelt`).  Center
+z·i_d·1_K = 1_K·i_d·z.  With z = 1_K·Z_L = Z_R·1_K for Z_L, Z_R its terms
+at the shortest elements of the cosets W_J w and wW_J, both sides have the
+form 1_K·Y·1_K (up to ∨), which the weighted double-coset sums
+c_D(Y) = Σ_{y∈D} Y_y·q_y/q_{d_D} decide; so only Z_L·i_d and ∨Z_R·i_{d⁻¹},
+|W_J| times smaller than z·i_d, are formed, for every y from one walk of the
+trie of the d's reduced words (proof at `noncommuting_kelt`).  Center
 products are compared on coset sums too: z₁·z₂ = (z₁·X₂)·1_K for X₂ the terms
 of z₂ at the shortest coset elements (proof at `center_product_expand`).
 Neither check divides.
@@ -263,38 +265,48 @@ class Parahoric:
         - h_x = 1_K·i_d·1_K / P_{J,d} (_kelt_rep), so z·h_x = P_J·L / P_{J,d}
           and h_x·z = P_J·R / P_{J,d} for L = z·i_d·1_K and R = 1_K·i_d·z.  H
           is free over Z[v^±1], so z commutes with h_x exactly when L = R.
-        - L·1_K = P_J·L = 1_K·L, and likewise for R.  An element a with
-          a·1_K = P_J·a is constant on each coset wW_J (it is (a/P_J)·1_K), and
-          one with 1_K·a = P_J·a on each W_J w; so L and R are constant on each
-          double coset, and L = R exactly when they agree at the shortest
-          element u of every double coset.
-        - u is shortest in uW_J, so L at u is the coset sum of z·i_d at u.
-          R = ∨(∨z·i_{d⁻¹}·1_K) and u⁻¹ is shortest in its double coset, so R
-          at u is the coset sum of ∨z·i_{d⁻¹} at u⁻¹.  _double_coset_sums of
-          z·i_d gives the first at each u keyed by u⁻¹, and ∨ of those of
-          ∨z·i_{d⁻¹} gives the second keyed the same way.
-        The products z·i_d and ∨z·i_{d⁻¹} for all of xs come from one trie walk
-        each (IwahoriHecke.mul_basis_each).  Nothing is divided, and neither
-        side is copied onto its cosets.
+        - z·1_K = P_J·z makes z constant on each coset wW_J, so z = Z_R·1_K
+          for Z_R = coset_reps(z); 1_K·z = P_J·z likewise gives z = 1_K·Z_L
+          for Z_L = ∨coset_reps(∨z), which has |W_J| times fewer terms than z.
+          So L = 1_K·Y_L·1_K and R = ∨(1_K·Y_R·1_K) for Y_L = Z_L·i_d and
+          Y_R = ∨Z_R·i_{d⁻¹}, 1_K being ∨-stable.
+        - For any Y, 1_K·Y·1_K = Σ_D c_D(Y)·1_K·i_{d_D}·1_K over the double
+          cosets D = W_J d_D W_J, d_D shortest in D, with
+          c_D(Y) = Σ_{y∈D} Y_y·q_y/q_{d_D}: each y ∈ D is v·d_D·v′ with
+          v, v′ ∈ W_J and lengths adding (Bourbaki, ch. IV §1, ex. 3), so
+          i_y = i_v·i_{d_D}·i_{v′}, and i_v·1_K = q_v·1_K for v ∈ W_J.
+        - 1_K·i_{d_D}·1_K is bi-invariant, supported on D, and nonzero (the
+          degree homomorphism i_w ↦ q_w takes it to P_J²·q_{d_D}); those of
+          distinct D have disjoint supports.  So L = R exactly when
+          c_D(Y_L) = c_{D⁻¹}(Y_R) for every D, D⁻¹ having shortest element d_D⁻¹.
+        - _weighted_double_coset_sums(Y) holds c_D(Y) keyed by d_D⁻¹, so the
+          condition is that it takes Y_L to ∨ of what it takes Y_R to.
+        The products Z_L·i_d and ∨Z_R·i_{d⁻¹} for all of xs come from one trie
+        walk each (IwahoriHecke.mul_basis_each).  Nothing is divided, and
+        neither side is copied onto its cosets.
         """
         H, W = self.H, self.W
+        vee = H.vee_involution
         xs = list(xs)
         ds = [self._kelt_rep(F, x)[0] for x in xs]
-        lefts = H.mul_basis_each(z, ds)
-        rights = H.mul_basis_each(H.vee_involution(z), [W.inverse(d) for d in ds])
+        lefts = H.mul_basis_each(vee(H.coset_reps(vee(z), F)), ds)
+        rights = H.mul_basis_each(vee(H.coset_reps(z, F)), [W.inverse(d) for d in ds])
         for x, left, right in zip(xs, lefts, rights):
-            if self._double_coset_sums(F, left) != H.vee_involution(self._double_coset_sums(F, right)):
+            if self._weighted_double_coset_sums(F, left) != vee(self._weighted_double_coset_sums(F, right)):
                 return x
         return None
 
-    def _double_coset_sums(self, F: FacetType, a: HeckeElt) -> HeckeElt:
-        """The coset sums of a at the shortest elements u of the double cosets
-        W_J u W_J, keyed by u⁻¹.  The coset sums are keyed by the shortest
-        element u of each coset uW_J, and u is shortest in W_J u W_J exactly
-        when u⁻¹ is also shortest in u⁻¹W_J; so after ∨ the keys that
-        coset_reps keeps are these u⁻¹."""
+    def _weighted_double_coset_sums(self, F: FacetType, a: HeckeElt) -> HeckeElt:
+        """c_D(a) = Σ_{y∈D} a_y·q_y/q_{d_D} for each double coset D = W_J d_D W_J
+        (d_D shortest), keyed by d_D⁻¹: 1_K·a·1_K = Σ_D c_D(a)·1_K·i_{d_D}·1_K
+        (proof at noncommuting_kelt).  coset_sums(a) holds, at the shortest
+        element w′ of each coset w′W_J, Σ_{u∈W_J} q_u·a_{w′u}.  After ∨ the key
+        w′⁻¹ is shortest in W_J·w′⁻¹, and then its shortest right-coset
+        element is shortest on both sides, so it is d_D⁻¹, with
+        w′⁻¹ = d_D⁻¹·u and q_u = q_{w′}/q_{d_D}; the second coset_sums adds
+        those weights."""
         H = self.H
-        return H.coset_reps(H.vee_involution(H.coset_sums(a, F)), F)
+        return H.coset_sums(H.vee_involution(H.coset_sums(a, F)), F)
 
     def parahoric_mul(self, F: FacetType, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """a ∗_K b = a·b / P_J for W_J-bi-invariant a and b.

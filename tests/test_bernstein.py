@@ -64,6 +64,24 @@ def test_exponent_is_homomorphism(Bc2):
             assert Bc2.exponent_E(d.add(m1, m2)) == Bc2.exponent_E(m1) + Bc2.exponent_E(m2)
 
 
+@pytest.mark.parametrize("name", ["a1", "a1_unequal", "a1_torsion2", "gl2", "c2", "a2"])
+def test_exponent_matches_a_shift_by_the_strict_generator(name):
+    """E(m) = L(t_{m+N·z}) − L(t_{N·z}) for z the strict antidominant generator
+    and N the least N ≥ 0 making m + N·z antidominant, a shift independent of
+    m_circ's, for every free part in [−4, 4]^r and every torsion part."""
+    B = Bernstein(IwahoriHecke.for_datum(load_bundled(name)))
+    d, W = B.datum, B.W
+    for free in itertools.product(range(-4, 5), repeat=d.r):
+        for tors in itertools.product(*(range(n) for n in d.torsion)):
+            m = d.lattice(free, tors)
+            N = 0
+            while not d.is_antidominant(d.add(m, d.lattice([N * c for c in d.strict_antidom]))):
+                N += 1
+            z = d.lattice([N * c for c in d.strict_antidom])
+            L = W.weighted_length
+            assert B.exponent_E(m) == L(W.translation(d.add(m, z))) - L(W.translation(z))
+
+
 def test_dot_action_examples(B1):
     d = B1.datum
     r = GroupAlgElt.basis(d, lat(B1, [-1]))

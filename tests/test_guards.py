@@ -123,16 +123,87 @@ def test_non_divisible_satake_pivot_is_inconsistent(monkeypatch):
         P._solve_row(P.special_facet(), d.lattice([-1]))
 
 
-@pytest.mark.parametrize("name, failure", [
-    ("c2", "braid/quadratic invariance fails on word [0, 1, 0, 2, 2, 2, 2] at iteration 0"),
-    ("a1", "braid/quadratic invariance fails on word [1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
-], ids=["c2", "a1"])
-def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, failure):
-    """A wrong q-exponent in the memoized step i_w·i_s, on elements of length ≥ 6
-    only, fails the presentation check: by a braid relation on c2, by the
-    quadratic fold on a1, which has no finite braid relation."""
+# First failures under each memo sabotage, recorded when the check still
+# applied each word's drawn suffix to both sides: (datum, sabotage, least
+# length of the element whose steps are sabotaged, word and iteration).
+_BRAID_SABOTAGES = [
+    ("a1", "exponent", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1", "exponent", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1", "exponent", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1", "flag", 2, "[0, 1, 1] at iteration 1"),
+    ("a1", "flag", 4, "[1, 1, 0, 0, 1, 1, 0, 1] at iteration 5"),
+    ("a1", "flag", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1", "target", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1", "target", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1", "target", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_unequal", "exponent", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_unequal", "exponent", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_unequal", "exponent", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_unequal", "flag", 2, "[0, 1, 1] at iteration 1"),
+    ("a1_unequal", "flag", 4, "[1, 1, 0, 0, 1, 1, 0, 1] at iteration 5"),
+    ("a1_unequal", "flag", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_unequal", "target", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_unequal", "target", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_unequal", "target", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_torsion2", "exponent", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_torsion2", "exponent", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_torsion2", "exponent", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_torsion2", "flag", 2, "[0, 1, 1] at iteration 1"),
+    ("a1_torsion2", "flag", 4, "[1, 1, 0, 0, 1, 1, 0, 1] at iteration 5"),
+    ("a1_torsion2", "flag", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("a1_torsion2", "target", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_torsion2", "target", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("a1_torsion2", "target", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("gl2", "exponent", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("gl2", "exponent", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("gl2", "exponent", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("gl2", "flag", 2, "[0, 1, 1] at iteration 1"),
+    ("gl2", "flag", 4, "[1, 1, 0, 0, 1, 1, 0, 1] at iteration 5"),
+    ("gl2", "flag", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("gl2", "target", 2, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("gl2", "target", 4, "[0, 1, 0, 1, 0, 0, 1] at iteration 0"),
+    ("gl2", "target", 6, "[1, 0, 1, 1, 1, 0, 1, 1] at iteration 65"),
+    ("c2", "exponent", 2, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "exponent", 4, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "exponent", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "flag", 2, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "flag", 4, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "flag", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("c2", "target", 2, "[1] at iteration 1"),
+    ("c2", "target", 4, "[1] at iteration 1"),
+    ("c2", "target", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a2", "exponent", 2, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a2", "exponent", 4, "[0, 0, 2, 2, 1, 1, 0] at iteration 6"),
+    ("a2", "exponent", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a2", "flag", 2, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a2", "flag", 4, "[2, 1, 1, 0, 1, 2, 0, 2] at iteration 5"),
+    ("a2", "flag", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+    ("a2", "target", 2, "[1] at iteration 1"),
+    ("a2", "target", 4, "[1, 0, 0, 0, 1, 1, 2] at iteration 8"),
+    ("a2", "target", 6, "[0, 1, 0, 2, 2, 2, 2] at iteration 0"),
+]
+
+
+def _braid_sabotage_id(case):
+    name, kind, min_len, _ = case
+    return name if (kind, min_len) == ("exponent", 6) else f"{name}-{kind}-ge{min_len}"
+
+
+@pytest.mark.parametrize(
+    "name, kind, min_len, failure", _BRAID_SABOTAGES, ids=[_braid_sabotage_id(c) for c in _BRAID_SABOTAGES]
+)
+def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, kind, min_len, failure):
+    """A wrong memoized step i_w·i_s, on elements w of length ≥ min_len only,
+    fails the presentation check at the same word and iteration as when each
+    drawn suffix was applied: by a braid relation on c2 and a2, by the
+    quadratic fold on the rank-1 data, which have no finite braid relation.
+    The sabotages are a q-exponent off by 2 ("exponent"), the longer/shorter
+    flag flipped ("flag") and the target i_w instead of i_{ws} ("target").
+    Each depends only on the element w and the generator, never on w's
+    interned id, because ids follow first-seen order, which differs between
+    the two ways of running the check."""
     datum = load_bundled(name)
-    assert bool(_braid_pairs(datum)) == (name == "c2")
+    assert bool(_braid_pairs(datum)) == (name in ("c2", "a2"))
 
     def fresh():  # empty rewriting memos, so that every step is computed
         weyl = AffineWeylGroup(datum)
@@ -143,13 +214,19 @@ def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, failure):
 
     def sabotaged(self, n, i):
         ns, e = real(self, n, i)
-        if e is not None and self.weyl.length(self.weyl.by_id[n]) >= 6:
+        if self.weyl.length(self.weyl.by_id[n]) < min_len or (kind == "exponent" and e is None):
+            return ns, e
+        if kind == "exponent":
             e += 2
-            self._gen_cache[n * self._G + i] = (ns, e)
+        elif kind == "flag":
+            e = None if e is not None else 2 * self.datum.L[i]
+        else:
+            ns = n
+        self._gen_cache[n * self._G + i] = (ns, e)
         return ns, e
 
     monkeypatch.setattr(IwahoriHecke, "_compute_gen_right", sabotaged)
-    assert _check_braid_invariance(fresh()) == failure
+    assert _check_braid_invariance(fresh()) == f"braid/quadratic invariance fails on word {failure}"
 
 
 def test_center_commutation_tests_each_pair_once(monkeypatch, capsys):

@@ -628,22 +628,27 @@ def test_center_and_compat_suites_on_every_datum(name):
     assert len(rows) == 4
 
 
-@pytest.mark.parametrize("name", ["c2", "a2"])
+@pytest.mark.parametrize("name", ["c2", "a2", "gl2", "a1_torsion2"])
 def test_commutation_check_matches_generic_products(name):
     """For z' = z_m + h_y, with m and y of height ≤ 1, on every finite facet,
-    noncommuting_kelt returns the first x of height ≤ 2 with
-    z'·h_x != h_x·z' in generic products, or None; some z' fail to commute,
-    so the comparison is not vacuous."""
+    and for z' = z_m + i_s on the Iwahori facet J = ∅ (where every element is
+    bi-invariant), noncommuting_kelt returns the first x of height ≤ 2 with
+    z'·h_x != h_x·z' in generic products, or None.  Some z' fail to commute,
+    so the comparison is not vacuous: on gl2 and a1_torsion2 (nontrivial Ω
+    and torsion) every z_m + h_y commutes, and only the z_m + i_s fail."""
     eng = _fresh_engine(name)
-    P, H, d = eng.para, eng.hecke, eng.datum
+    P, H, W, d = eng.para, eng.hecke, eng.weyl, eng.datum
     xs = [x for x, _ in d.antidominant_set(2)]
     ones = [m for m, _ in d.antidominant_set(1)]
     failing = 0
     for F in _finite_facets(eng):
         kelts = {x: _fresh(H, P.kelt(F, x)) for x in xs}
+        others = [P.kelt(F, y) for y in ones]
+        if not F.J:
+            others += [H.basis(W.gen(i)) for i in d.saff_indices]
         for m in ones:
-            for y in ones:
-                z = H.lincomb([(P.center_elt(F, m), LaurentPoly.one()), (P.kelt(F, y), LaurentPoly.one())])
+            for other in others:
+                z = H.lincomb([(P.center_elt(F, m), LaurentPoly.one()), (other, LaurentPoly.one())])
                 ref = _fresh(H, z)
                 want = next((x for x in xs if H.mul(ref, kelts[x]) != H.mul(kelts[x], ref)), None)
                 assert P.noncommuting_kelt(F, z, xs) == want
