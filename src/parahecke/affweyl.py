@@ -52,7 +52,6 @@ class AffineWeylGroup:
         self._len: dict[ExtWeylElt, int] = {}
         self._red: dict[ExtWeylElt, tuple[tuple[int, ...], ExtWeylElt]] = {}
         self._wlen: dict[ExtWeylElt, int] = {}
-        self._bruhat: dict[tuple[ExtWeylElt, ExtWeylElt], bool] = {}
         self._omega_samples: list[ExtWeylElt] | None = None
         self._ids: dict[ExtWeylElt, int] = {}
         self.by_id: list[ExtWeylElt] = []
@@ -163,10 +162,6 @@ class AffineWeylGroup:
             self._wlen[x] = wl
         return wl
 
-    def lengths(self, x: ExtWeylElt) -> tuple[int, int]:
-        """(ℓ, L): wall count and parameter-weighted length."""
-        return self.length(x), self.weighted_length(x)
-
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_le(self, x: ExtWeylElt, y: ExtWeylElt) -> bool:
@@ -175,26 +170,14 @@ class AffineWeylGroup:
         lx, ly = self.length(x), self.length(y)
         if lx >= ly:
             return False
-        key = (x, y)
-        got = self._bruhat.get(key)
-        if got is not None:
-            return got
-        if ly == 0:
-            out = False  # x == y was already handled
-        else:
-            for i in self.datum.saff_indices:
-                sy = self.compose(self._gens[i], y)
-                if self.length(sy) < ly:
-                    sx = self.compose(self._gens[i], x)
-                    if self.length(sx) < lx:
-                        out = self.bruhat_le(sx, sy)
-                    else:
-                        out = self.bruhat_le(x, sy)
-                    break
-            else:  # pragma: no cover - unreachable for valid data
-                raise RuntimeError("no descent found")
-        self._bruhat[key] = out
-        return out
+        for i in self.datum.saff_indices:
+            sy = self.compose(self._gens[i], y)
+            if self.length(sy) < ly:
+                sx = self.compose(self._gens[i], x)
+                if self.length(sx) < lx:
+                    return self.bruhat_le(sx, sy)
+                return self.bruhat_le(x, sy)
+        raise RuntimeError("no descent found")  # pragma: no cover - unreachable for valid data
 
     # -- enumeration helpers ----------------------------------------------
 

@@ -106,6 +106,7 @@ class Bernstein:
         self._theta: dict[LatticeElt, HeckeElt] = {}
         self._theta_fin: dict[tuple[LatticeElt, int], dict] = {}
         self._orbit_sums: dict[LatticeElt, GroupAlgElt] = {}
+        self._products: dict[frozenset, dict] = {}
 
     # -- the exponent homomorphism ------------------------------------------
 
@@ -257,9 +258,7 @@ class Bernstein:
         """
         d, W, H = self.datum, self.W, self.H
         if not d.equal_param_simply_laced:
-            raise UnsupportedParameters(
-                "Bernstein relation check requires equal parameters on simply-laced data"
-            )
+            raise UnsupportedParameters("unequal parameters or non-simply-laced datum")
         if not 1 <= i <= d.n_simple:
             raise ValueError(f"s{i} is not a finite simple reflection")
         si = d._simple_refl_index(i - 1)
@@ -293,3 +292,13 @@ class Bernstein:
         if residual:
             raise SolveInconsistent("element is not in the span of the orbit sums")
         return out
+
+    def orbit_sum_product(self, m: LatticeElt, n: LatticeElt) -> dict:
+        """The structure constants {μ: c^μ_{mn}} of r_m·r_n = Σ_μ c^μ_{mn} r_μ,
+        memoized per unordered pair: callers share them and never write into
+        them."""
+        key = frozenset((m, n))
+        got = self._products.get(key)
+        if got is None:
+            got = self._products[key] = self.expand_over_orbit_sums(self.orbit_sum_r(m) * self.orbit_sum_r(n))
+        return got

@@ -103,7 +103,7 @@ from __future__ import annotations
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import SubgroupInvalid
 from .ringcore import LaurentPoly, SparseElt, _add_into, _coerce, _lincomb, _pack, _unpack
-from .rootdatum import Datum, LatticeElt, RootDatum, smith_normal_form
+from .rootdatum import Datum, LatticeElt, smith_normal_form
 
 __all__ = ["HeckeElt", "IwahoriHecke", "TorsionQuotient"]
 
@@ -681,20 +681,11 @@ class TorsionQuotient:
         self._keep = keep
         self._moduli = [diag[j] for j in keep]
         cfg = source.cfg
-        new_cfg = RootDatum(
+        self.datum = Datum(cfg._replace(
             name=cfg.name + "/quot",
             description=f"quotient of {cfg.name} by torsion subgroup {gens}",
-            free_rank=cfg.free_rank,
             torsion_invariants=tuple(self._moduli),
-            simple_coroots=cfg.simple_coroots,
-            simple_roots=cfg.simple_roots,
-            finite_generators=cfg.finite_generators,
-            affine_parameters=cfg.affine_parameters,
-            component_highest_roots=cfg.component_highest_roots,
-            antidominant_generators=cfg.antidominant_generators,
-            equal_parameters_simply_laced=cfg.equal_parameters_simply_laced,
-        )
-        self.datum = Datum(new_cfg)
+        ))
 
     def map_tors(self, tors) -> tuple:
         t = len(self.source.torsion)

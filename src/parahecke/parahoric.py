@@ -77,36 +77,14 @@ from .rootdatum import LatticeElt
 __all__ = ["FacetType", "SatakeRow", "SatakeTable", "Parahoric"]
 
 
-class FacetType:
-    """A finite parabolic W_J with its unit mass and Poincaré polynomial.
+class FacetType(NamedTuple):
+    """A finite parabolic W_J: its generators, its elements in W.sort_key
+    order and its Poincaré polynomial.  Its unit 1_K = Σ_{W_J} i_w is the
+    double-coset sum at the zero translation, Parahoric.kelt(F, zero)."""
 
-    Immutable.  Equality and hashing read J, elements and poincare; one_K is
-    determined by them, and a HeckeElt is not hashable.
-    """
-
-    __slots__ = ("J", "elements", "poincare", "one_K")
-
-    def __init__(self, J: tuple, elements: tuple, poincare: LaurentPoly, one_K: HeckeElt):
-        for name, value in zip(self.__slots__, (J, elements, poincare, one_K)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FacetType is immutable; cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FacetType is immutable; cannot delete {name}")
-
-    def _key(self) -> tuple:
-        return self.J, self.elements, self.poincare
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is FacetType else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"FacetType(J={list(self.J)}, |W_J|={len(self.elements)})"
+    J: tuple
+    elements: tuple
+    poincare: LaurentPoly
 
 
 class SatakeRow(NamedTuple):
@@ -204,7 +182,7 @@ class Parahoric:
             raise SolveInconsistent("Poincaré polynomial has constant term != 1")
         if self.H.mul(one_K, one_K) != one_K.scale(poincare):
             raise SolveInconsistent("1_K * 1_K != P_J * 1_K at facet construction")
-        out = FacetType(J=J, elements=elements, poincare=poincare, one_K=one_K)
+        out = FacetType(J=J, elements=elements, poincare=poincare)
         self._facets[J] = out
         return out
 
@@ -357,7 +335,7 @@ class Parahoric:
         Nothing is divided.
         """
         B, H = self.bern, self.H
-        coeffs = B.expand_over_orbit_sums(B.orbit_sum_r(m1) * B.orbit_sum_r(m2))
+        coeffs = B.orbit_sum_product(m1, m2)
         lhs = H.coset_sums(H.mul(self.center_elt(F, m1), H.coset_reps(self.center_elt(F, m2), F)), F)
         rhs = H.lincomb((H.coset_reps(self.center_elt(F, mu), F), c * F.poincare) for mu, c in coeffs.items())
         if lhs != rhs:
@@ -430,9 +408,6 @@ class Parahoric:
             self._check_multiplicative(F, table)
         return table
 
-    def transform_of_row(self, row: SatakeRow) -> GroupAlgElt:
-        return self.bern.from_orbit_sums(row.entries)
-
     def _check_multiplicative(self, F: FacetType, table: SatakeTable):
         """transform(h_x *_K h_y) must equal transform(h_x)·transform(h_y).
 
@@ -441,8 +416,7 @@ class Parahoric:
         the row's entries.  It is decided without forming either side:
         - t_x·t_y = Σ_μ c_μ r_μ with c_μ = Σ_{m,n} s_{x,m}·s_{y,n}·c^μ_{mn}, from
           the structure constants r_m·r_n = Σ_μ c^μ_{mn} r_μ
-          (Bernstein.expand_over_orbit_sums, memoized per unordered pair for
-          this call);
+          (Bernstein.orbit_sum_product);
         - Θ̇ is linear, so Θ̇(t_x·t_y)·1_K = Σ_μ c_μ·(Θ̇(r_μ)·1_K);
         - h_x ∗_K h_y = h_x·h_y / P_J = (h_x·i_d·1_K) / P_{J,d}, because
           h_y = 1_K·i_d·1_K / P_{J,d} and h_x·1_K = P_J·h_x, which
@@ -463,7 +437,6 @@ class Parahoric:
         are never applied.  Nothing is divided.
         """
         H, B = self.H, self.bern
-        consts: dict = {}  # frozenset({m, n}) -> {μ: c^μ_{mn}}
         sums: dict = {}  # μ -> coset sums of Θ̇(r_μ)
         for i, rx in enumerate(table.rows):
             self._kelt_rep(F, rx.x)
@@ -472,11 +445,7 @@ class Parahoric:
                 coords: dict = {}  # μ -> raw c_μ
                 for m, s in rx.entries:
                     for n, t in ry.entries:
-                        key = frozenset((m, n))
-                        c = consts.get(key)
-                        if c is None:
-                            c = consts[key] = B.expand_over_orbit_sums(B.orbit_sum_r(m) * B.orbit_sum_r(n))
-                        _axpy(coords, c, _mul(s.d, t.d))
+                        _axpy(coords, B.orbit_sum_product(m, n), _mul(s.d, t.d))
                 pairs = []
                 for mu, c in coords.items():
                     S = sums.get(mu)

@@ -150,15 +150,13 @@ class RootDatum(NamedTuple):
     affine_parameters: dict
     component_highest_roots: tuple[Vec, ...]
     antidominant_generators: tuple[Vec, ...] = ()
-    equal_parameters_simply_laced: bool | None = None
     description: str = ""
 
     @classmethod
     def from_dict(cls, d: dict) -> "RootDatum":
         """The configuration in a decoded datum file.  Integer fields take JSON
-        integers only (no bool, float or string, which int() would convert),
-        and equal_parameters_simply_laced only true, false or null; anything
-        else raises TypeError."""
+        integers only (no bool, float or string, which int() would convert);
+        anything else raises TypeError.  Unknown keys are ignored."""
         def num(key, x):
             if type(x) is not int:
                 raise TypeError(f"{key} takes JSON integers only, not {x!r}")
@@ -167,9 +165,6 @@ class RootDatum(NamedTuple):
         def vecs(key):
             return tuple(tuple(num(key, x) for x in row) for row in d.get(key, ()))
 
-        override = d.get("equal_parameters_simply_laced")
-        if override is not None and type(override) is not bool:
-            raise TypeError(f"equal_parameters_simply_laced must be true, false or null, not {override!r}")
         return cls(
             name=str(d.get("name", "unnamed")),
             description=str(d.get("description", "")),
@@ -186,7 +181,6 @@ class RootDatum(NamedTuple):
             },
             component_highest_roots=vecs("component_highest_roots"),
             antidominant_generators=vecs("antidominant_generators"),
-            equal_parameters_simply_laced=override,
         )
 
     def to_dict(self) -> dict:
@@ -201,7 +195,6 @@ class RootDatum(NamedTuple):
             "affine_parameters": dict(self.affine_parameters),
             "component_highest_roots": [list(v) for v in self.component_highest_roots],
             "antidominant_generators": [list(v) for v in self.antidominant_generators],
-            "equal_parameters_simply_laced": self.equal_parameters_simply_laced,
         }
 
 
@@ -480,23 +473,15 @@ class Datum:
                     f"generators s{a}, s{b} satisfy an odd braid relation (m={order}) but have parameters "
                     f"{self.L[a]} != {self.L[b]}"
                 )
-        override = self.cfg.equal_parameters_simply_laced
+        # the Bernstein relation's one-parameter form applies: equal parameters,
+        # no braid of order above 3 between finite simple reflections, and no
+        # simple coroot with all coordinates even (the mixed parameter case)
+        n = self.n_simple
         self.equal_param_simply_laced = (
-            override if override is not None else self._compute_eqp_simply_laced()
+            len(set(self.L.values())) <= 1
+            and all(self.coxeter_matrix[(i, j)] <= 3 for i in range(1, n + 1) for j in range(i + 1, n + 1))
+            and not any(all(c % 2 == 0 for c in v) for v in self.simple_coroots)
         )
-
-    def _compute_eqp_simply_laced(self) -> bool:
-        if len(set(self.L.values())) > 1:
-            return False
-        for i in range(self.n_simple):
-            for j in range(i + 1, self.n_simple):
-                if self.coxeter_matrix[(i + 1, j + 1)] > 3:
-                    return False
-        # a halvable coroot triggers the mixed parameter case
-        for i in range(self.n_simple):
-            if all(c % 2 == 0 for c in self.simple_coroots[i]):
-                return False
-        return True
 
     def _build_alcove_point(self):
         """Rational interior point p0 = p0_num/den of the base alcove, with
@@ -586,13 +571,6 @@ class Datum:
 
     def act(self, wi: int, m: LatticeElt) -> LatticeElt:
         return LatticeElt(self.act_w(wi, m.free), m.tors)
-
-    def act_word(self, word, m: LatticeElt) -> LatticeElt:
-        """Apply a word in finite generators (indices 1..n, leftmost first)."""
-        wi = 0
-        for i in word:
-            wi = self.w_mult[wi][self._simple_refl_index(i - 1)]
-        return self.act(wi, m)
 
     def _free_antidominant(self, free: Vec) -> bool:
         return all(dot(alpha, free) <= 0 for alpha in self.simple_roots)

@@ -318,8 +318,6 @@ def _check_vee_theta(eng: Engine):
 
 def _check_bernstein_relation(eng: Engine):
     B, d = eng.bern, eng.datum
-    if not d.equal_param_simply_laced:
-        raise UnsupportedParameters("unequal parameters or non-simply-laced datum")
     for m, _ in _closure(eng, 2):
         for i in range(1, d.n_simple + 1):
             if not B.bernstein_relation_check(m, i):
@@ -438,9 +436,9 @@ def _check_row_support(eng: Engine, table):
 
 
 def _check_transform_invariance(eng: Engine, table):
-    P, B, d = eng.para, eng.bern, eng.datum
+    B, d = eng.bern, eng.datum
     for r in table.rows:
-        out = P.transform_of_row(r)
+        out = B.from_orbit_sums(r.entries)
         for wi in range(d.w_order):
             if B.dot_act(wi, out) != out:
                 return f"transform of row {r.x} is not dot-invariant"

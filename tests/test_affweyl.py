@@ -50,7 +50,7 @@ def test_inverse_examples(a1):
 
 
 def test_length_examples(a1):
-    assert a1.lengths(a1.identity) == (0, 0)
+    assert (a1.length(a1.identity), a1.weighted_length(a1.identity)) == (0, 0)
     assert a1.length(a1.elt([-1])) == 2
     assert a1.length(a1.compose(a1.elt([-1]), a1.gen(1))) == 3
 
@@ -58,7 +58,7 @@ def test_length_examples(a1):
 def test_weighted_length_unequal():
     g = AffineWeylGroup(load_bundled("a1_unequal"))
     t = g.elt([-1])  # reduced word s1 s0: L = 1 + 3
-    assert g.lengths(t) == (2, 4)
+    assert (g.length(t), g.weighted_length(t)) == (2, 4)
     assert g.weighted_length(g.gen(0)) == 3
 
 

@@ -162,8 +162,8 @@ def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
 
 
 # Values of the wrong JSON type in a1_unequal's file, which int() would truncate
-# or which are truthy: each exits 2 with one error line; a JSON bool or null in
-# the override is accepted.
+# or which are truthy: each exits 2 with one error line.  The retired
+# equal_parameters_simply_laced key is an unknown key, accepted with any value.
 @pytest.mark.parametrize("field, value, ok", [
     ("free_rank", 1.9, False),
     ("free_rank", "1", False),
@@ -172,8 +172,6 @@ def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
     ("torsion_invariants", [2.0], False),
     ("simple_roots", [["2"]], False),
     ("finite_generators", [[[False]]], False),
-    ("equal_parameters_simply_laced", "false", False),
-    ("equal_parameters_simply_laced", 0, False),
     ("equal_parameters_simply_laced", False, True),
     ("equal_parameters_simply_laced", None, True),
 ])
@@ -191,6 +189,21 @@ def test_datum_field_types_are_checked(capsys, tmp_path, field, value, ok):
         return
     assert (code, out) == (2, "")
     assert err.startswith(f"error: datum {bad}: TypeError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["validate"], ["verify", "bern"]], ids=["validate", "verify-bern"])
+def test_retired_override_key_is_ignored(capsys, tmp_path, args):
+    """A datum file that still sets equal_parameters_simply_laced is read like
+    any file with an unknown key: a1 with the key set false prints what a1
+    prints, the Bernstein relation's PASS row included."""
+    raw = json.loads(Path(bundled_datum_path("a1")).read_text())
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({**raw, "equal_parameters_simply_laced": False}))
+    code, want, _ = capture(capsys, ["--datum", "a1", *args])
+    assert code == 0
+    if args[0] == "verify":
+        assert "[PASS] bernstein_relation_height_2\n" in want
+    assert capture(capsys, ["--datum", str(path), *args])[:2] == (0, want)
 
 
 # sha256 of `validate` stdout per bundled datum: a change to the bytes of the
@@ -462,12 +475,14 @@ def test_record_semantics(E1):
     assert RootDatum.from_dict({**d.cfg.to_dict(), "name": "other"}) != d.cfg
     with pytest.raises(AttributeError):
         cfg.name = "other"
-    # FacetType: equality and hashing ignore one_K, immutable
+    # FacetType: equality and hashing read J, elements and poincare; immutable
     F = P.special_facet()
-    G = FacetType(J=F.J, elements=F.elements, poincare=F.poincare, one_K=E1.hecke.zero())
+    G = FacetType(J=F.J, elements=F.elements, poincare=F.poincare)
     assert F == G and hash(F) == hash(G) and {F: 1}[G] == 1
     assert F != P.facet(())
-    for name in ("J", "one_K"):
+    for other in (F._replace(J=()), F._replace(elements=F.elements[:1]), F._replace(poincare=F.poincare + 1)):
+        assert other != F and other not in {F}
+    for name in FacetType._fields:
         with pytest.raises(AttributeError):
             setattr(F, name, None)
         with pytest.raises(AttributeError):
@@ -547,7 +562,6 @@ def test_engine_registry_keys_on_the_configuration(monkeypatch):
         cfg._replace(torsion_invariants=(2,)),
         cfg._replace(affine_parameters={"s0": 2, "s1": 1}),
         cfg._replace(antidominant_generators=((-2,),)),
-        cfg._replace(equal_parameters_simply_laced=False),
     ]
     engines = [engine_mod.engine_for(Datum(v)) for v in variants]
     assert len({id(e) for e in engines + [engine_mod.engine_for(first)]}) == len(variants) + 1

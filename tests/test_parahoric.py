@@ -42,12 +42,12 @@ def Egl2():
 
 
 def test_facet_data_examples(E1):
-    P = E1.para
+    P, d = E1.para, E1.datum
     empty = P.facet(())
-    assert empty.one_K == E1.hecke.one() and empty.poincare == 1
+    assert P.kelt(empty, d.zero) == E1.hecke.one() and empty.poincare == 1
     F = P.facet((1,))
     assert F.poincare == Q + 1
-    assert F.one_K == E1.hecke.one() + E1.hecke.basis(E1.weyl.gen(1))
+    assert P.kelt(F, d.zero) == E1.hecke.one() + E1.hecke.basis(E1.weyl.gen(1))
     with pytest.raises(InfiniteFacetGroup):
         P.facet((0, 1))
 
@@ -78,7 +78,7 @@ def test_facet_length_bound(name):
 def test_kelt_examples(E1):
     P, d, W = E1.para, E1.datum, E1.weyl
     F = P.special_facet()
-    assert P.kelt(F, d.zero) == F.one_K
+    assert P.kelt(F, d.zero) == E1.hecke.one() + E1.hecke.basis(W.gen(1))
     h = P.kelt(F, d.lattice([-1]))
     want_support = {W.elt([-1]), W.gen(0), W.elt([-1], w=1), W.elt([1])}
     assert set(h.d) == want_support
@@ -120,13 +120,13 @@ def test_parahoric_mul_rejects_non_biinvariant(E1):
     P = E1.para
     F = P.special_facet()
     with pytest.raises(NotBiinvariant):
-        P.parahoric_mul(F, E1.hecke.one(), F.one_K)
+        P.parahoric_mul(F, E1.hecke.one(), P.kelt(F, E1.datum.zero))
 
 
 def test_center_elt_examples(E1):
     P, d, H, W = E1.para, E1.datum, E1.hecke, E1.weyl
     F = P.special_facet()
-    assert P.center_elt(F, d.zero) == F.one_K
+    assert P.center_elt(F, d.zero) == P.kelt(F, d.zero)
     Fi = P.facet(())
     m = d.lattice([-1])
     z = P.center_elt(Fi, m)
@@ -195,7 +195,7 @@ def test_satake_torsion_transparency(Et2, E1):
 def test_satake_general_and_units(E1):
     P, d = E1.para, E1.datum
     F = P.special_facet()
-    r = P.satake_general(F, F.one_K)
+    r = P.satake_general(F, P.kelt(F, d.zero))
     assert r == E1.bern.orbit_sum_r(d.zero)
     m = d.lattice([-2])
     z = P.center_elt(F, m)
@@ -216,14 +216,14 @@ def test_satake_general_reproduces_rows(name):
     F = P.special_facet()
     table = P.satake_table([x for x, _ in d.antidominant_set(2)], check_products=False)
     for row in table.rows:
-        assert P.satake_general(F, P.kelt(F, row.x)) == P.transform_of_row(row)
+        assert P.satake_general(F, P.kelt(F, row.x)) == eng.bern.from_orbit_sums(row.entries)
 
 
 def test_satake_outputs_are_dot_invariant(E2):
     P, d, B = E2.para, E2.datum, E2.bern
     t = P.satake_table([m for m, _ in d.antidominant_set(2)], check_products=False)
     for r in t.rows:
-        out = P.transform_of_row(r)
+        out = B.from_orbit_sums(r.entries)
         for wi in range(d.w_order):
             assert B.dot_act(wi, out) == out
 
@@ -295,7 +295,7 @@ def test_packed_theta_times_oneK_matches_reference(name):
 
     def ref(F, m):  # Θ_m·1_K as a fresh generic product; reading a memo entry's d would unpack it
         if (F.J, m) not in refs:
-            refs[F.J, m] = H.mul(B.theta(m), F.one_K).d
+            refs[F.J, m] = H.mul(B.theta(m), P.kelt(F, d.zero)).d
         return refs[F.J, m]
 
     def check(F, coeffs):
@@ -363,7 +363,7 @@ def test_oneK_closed_forms_match_mul(name):
     ball = W.ball(4)
     xs = [x for x, _ in d.antidominant_set(3)]
     for F in _finite_facets(eng):
-        one_K = F.one_K
+        one_K = P.kelt(F, d.zero)
         for size in (9, 10**30):
             a = _random_elt(H, rng, ball, size)
             w = rng.choice(ball)
@@ -576,7 +576,7 @@ def test_corner_products_and_lifts_match_mul(name):
             if Fs.J != Fb.J and set(Fs.J) <= set(Fb.J):
                 for m in ms:
                     z = P.center_elt(Fs, m)
-                    want = H.mul(_fresh(H, z), Fb.one_K)
+                    want = H.mul(_fresh(H, z), P.kelt(Fb, d.zero))
                     assert P.lift_center(Fs, Fb, z).d == {w: p.exact_div(Fs.poincare) for w, p in want.d.items()}
 
 
@@ -667,6 +667,7 @@ def test_center_product_check_catches_a_wrong_coefficient(name, J, monkeypatch):
     F = P.facet(J)
     m = [m for m, _ in d.antidominant_set(1)][-1]
     assert P.center_product_expand(F, m, m)
+    monkeypatch.setattr(B, "_products", {})  # drop the structure constants memoized just now
     target = B.orbit_sum_r(m) * B.orbit_sum_r(m)
     real = B.expand_over_orbit_sums
     hits = []
@@ -685,6 +686,23 @@ def test_center_product_check_catches_a_wrong_coefficient(name, J, monkeypatch):
     assert type(exc.value) is SolveInconsistent
     assert str(exc.value) == "center product does not match its z-basis expansion"
     assert len(hits) == 1
+
+
+def test_center_suite_expands_each_pair_of_orbit_sums_once(monkeypatch):
+    """c2 `verify center` expands r_m·r_n over the orbit sums once per distinct
+    pair, not once per finite facet and pair; the memo holds one entry per pair,
+    and each equals a fresh expand_over_orbit_sums(r_m·r_n)."""
+    eng = _fresh_engine("c2")
+    B, d = eng.bern, eng.datum
+    real, calls = B.expand_over_orbit_sums, []
+    monkeypatch.setattr(B, "expand_over_orbit_sums", lambda r: calls.append(r) or real(r))
+    assert [r.status for r in suite_center(eng)] == ["PASS", "PASS"]
+    graded = d.antidominant_set(2)
+    pairs = {frozenset((m, n)) for m, h in graded for n, k in graded if h + k <= 2}
+    assert len(calls) == len(pairs) == len(B._products) == 9 and set(B._products) == pairs
+    for key, c in B._products.items():
+        m, n = min(key), max(key)
+        assert c == real(B.orbit_sum_r(m) * B.orbit_sum_r(n))
 
 
 def _is_basis(h):
@@ -716,7 +734,7 @@ def test_closed_forms_replace_generic_products(name, monkeypatch):
     # mul_oneK forms a·i_d as a product by the single basis element i_d, a walk
     # along d's reduced word; only those calls are allowed.  Each facet's 1_K
     # counts as a product with 1_K even where it is one term (i_e for J = ∅).
-    units = {id(G.one_K) for G in facets}
+    units = {id(P.kelt(G, d.zero)) for G in facets}
     assert calls and all(id(b) not in units and _is_basis(b) for _, b in calls)
 
 

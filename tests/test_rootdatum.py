@@ -107,12 +107,11 @@ def test_block_generator_accepted(a1t2):
 
 
 def test_act_examples(a1, a1t2):
-    m = a1.lattice([1])
-    s = a1.act_word([1], m)
-    assert s == a1.lattice([-1])
-    assert a1.act_word([1], a1.zero) == a1.zero
+    s1 = a1.w_word.index((1,))
+    assert a1.act(s1, a1.lattice([1])) == a1.lattice([-1])
+    assert a1.act(s1, a1.zero) == a1.zero
     mt = a1t2.lattice([1], [1])
-    assert a1t2.act_word([1], mt) == a1t2.lattice([-1], [1])
+    assert a1t2.act(a1t2.w_word.index((1,)), mt) == a1t2.lattice([-1], [1])
 
 
 def test_action_is_a_group_action(a2):
