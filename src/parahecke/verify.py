@@ -4,7 +4,8 @@ Each suite is a deterministic list of named checks; a check returns None on
 success or a counterexample string.  A check that raises is still one row:
 UnsupportedParameters gives SKIP, NegativeCoefficient gives FALSIFIED, and
 any other package error gives FAIL, so one broken check never aborts a run.
-Randomized checks use fixed seeds so that repeated runs emit identical bytes.
+Randomized checks use fixed seeds so that repeated runs emit identical bytes,
+and the braid and Matsumoto checks decide each distinct drawn case once.
 A positivity violation in the Satake suite is theorem falsification: the
 suite halts immediately and surfaces the serialized counterexample.
 """
@@ -90,25 +91,44 @@ def _check_braid_invariance(eng: Engine, count=500):
     one this check may fail sooner.)  rest is still drawn, so that the
     random stream, and with it every later word and the word a failure
     names, stays as when rest was applied.
+
+    Each distinct (prefix, relation) case is decided once, and i_prefix is
+    formed once per distinct prefix.  That skips nothing a check could see:
+    mul_word is a deterministic function of the word and of the step maps,
+    each memoized once per (w, s) and never rewritten, so a repeated case
+    reproduces its first occurrence's outcome, and that occurrence passed,
+    or the check would already have returned.  The first failing iteration
+    is therefore always a first occurrence, and the word and iteration a
+    failure names are those of the check that decides every draw.
     """
     H, d = eng.hecke, eng.datum
     if not d.saff_indices:
         return None
     rng = random.Random(_BRAID_SEED)
     pairs = [(a, b, m) for a, b, m in _braid_pairs(d) if m >= 2]
+    prefixes = {}  # prefix word -> i_prefix
+    decided = set()  # (prefix word, relation)
     for k in range(count):
         word = [rng.choice(d.saff_indices) for _ in range(rng.randint(0, 8))]
-        prefix = H.mul_word(H.one(), word[: rng.randrange(len(word) + 1)])
+        cut = tuple(word[: rng.randrange(len(word) + 1)])
+        relation = rng.choice(pairs) if pairs else rng.choice(d.saff_indices)
+        if (cut, relation) in decided:
+            continue
+        decided.add((cut, relation))
+        if cut not in prefixes:
+            prefixes[cut] = H.mul_word(H.one(), cut)
+        prefix = prefixes[cut]
         if pairs:
-            a, b, m = rng.choice(pairs)
+            a, b, m = relation
             left = H.mul_word(prefix, [a, b] * m)
             right = H.mul_word(prefix, [b, a] * m)
         else:
-            a = rng.choice(d.saff_indices)
-            left = H.mul_word(prefix, [a, a])
+            a = relation
+            once = H.mul_word(prefix, [a])
+            left = H.mul_word(once, [a])
             qs = LaurentPoly.v_power(2 * d.L[a])
             # i_w * i_s^2 = q_s i_w + (q_s-1) i_w i_s
-            right = H.lincomb([(prefix, qs), (H.mul_word(prefix, [a]), qs - 1)])
+            right = H.lincomb([(prefix, qs), (once, qs - 1)])
         if left != right:
             return f"braid/quadratic invariance fails on word {word} at iteration {k}"
     return None
@@ -139,11 +159,16 @@ def _braid_rewrites(d, word, rng, tries=10):
 
 
 def _check_matsumoto(eng: Engine):
+    """Random braid rewrites of each reduced word in the length-6 ball keep
+    the element and q_w.  Every rewrite is drawn, so the random stream stays
+    the same, but each distinct word is composed once: word_to_elt is a
+    deterministic function of the word, so a repeat would pass as its first
+    occurrence did."""
     W, d = eng.weyl, eng.datum
     rng = random.Random(_BRAID_SEED + 1)
     for x in W.ball(6, with_omega=False):
         word, om = W.reduced_word(x)
-        for alt in _braid_rewrites(d, word, rng):
+        for alt in dict.fromkeys(_braid_rewrites(d, word, rng)):
             if W.compose(W.word_to_elt(alt), om) != x:
                 return f"braid rewrite changed the element at {W.format_elt(x)}"
             if sum(d.L[i] for i in alt) != sum(d.L[i] for i in word):

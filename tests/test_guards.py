@@ -1,12 +1,14 @@
 """The loud convention-bug guards fire when an invariant is sabotaged."""
 
 import json
+import random
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from parahecke import engine as engine_mod
+from parahecke import verify
 from parahecke.affweyl import AffineWeylGroup
 from parahecke.bernstein import Bernstein
 from parahecke.cli import main
@@ -16,7 +18,15 @@ from parahecke.hecke import IwahoriHecke
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
-from parahecke.verify import CheckResult, _braid_pairs, _check_braid_invariance, _finite_facets, render_results
+from parahecke.verify import (
+    _BRAID_SEED,
+    CheckResult,
+    _braid_pairs,
+    _check_braid_invariance,
+    _check_matsumoto,
+    _finite_facets,
+    render_results,
+)
 
 
 def test_non_unit_diagonal_guard(monkeypatch):
@@ -227,6 +237,94 @@ def test_braid_check_catches_a_wrong_generator_step(monkeypatch, name, kind, min
 
     monkeypatch.setattr(IwahoriHecke, "_compute_gen_right", sabotaged)
     assert _check_braid_invariance(fresh()) == f"braid/quadratic invariance fails on word {failure}"
+
+
+@pytest.mark.parametrize("name, cases, prefixes", [("a1", 118, 89), ("c2", 171, 130)])
+def test_braid_check_decides_each_distinct_case_once(monkeypatch, name, cases, prefixes):
+    """Of the braid check's 500 draws, each distinct (prefix word, relation)
+    case forms its relation products once, and each distinct prefix word its
+    i_prefix once; the distinct draws are counted by replaying the seed."""
+    eng = load_engine(name)
+    d = eng.datum
+    rng = random.Random(_BRAID_SEED)
+    pairs = [p for p in _braid_pairs(d) if p[2] >= 2]
+    keys = set()
+    for _ in range(500):
+        word = [rng.choice(d.saff_indices) for _ in range(rng.randint(0, 8))]
+        cut = tuple(word[: rng.randrange(len(word) + 1)])
+        keys.add((cut, rng.choice(pairs) if pairs else rng.choice(d.saff_indices)))
+    assert (len(keys), len({cut for cut, _ in keys})) == (cases, prefixes)
+
+    real = IwahoriHecke.mul_word
+    products = []  # every product formed, kept alive so that ids stay unique
+    counts = Counter()
+
+    def counted(self, a, word):
+        # i_prefix starts from H.one(); a relation product from an earlier product
+        counts["relation" if any(a is p for p in products) else "prefix"] += 1
+        products.append(real(self, a, word))
+        return products[-1]
+
+    monkeypatch.setattr(IwahoriHecke, "mul_word", counted)
+    assert _check_braid_invariance(eng) is None
+    # two relation products per case: prefix·X and prefix·Y, or on rank 1
+    # prefix·i_a and prefix·i_a·i_a
+    assert counts == {"relation": 2 * cases, "prefix": prefixes}
+
+
+def _swap_non_commuting(d, word):
+    """word with its first two adjacent letters of braid order other than 2
+    swapped: a different element, since s_a·s_b = s_b·s_a only at order 2."""
+    for i in range(len(word) - 1):
+        if d.coxeter_matrix[tuple(sorted(word[i : i + 2]))] != 2:
+            return word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+    return None
+
+
+def _pad_with_a_square(d, word):
+    """word followed by s_a·s_a: the same element, q_w times q_a²."""
+    return word + (word[0], word[0])
+
+
+# The first failure of the Matsumoto check when every braid rewrite list of a
+# reduced word of length ≥ min_len gains the mutated word, recorded before the
+# check composed each distinct word once.
+_MATSUMOTO_MUTATIONS = [
+    ("a1", _swap_non_commuting, 3, "braid rewrite changed the element at t[2]·w[1]"),
+    ("a1", _swap_non_commuting, 5, "braid rewrite changed the element at t[3]·w[1]"),
+    ("a1", _pad_with_a_square, 3, "q_w differs across reduced words of t[2]·w[1]"),
+    ("a1", _pad_with_a_square, 5, "q_w differs across reduced words of t[3]·w[1]"),
+    ("c2", _swap_non_commuting, 3, "braid rewrite changed the element at t[1,1]·w[2,1,2]"),
+    ("c2", _swap_non_commuting, 5, "braid rewrite changed the element at t[1,1]·w[1,2,1]"),
+    ("c2", _pad_with_a_square, 3, "q_w differs across reduced words of t[1,1]·w[2,1,2]"),
+    ("c2", _pad_with_a_square, 5, "q_w differs across reduced words of t[1,1]·w[1,2,1]"),
+    ("a2", _swap_non_commuting, 3, "braid rewrite changed the element at t[0,1]·w[2]"),
+    ("a2", _swap_non_commuting, 5, "braid rewrite changed the element at t[1,2]·w[1,2,1]"),
+    ("a2", _pad_with_a_square, 3, "q_w differs across reduced words of t[0,1]·w[2]"),
+    ("a2", _pad_with_a_square, 5, "q_w differs across reduced words of t[1,2]·w[1,2,1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, min_len, failure",
+    _MATSUMOTO_MUTATIONS,
+    ids=[f"{n}-{m.__name__.strip('_')}-ge{k}" for n, m, k, _ in _MATSUMOTO_MUTATIONS],
+)
+def test_matsumoto_check_catches_a_word_that_is_no_braid_rewrite(monkeypatch, name, mutate, min_len, failure):
+    """A word that is not a braid rewrite of a reduced word fails the
+    Matsumoto check at the first element it is drawn for: one that names
+    another element, or the same element with another q_w."""
+    eng = load_engine(name)
+    assert _check_matsumoto(eng) is None
+    real = verify._braid_rewrites
+
+    def mutated(d, word, rng, tries=10):
+        words = real(d, word, rng, tries)  # drawn as always, so the stream stays
+        bad = mutate(d, tuple(word)) if len(word) >= min_len else None
+        return words + [bad] if bad else words
+
+    monkeypatch.setattr(verify, "_braid_rewrites", mutated)
+    assert _check_matsumoto(eng) == failure
 
 
 def test_center_commutation_tests_each_pair_once(monkeypatch, capsys):
