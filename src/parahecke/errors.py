@@ -13,7 +13,6 @@ __all__ = [
     "NonCrystallographic",
     "InfiniteFiniteWeyl",
     "ParameterBraidMismatch",
-    "TorsionNotFixed",
     "NotAntidominant",
     "SubgroupInvalid",
     "NonUnitDiagonal",
@@ -51,10 +50,6 @@ class InfiniteFiniteWeyl(ParaheckeError):
 
 class ParameterBraidMismatch(ParaheckeError):
     """Parameters differ on generators tied by an odd braid relation."""
-
-
-class TorsionNotFixed(ParaheckeError):
-    """A generator mixes the free and torsion parts of the lattice."""
 
 
 class NotAntidominant(ParaheckeError):

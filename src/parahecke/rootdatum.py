@@ -1,11 +1,13 @@
 """The static arena: a root datum with torsion and parameters.
 
 The configuration supplies a lattice Z^r ⊕ (⊕ Z/n_i), simple roots (integer
-functionals on Z^r), simple coroots (vectors), the reflection matrices, a
-positive-integer parameter per affine generator, and one highest root per
-irreducible component.  Validation enumerates the finite Weyl group, the root
-system with its root/coroot correspondence, the affine Coxeter matrix, and
-the rational interior point of the base alcove used by the length function.
+functionals on Z^r), simple coroots (vectors) and a positive-integer parameter
+per affine generator.  The rest is computed from the roots and coroots: the
+simple reflections s_i(λ) = λ − ⟨α_i, λ⟩·α_i∨, which fix the torsion, and the
+highest root of each irreducible component, which gives its affine reflection.
+Validation enumerates the finite Weyl group, the root system with its
+root/coroot correspondence, the affine Coxeter matrix, and the rational
+interior point of the base alcove used by the length function.
 
 Construction is validation: `Datum(cfg)` either returns a validated datum or
 raises its typed `ParaheckeError`.  `load_datum_file` is the one place where
@@ -33,7 +35,6 @@ from .errors import (
     NonCrystallographic,
     NotAntidominant,
     ParameterBraidMismatch,
-    TorsionNotFixed,
     ValidationError,
 )
 
@@ -146,9 +147,7 @@ class RootDatum(NamedTuple):
     torsion_invariants: tuple[int, ...]
     simple_coroots: tuple[Vec, ...]
     simple_roots: tuple[Vec, ...]
-    finite_generators: tuple[Mat, ...]
     affine_parameters: dict
-    component_highest_roots: tuple[Vec, ...]
     antidominant_generators: tuple[Vec, ...] = ()
     description: str = ""
 
@@ -172,30 +171,11 @@ class RootDatum(NamedTuple):
             torsion_invariants=tuple(num("torsion_invariants", x) for x in d.get("torsion_invariants", ())),
             simple_coroots=vecs("simple_coroots"),
             simple_roots=vecs("simple_roots"),
-            finite_generators=tuple(
-                tuple(tuple(num("finite_generators", x) for x in row) for row in m)
-                for m in d.get("finite_generators", ())
-            ),
             affine_parameters={
                 k: num("affine_parameters", v) for k, v in dict(d.get("affine_parameters", {})).items()
             },
-            component_highest_roots=vecs("component_highest_roots"),
             antidominant_generators=vecs("antidominant_generators"),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "free_rank": self.free_rank,
-            "torsion_invariants": list(self.torsion_invariants),
-            "simple_coroots": [list(v) for v in self.simple_coroots],
-            "simple_roots": [list(v) for v in self.simple_roots],
-            "finite_generators": [[list(r) for r in m] for m in self.finite_generators],
-            "affine_parameters": dict(self.affine_parameters),
-            "component_highest_roots": [list(v) for v in self.component_highest_roots],
-            "antidominant_generators": [list(v) for v in self.antidominant_generators],
-        }
 
 
 class Datum:
@@ -210,12 +190,15 @@ class Datum:
         self._check_shapes()
         self.simple_roots = cfg.simple_roots
         self.simple_coroots = cfg.simple_coroots
-        self.gens = self._normalized_generators()
+        # s_i as a matrix: (s_i)_jk = δ_jk − α_i∨[j]·α_i[k]
+        self.gens: tuple[Mat, ...] = tuple(
+            tuple(tuple(int(j == k) - cov[j] * root[k] for k in range(self.r)) for j in range(self.r))
+            for root, cov in zip(self.simple_roots, self.simple_coroots)
+        )
         self._check_crystallographic()
         self._enumerate_weyl(max_weyl_order)
         self._enumerate_roots()
         self._split_components()
-        self._check_highest_roots()
         self._build_saff()
         self._read_parameters()
         self._build_alcove_point()
@@ -224,7 +207,7 @@ class Datum:
         self._pred_cache: dict = {}
         # the configuration as canonical JSON: equal exactly for equal
         # configurations, so it keys the engine registry and content_hash
-        self.canonical_json = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+        self.canonical_json = json.dumps(cfg._asdict(), sort_keys=True).encode()
 
     # ------------------------------------------------------------------
     # validation passes
@@ -236,32 +219,11 @@ class Datum:
         if any(n < 2 for n in cfg.torsion_invariants):
             raise ValidationError("torsion invariants must be >= 2")
         n = self.n_simple
-        if len(cfg.simple_coroots) != n or len(cfg.finite_generators) != n:
-            raise ValidationError("simple_roots, simple_coroots, finite_generators must have equal length")
+        if len(cfg.simple_coroots) != n:
+            raise ValidationError("simple_roots and simple_coroots must have equal length")
         for v in cfg.simple_coroots + cfg.simple_roots:
             if len(v) != cfg.free_rank:
                 raise ValidationError("root/coroot vectors must have length free_rank")
-
-    def _normalized_generators(self) -> tuple[Mat, ...]:
-        r, t = self.r, len(self.torsion)
-        out = []
-        for m in self.cfg.finite_generators:
-            if len(m) == r and all(len(row) == r for row in m):
-                out.append(tuple(tuple(row) for row in m))
-                continue
-            if len(m) == r + t and all(len(row) == r + t for row in m):
-                # block form: must fix the torsion part pointwise
-                for i in range(r + t):
-                    for j in range(r + t):
-                        expect_block = (i < r) == (j < r)
-                        if not expect_block and m[i][j] != 0:
-                            raise TorsionNotFixed("generator mixes free and torsion parts")
-                        if i >= r and j >= r and m[i][j] != (1 if i == j else 0):
-                            raise TorsionNotFixed("generator acts nontrivially on torsion")
-                out.append(tuple(tuple(row[:r]) for row in m[:r]))
-                continue
-            raise ValidationError("generator matrices must be r x r (or block (r+t) x (r+t))")
-        return tuple(out)
 
     def _check_crystallographic(self):
         n, r = self.n_simple, self.r
@@ -274,18 +236,11 @@ class Datum:
                     continue
                 a = dot(self.simple_roots[i], self.simple_coroots[j])
                 b = dot(self.simple_roots[j], self.simple_coroots[i])
-                if a > 0 or b > 0 or a * b not in (0, 1, 2, 3):
+                if a > 0 or b > 0 or a * b not in (0, 1, 2, 3) or (a == 0) != (b == 0):
                     raise NonCrystallographic(f"pairing of simples {i},{j} fails crystallographic bounds")
         for vecs, label in ((self.simple_coroots, "coroots"), (self.simple_roots, "roots")):
             if vecs and len(_row_reduce([list(v) for v in vecs], r)) != n:
                 raise NonCrystallographic(f"simple {label} are linearly dependent")
-        # each generator must act by the stated reflection
-        for i, m in enumerate(self.gens):
-            for k in range(r):
-                e = tuple(1 if j == k else 0 for j in range(r))
-                want = tuple(e[j] - self.simple_roots[i][k] * self.simple_coroots[i][j] for j in range(r))
-                if mat_apply(m, e) != want:
-                    raise NonCrystallographic(f"generator {i} is not the reflection of root {i}")
 
     def _enumerate_weyl(self, bound: int):
         ident = _identity(self.r)
@@ -391,36 +346,18 @@ class Datum:
             for i in comp:
                 self.comp_of_simple[i] = ci
 
-    def _check_highest_roots(self):
-        if len(self.cfg.component_highest_roots) != len(self.components):
-            raise ValidationError(
-                f"expected {len(self.components)} component highest root(s), "
-                f"got {len(self.cfg.component_highest_roots)}"
-            )
-        self.theta = []
-        for ci, comp in enumerate(self.components):
-            theta = self.cfg.component_highest_roots[ci]
-            if theta not in self.all_roots or theta not in self.pos_root_coeffs:
-                raise ValidationError(f"configured highest root {theta} is not a positive root")
-            coeffs = self.pos_root_coeffs[theta]
-            support = {i for i, c in enumerate(coeffs) if c}
-            if not support <= set(comp):
-                raise ValidationError(f"highest root {theta} is not supported on component {ci}")
-            if any(c < 0 for c in coeffs):
-                raise ValidationError(f"highest root {theta} is not an N-combination of simple roots")
-            comp_heights = [
-                self.pos_root_height[b]
-                for b in self.pos_roots
-                if {i for i, c in enumerate(self.pos_root_coeffs[b]) if c} <= set(comp)
-            ]
-            if self.pos_root_height[theta] != max(comp_heights):
-                raise ValidationError(f"configured root {theta} is not highest in its component")
-            self.theta.append(theta)
-
     def _build_saff(self):
         """Affine generators: finite simples are 1..n; component c gets the
-        affine index 0 (c = 0) or n + c (c >= 1)."""
+        affine index 0 (c = 0) or n + c (c >= 1), the reflection in its highest
+        root θ_c.  θ_c is the component's positive root of greatest height,
+        which is unique (Bourbaki, Lie groups VI §1.8) and has full support on
+        the component, so it is the last of pos_roots (sorted by height) with
+        a nonzero coefficient at the component's first simple root."""
         n = self.n_simple
+        self.theta = [
+            [beta for beta in self.pos_roots if self.pos_root_coeffs[beta][comp[0]]][-1]
+            for comp in self.components
+        ]
         self.saff_indices = []
         self.saff_real: dict[int, tuple[Vec, int]] = {}
         for ci, theta in enumerate(self.theta):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -141,8 +142,7 @@ def test_bad_datum_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "name": "bad", "free_rank": 1, "simple_coroots": [[1]], "simple_roots": [[3]],
-        "finite_generators": [[[-1]]], "affine_parameters": {"s0": 1, "s1": 1},
-        "component_highest_roots": [[3]],
+        "affine_parameters": {"s0": 1, "s1": 1},
     }))
     code, _, err = capture(capsys, ["--datum", str(bad), "verify", "presentation"])
     assert code == 2
@@ -163,7 +163,8 @@ def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
 
 # Values of the wrong JSON type in a1_unequal's file, which int() would truncate
 # or which are truthy: each exits 2 with one error line.  The retired
-# equal_parameters_simply_laced key is an unknown key, accepted with any value.
+# equal_parameters_simply_laced and finite_generators keys are unknown keys,
+# accepted with any value.
 @pytest.mark.parametrize("field, value, ok", [
     ("free_rank", 1.9, False),
     ("free_rank", "1", False),
@@ -171,9 +172,9 @@ def test_malformed_datum_file_exits_2(capsys, tmp_path, content):
     ("s0", True, False),
     ("torsion_invariants", [2.0], False),
     ("simple_roots", [["2"]], False),
-    ("finite_generators", [[[False]]], False),
     ("equal_parameters_simply_laced", False, True),
     ("equal_parameters_simply_laced", None, True),
+    ("finite_generators", [[[False]]], True),
 ])
 def test_datum_field_types_are_checked(capsys, tmp_path, field, value, ok):
     raw = json.loads(Path(bundled_datum_path("a1_unequal")).read_text())
@@ -204,6 +205,50 @@ def test_retired_override_key_is_ignored(capsys, tmp_path, args):
     if args[0] == "verify":
         assert "[PASS] bernstein_relation_height_2\n" in want
     assert capture(capsys, ["--datum", str(path), *args])[:2] == (0, want)
+
+
+@pytest.mark.parametrize("args", [["validate"], ["verify", "presentation"]], ids=["validate", "verify-presentation"])
+@pytest.mark.parametrize("name, retired", [
+    # a (r+t) x (r+t) block generator: identity on the torsion, then mixing it in
+    ("a1_torsion2", {"finite_generators": [[[-1, 0], [0, 1]]]}),
+    ("a1_torsion2", {"finite_generators": [[[-1, 1], [0, 1]]]}),
+    ("c2", {"component_highest_roots": [[1, 1]]}),
+], ids=["block-generator", "torsion-mixing-generator", "wrong-highest-root"])
+def test_retired_datum_keys_are_ignored(capsys, tmp_path, args, name, retired):
+    """The reflections and highest roots are computed from the roots and
+    coroots, so a datum file that still sets finite_generators or
+    component_highest_roots prints what the bundled file prints, whatever
+    values it gives them."""
+    raw = json.loads(Path(bundled_datum_path(name)).read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**raw, **retired}))
+    code, want, _ = capture(capsys, ["--datum", name, *args])
+    assert code == 0
+    assert capture(capsys, ["--datum", str(path), *args])[:2] == (0, want)
+
+
+def test_asymmetric_cartan_pairing_exits_2(tmp_path):
+    """<α1, α2∨> = 0 with <α2, α1∨> = -1 would generate an infinite dihedral
+    W₀; the datum is rejected before enumeration, at once and in one line.
+    The child's address space is capped so that a regression fails here
+    rather than exhausting the machine's memory."""
+    bad = tmp_path / "asym.json"
+    bad.write_text(json.dumps({
+        "name": "asym", "free_rank": 2, "simple_coroots": [[1, 0], [0, 1]],
+        "simple_roots": [[2, 0], [-1, 2]], "affine_parameters": {"s0": 1, "s1": 1, "s2": 1},
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def cap_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "parahecke", "--datum", str(bad), "validate"],
+                          capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and "NonCrystallographic" in proc.stderr
 
 
 # sha256 of `validate` stdout per bundled datum: a change to the bytes of the
@@ -470,9 +515,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
 def test_record_semantics(E1):
     d, P = E1.datum, E1.para
     # RootDatum: equal by value, immutable
-    cfg = RootDatum.from_dict(d.cfg.to_dict())
+    cfg = RootDatum.from_dict(d.cfg._asdict())
     assert cfg == d.cfg and cfg is not d.cfg
-    assert RootDatum.from_dict({**d.cfg.to_dict(), "name": "other"}) != d.cfg
+    assert RootDatum.from_dict({**d.cfg._asdict(), "name": "other"}) != d.cfg
     with pytest.raises(AttributeError):
         cfg.name = "other"
     # FacetType: equality and hashing read J, elements and poincare; immutable

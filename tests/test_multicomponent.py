@@ -18,9 +18,7 @@ def Exx():
         "torsion_invariants": [],
         "simple_coroots": [[1, 0], [0, 1]],
         "simple_roots": [[2, 0], [0, 2]],
-        "finite_generators": [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]],
         "affine_parameters": {"s0": 1, "s1": 1, "s2": 1, "s3": 1},
-        "component_highest_roots": [[2, 0], [0, 2]],
         "antidominant_generators": [[-1, 0], [0, -1]],
     })
     return engine_for(Datum(cfg))
@@ -67,9 +65,7 @@ def test_rank_zero_pure_torsion_datum():
         "torsion_invariants": [3],
         "simple_coroots": [],
         "simple_roots": [],
-        "finite_generators": [],
         "affine_parameters": {},
-        "component_highest_roots": [],
     })
     eng = engine_for(Datum(cfg))
     d = eng.datum

@@ -10,7 +10,6 @@ from parahecke.errors import (
     NonCrystallographic,
     NotAntidominant,
     ParameterBraidMismatch,
-    TorsionNotFixed,
 )
 from parahecke.rootdatum import (
     BUNDLED_NAMES,
@@ -69,41 +68,80 @@ def test_a1_unequal_parameters_allowed():
     Datum(cfg)
     # no odd braid relation ties s0 to s1 in the rank-1 affine group,
     # so any positive values are fine in either arrangement
-    flipped = RootDatum.from_dict({**cfg.to_dict(), "affine_parameters": {"s0": 1, "s1": 3}})
+    flipped = RootDatum.from_dict({**cfg._asdict(), "affine_parameters": {"s0": 1, "s1": 3}})
     Datum(flipped)
 
 
 def test_a2_odd_braid_forces_equal_parameters(a2):
-    cfg = RootDatum.from_dict({**a2.cfg.to_dict(), "affine_parameters": {"s0": 2, "s1": 1, "s2": 1}})
+    cfg = RootDatum.from_dict({**a2.cfg._asdict(), "affine_parameters": {"s0": 2, "s1": 1, "s2": 1}})
     with pytest.raises(ParameterBraidMismatch):
         Datum(cfg)
 
 
 def test_bad_cartan_diagonal_rejected(a1):
-    cfg = RootDatum.from_dict({**a1.cfg.to_dict(), "simple_roots": [[3]]})
+    cfg = RootDatum.from_dict({**a1.cfg._asdict(), "simple_roots": [[3]]})
     with pytest.raises(NonCrystallographic):
         Datum(cfg)
 
 
-def test_infinite_weyl_rejected(a1):
-    # a "reflection" of infinite order: pair with a fake root so the formula
-    # check passes but enumeration runs away is not constructible; instead
-    # drive the bound down on a valid datum to exercise the error path.
+def test_infinite_weyl_rejected():
+    # The affine A2 Cartan matrix passes every pairwise bound, and in rank 4
+    # its roots and coroots are linearly independent, but the group they
+    # generate is the infinite affine Weyl group.  A low bound keeps the
+    # enumeration short; a valid datum past a lower bound fails the same way.
+    cfg = RootDatum.from_dict({
+        "name": "affine_a2", "free_rank": 4,
+        "simple_coroots": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        "simple_roots": [[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0]],
+        "affine_parameters": {},
+    })
+    with pytest.raises(InfiniteFiniteWeyl):
+        Datum(cfg, max_weyl_order=200)
     with pytest.raises(InfiniteFiniteWeyl):
         Datum(load_bundled("c2").cfg, max_weyl_order=3)
 
 
-def test_torsion_mixing_rejected(a1t2):
-    raw = a1t2.cfg.to_dict()
-    raw["finite_generators"] = [[[-1, 1], [0, 1]]]  # (r+t) x (r+t) block mixing parts
-    with pytest.raises(TorsionNotFixed):
-        Datum(RootDatum.from_dict(raw))
+# The reflection matrices and highest roots the bundled files configured
+# before both were computed from the roots and coroots.
+CONFIGURED_GENERATORS = {
+    "a1": ([[[-1]]], [[2]]),
+    "a1_torsion2": ([[[-1]]], [[2]]),
+    "a1_unequal": ([[[-1]]], [[2]]),
+    "gl2": ([[[0, 1], [1, 0]]], [[1, -1]]),
+    "a2": ([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]], [[1, 1]]),
+    "c2": ([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], [[2, 0]]),
+}
 
 
-def test_block_generator_accepted(a1t2):
-    raw = a1t2.cfg.to_dict()
-    raw["finite_generators"] = [[[-1, 0], [0, 1]]]  # identity on the torsion block
-    Datum(RootDatum.from_dict(raw))
+def _as_lists(x):
+    return [_as_lists(y) for y in x] if isinstance(x, (tuple, list)) else x
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_derived_generators_and_highest_roots(name):
+    d = load_bundled(name)
+    assert (_as_lists(d.gens), _as_lists(d.theta)) == CONFIGURED_GENERATORS[name]
+
+
+# G2 and A3 on their coroot lattices, without reflection matrices or highest
+# roots: the computed ones are those derived by hand.
+@pytest.mark.parametrize("roots, gens, theta, order", [
+    ([[2, -1], [-3, 2]], [[[-1, 1], [0, 1]], [[1, 0], [3, -1]]], [[0, 1]], 12),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+     [[[-1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, -1, 1], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 1, -1]]],
+     [[1, 0, 1]], 24),
+], ids=["g2", "a3"])
+def test_reflections_and_highest_root_computed(roots, gens, theta, order):
+    n = len(roots)
+    d = Datum(RootDatum.from_dict({
+        "name": "x", "free_rank": n,
+        "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
+        "simple_roots": roots,
+        "affine_parameters": {f"s{i}": 1 for i in range(n + 1)},
+    }))
+    assert (_as_lists(d.gens), _as_lists(d.theta), d.w_order) == (gens, theta, order)
+    if n == 2:
+        assert d.coxeter_matrix[(1, 2)] == 6
 
 
 def test_act_examples(a1, a1t2):
@@ -199,9 +237,7 @@ def test_multicomponent_a1xa1():
         "torsion_invariants": [],
         "simple_coroots": [[1, 0], [0, 1]],
         "simple_roots": [[2, 0], [0, 2]],
-        "finite_generators": [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]],
         "affine_parameters": {"s0": 1, "s1": 1, "s2": 1, "s3": 1},
-        "component_highest_roots": [[2, 0], [0, 2]],
         "antidominant_generators": [[-1, 0], [0, -1]],
     })
     d = Datum(cfg)
