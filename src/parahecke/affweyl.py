@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ExprSyntaxError
-from .rootdatum import Datum, LatticeElt, Vec, dot
+from .rootdatum import Datum, LatticeElt, Vec
 
 __all__ = ["ExtWeylElt", "AffineWeylGroup"]
 
@@ -53,6 +54,7 @@ class AffineWeylGroup:
         self._red: dict[ExtWeylElt, tuple[tuple[int, ...], ExtWeylElt]] = {}
         self._wlen: dict[ExtWeylElt, int] = {}
         self._omega_samples: list[ExtWeylElt] | None = None
+        self._balls: dict[tuple[int, bool], list[ExtWeylElt]] = {}
         self._ids: dict[ExtWeylElt, int] = {}
         self.by_id: list[ExtWeylElt] = []
         self.intern(self.identity)
@@ -86,17 +88,17 @@ class AffineWeylGroup:
 
     def compose(self, x: ExtWeylElt, y: ExtWeylElt) -> ExtWeylElt:
         d = self.datum
-        m = d.w_elems[x.w]
-        free = tuple(a + dot(row, y.free) for a, row in zip(x.free, m))
-        tors = tuple((a + b) % n for a, b, n in zip(x.tors, y.tors, d.torsion))
+        yf = y.free
+        free = tuple([a + sum(map(mul, row, yf)) for a, row in zip(x.free, d.w_elems[x.w])])
+        tors = tuple([(a + b) % n for a, b, n in zip(x.tors, y.tors, d.torsion)])
         return ExtWeylElt(free, tors, d.w_mult[x.w][y.w])
 
     def inverse(self, x: ExtWeylElt) -> ExtWeylElt:
         d = self.datum
         wi = d.w_inv[x.w]
-        m = d.w_elems[wi]
-        free = tuple(-dot(row, x.free) for row in m)
-        tors = tuple((-a) % n for a, n in zip(x.tors, d.torsion))
+        xf = x.free
+        free = tuple([-sum(map(mul, row, xf)) for row in d.w_elems[wi]])
+        tors = tuple([(-a) % n for a, n in zip(x.tors, d.torsion)])
         return ExtWeylElt(free, tors, wi)
 
     def word_to_elt(self, word) -> ExtWeylElt:
@@ -111,12 +113,10 @@ class AffineWeylGroup:
         ell = self._len.get(x)
         if ell is None:
             d = self.datum
-            ft = d.floor_tab[x.w]
-            ell = 0
-            for k, beta in enumerate(d.pos_roots):
-                c = dot(beta, x.free) + ft[k]
-                ell += c if c >= 0 else -c
-            self._len[x] = ell
+            xf = x.free
+            ell = self._len[x] = sum(
+                [abs(sum(map(mul, beta, xf)) + f) for beta, f in zip(d.pos_roots, d.floor_tab[x.w])]
+            )
         return ell
 
     def reduced_word(self, x: ExtWeylElt) -> tuple[tuple[int, ...], ExtWeylElt]:
@@ -200,28 +200,31 @@ class AffineWeylGroup:
 
     def ball(self, max_length: int, with_omega: bool = True) -> list[ExtWeylElt]:
         """All W_aff elements of length ≤ max_length, decorated with the
-        Ω-sample on the right when requested; sorted deterministically."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        k = 0
-        while frontier and k < max_length:
-            new = []
-            for x in frontier:
-                for i in self.datum.saff_indices:
-                    y = self.compose(x, self._gens[i])
-                    if y not in seen and self.length(y) == k + 1:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-            k += 1
-        aff = sorted(seen, key=self.sort_key)
-        if not with_omega:
-            return aff
-        out = []
-        for om in self.omega_samples():
-            for x in aff:
-                out.append(self.compose(x, om))
-        return sorted(set(out), key=self.sort_key)
+        Ω-sample on the right when requested; sorted deterministically.
+        Memoized per (max_length, with_omega): callers only read the list."""
+        key = (max_length, with_omega)
+        got = self._balls.get(key)
+        if got is not None:
+            return got
+        if with_omega:
+            aff = self.ball(max_length, False)
+            out = {self.compose(x, om) for om in self.omega_samples() for x in aff}
+        else:
+            out = {self.identity}
+            frontier = [self.identity]
+            k = 0
+            while frontier and k < max_length:
+                new = []
+                for x in frontier:
+                    for i in self.datum.saff_indices:
+                        y = self.compose(x, self._gens[i])
+                        if y not in out and self.length(y) == k + 1:
+                            out.add(y)
+                            new.append(y)
+                frontier = new
+                k += 1
+        got = self._balls[key] = sorted(out, key=self.sort_key)
+        return got
 
     def sort_key(self, x: ExtWeylElt):
         word, om = self.reduced_word(x)

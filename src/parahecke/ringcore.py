@@ -379,6 +379,17 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.d:
             return LaurentPoly.zero()
+        if len(other.d) == 1:
+            # By a monomial c·v^k: term by term, from the top term down as
+            # the long division below would go.
+            ((k, lead),) = other.d.items()
+            quot = {}
+            for e in sorted(self.d, reverse=True):
+                c, r = divmod(self.d[e], lead)
+                if r:
+                    raise NonDivisible(f"{self} is not divisible by {other}")
+                quot[e - k] = c
+            return LaurentPoly.__new_raw__(quot)
         # Shift both to honest polynomials and long-divide.
         sa, sb = self.min_exp(), other.min_exp()
         a = {e - sa: c for e, c in self.d.items()}

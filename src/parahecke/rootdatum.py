@@ -5,7 +5,8 @@ functionals on Z^r), simple coroots (vectors) and a positive-integer parameter
 per affine generator.  The rest is computed from the roots and coroots: the
 simple reflections s_i(λ) = λ − ⟨α_i, λ⟩·α_i∨, which fix the torsion, and the
 highest root of each irreducible component, which gives its affine reflection.
-Validation enumerates the finite Weyl group, the root system with its
+Validation checks that each component's Cartan matrix is of finite type,
+then enumerates the finite Weyl group, the root system with its
 root/coroot correspondence, the affine Coxeter matrix, and the rational
 interior point of the base alcove used by the length function.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -60,11 +62,11 @@ class LatticeElt(NamedTuple):
 
 
 def dot(covec: Vec, vec: Vec) -> int:
-    return sum(a * b for a, b in zip(covec, vec))
+    return sum(map(mul, covec, vec))
 
 
 def mat_apply(m: Mat, vec: Vec) -> Vec:
-    return tuple(dot(row, vec) for row in m)
+    return tuple([sum(map(mul, row, vec)) for row in m])
 
 
 def covec_apply(covec: Vec, m: Mat) -> Vec:
@@ -196,9 +198,10 @@ class Datum:
             for root, cov in zip(self.simple_roots, self.simple_coroots)
         )
         self._check_crystallographic()
+        self._split_components()
+        self._check_finite_type()
         self._enumerate_weyl(max_weyl_order)
         self._enumerate_roots()
-        self._split_components()
         self._build_saff()
         self._read_parameters()
         self._build_alcove_point()
@@ -242,6 +245,39 @@ class Datum:
             if vecs and len(_row_reduce([list(v) for v in vecs], r)) != n:
                 raise NonCrystallographic(f"simple {label} are linearly dependent")
 
+    def _check_finite_type(self):
+        """Each component's Cartan matrix a_ij = <α_j, α_i∨> must be of finite
+        type, or its Weyl group is infinite (Kac, Infinite dimensional Lie
+        algebras, Prop. 4.9): symmetrizable as d_i·a_ij = d_j·a_ji with d_i > 0,
+        and D·A positive definite.  Decided on ints: the d_i are spread along
+        the component and scaled to stay integral, and Sylvester's criterion
+        reads the leading principal minors of D·A off fraction-free
+        (Bareiss) elimination."""
+        for comp in self.components:
+            n = len(comp)
+            a = [[dot(self.simple_roots[j], self.simple_coroots[i]) for j in comp] for i in comp]
+            d = [1] + [0] * (n - 1)
+            stack = [0]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if a[i][j] and not d[j]:
+                        if d[i] * a[i][j] % a[j][i]:
+                            d = [x * -a[j][i] for x in d]
+                        d[j] = d[i] * a[i][j] // a[j][i]
+                        stack.append(j)
+            m = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+            if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+                raise InfiniteFiniteWeyl(f"Cartan matrix of simples {comp} is not symmetrizable, so W0 is infinite")
+            prev = 1
+            for k in range(n):
+                if m[k][k] <= 0:
+                    raise InfiniteFiniteWeyl(f"Cartan matrix of simples {comp} is not of finite type, so W0 is infinite")
+                for i in range(k + 1, n):
+                    for j in range(k + 1, n):
+                        m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                prev = m[k][k]
+
     def _enumerate_weyl(self, bound: int):
         ident = _identity(self.r)
         elems = [ident]
@@ -276,7 +312,7 @@ class Datum:
             raise NonCrystallographic("finite Weyl group has no unique longest element")
 
     def act_w(self, wi: int, vec: Vec) -> Vec:
-        return mat_apply(self.w_elems[wi], vec)
+        return tuple([sum(map(mul, row, vec)) for row in self.w_elems[wi]])
 
     def _enumerate_roots(self):
         pairs = {}
@@ -510,7 +546,10 @@ class Datum:
         return LatticeElt(self.act_w(wi, m.free), m.tors)
 
     def _free_antidominant(self, free: Vec) -> bool:
-        return all(dot(alpha, free) <= 0 for alpha in self.simple_roots)
+        for alpha in self.simple_roots:
+            if sum(map(mul, alpha, free)) > 0:
+                return False
+        return True
 
     def is_antidominant(self, m: LatticeElt) -> bool:
         return self._free_antidominant(m.free)

@@ -135,21 +135,21 @@ def _check_braid_invariance(eng: Engine, count=500):
 
 
 def _braid_rewrites(d, word, rng, tries=10):
-    """Random braid rewrites of a reduced word (same element, same length)."""
+    """Random braid rewrites of a reduced word (same element, same length).
+
+    Each try lists every spot where a braid word aba··· or bab··· starts, by
+    position and then in braid-pair order, and rewrites one drawn spot."""
     words = [tuple(word)]
     cur = list(word)
-    finite = {(a, b): m for a, b, m in _braid_pairs(d)}
+    moves = []  # (m, pattern, replacement), both directions of each braid pair
+    for a, b, m in _braid_pairs(d):
+        ab = [a, b] * (m // 2) + [a] * (m % 2)
+        ba = [b, a] * (m // 2) + [b] * (m % 2)
+        moves += [(m, ab, ba), (m, ba, ab)]
     for _ in range(tries):
-        spots = []
-        for i in range(len(cur)):
-            for (a, b), m in finite.items():
-                if i + m <= len(cur):
-                    pattern = [a if k % 2 == 0 else b for k in range(m)]
-                    if cur[i : i + m] == pattern:
-                        spots.append((i, m, [b if k % 2 == 0 else a for k in range(m)]))
-                    pattern2 = [b if k % 2 == 0 else a for k in range(m)]
-                    if cur[i : i + m] == pattern2:
-                        spots.append((i, m, [a if k % 2 == 0 else b for k in range(m)]))
+        spots = [
+            (i, m, repl) for i in range(len(cur)) for m, pattern, repl in moves if cur[i : i + m] == pattern
+        ]
         if not spots:
             break
         i, m, repl = rng.choice(spots)
@@ -315,6 +315,18 @@ def _check_theta_choice(eng: Engine):
 
 
 def _check_roundtrip(eng: Engine, count=200):
+    """bern_to_im(im_to_bern(h)) == h for `count` random h on W.ball(5).
+
+    bern_to_im reads the same memoized products Θ_m·i_w that im_to_bern
+    eliminated with, so a pass shows three things: the elimination ends with
+    unit diagonals, its pivots strictly decrease, and _eliminate's _axpy and
+    bern_to_im's _lincomb agree.  It does not check the products themselves.
+    Those rest on the checks of Θ_m (theta_multiplicativity_within_height_3,
+    theta_choice_independence_height_2, vee_theta_conjugation_height_2),
+    on bernstein_relation_height_2, which multiplies Θ_m by i_s + 1 (it runs
+    on equal-parameter simply-laced data only), and on the presentation
+    suite's checks of H.mul.
+    """
     B, H, W = eng.bern, eng.hecke, eng.weyl
     rng = random.Random(_ROUNDTRIP_SEED)
     ball = W.ball(5)

@@ -189,3 +189,91 @@ def test_intern_ids_are_dense_and_invertible():
     assert ids == list(range(len(ball)))  # identity is 0, then first-seen order
     assert [W.intern(x) for x in ball] == ids
     assert [W.by_id[n] for n in ids] == ball
+
+
+# The group law, length and Weyl action as first written, on generator
+# expressions around a plain dot product: the reference for the kernels.
+def _dot(covec, vec):
+    return sum(a * b for a, b in zip(covec, vec))
+
+
+def _old_compose(W, x, y):
+    d = W.datum
+    free = tuple(a + _dot(row, y.free) for a, row in zip(x.free, d.w_elems[x.w]))
+    tors = tuple((a + b) % n for a, b, n in zip(x.tors, y.tors, d.torsion))
+    return (free, tors, d.w_mult[x.w][y.w])
+
+
+def _old_inverse(W, x):
+    d = W.datum
+    wi = d.w_inv[x.w]
+    free = tuple(-_dot(row, x.free) for row in d.w_elems[wi])
+    tors = tuple((-a) % n for a, n in zip(x.tors, d.torsion))
+    return (free, tors, wi)
+
+
+def _old_length(W, x):
+    d = W.datum
+    ft = d.floor_tab[x.w]
+    ell = 0
+    for k, beta in enumerate(d.pos_roots):
+        c = _dot(beta, x.free) + ft[k]
+        ell += c if c >= 0 else -c
+    return ell
+
+
+def _old_ball(W, max_length, with_omega=True):
+    seen = {W.identity}
+    frontier = [W.identity]
+    k = 0
+    while frontier and k < max_length:
+        new = []
+        for x in frontier:
+            for i in W.datum.saff_indices:
+                y = W.compose(x, W.gen(i))
+                if y not in seen and W.length(y) == k + 1:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+        k += 1
+    aff = sorted(seen, key=W.sort_key)
+    if not with_omega:
+        return aff
+    return sorted({W.compose(x, om) for om in W.omega_samples() for x in aff}, key=W.sort_key)
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_group_law_kernels_match_the_reference(name):
+    """compose, inverse, length and act_w equal the reference formulas on
+    ball(4) × ball(4), torsion included; each value is a tuple of ints."""
+    W = AffineWeylGroup(load_bundled(name))
+    d = W.datum
+    ball = W.ball(4)
+    for x in ball:
+        assert W.inverse(x) == _old_inverse(W, x)
+        assert AffineWeylGroup(d).length(x) == _old_length(W, x)
+        for y in ball:
+            assert W.compose(x, y) == _old_compose(W, x, y)
+    frees = {x.free for x in ball}
+    for wi in range(d.w_order):
+        for free in frees:
+            got = d.act_w(wi, free)
+            assert got == tuple(_dot(row, free) for row in d.w_elems[wi])
+            assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_balls_are_memoized_per_length_and_omega(name):
+    """Each (max_length, with_omega) has its own memo entry: a repeated call
+    returns the same list, equal to a fresh BFS, whichever is asked first."""
+    datum = load_bundled(name)
+    ref = AffineWeylGroup(datum)
+    want = {(k, om): _old_ball(ref, k, om) for k in (3, 4) for om in (True, False)}
+    for first in (True, False):
+        W = AffineWeylGroup(datum)
+        for k in (3, 4):
+            got = {om: W.ball(k, om) for om in (first, not first)}
+            for om, ball in got.items():
+                assert ball == want[(k, om)]
+                assert W.ball(k, om) is ball
+        assert W.ball(4) == W.ball(4, with_omega=True)

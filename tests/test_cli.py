@@ -251,6 +251,35 @@ def test_asymmetric_cartan_pairing_exits_2(tmp_path):
     assert proc.stderr.count("\n") == 1 and "NonCrystallographic" in proc.stderr
 
 
+def test_affine_cartan_matrix_exits_2_at_once(tmp_path):
+    """The affine A2 Cartan matrix realized in rank 4 passes every pairwise
+    bound; its W0 is infinite, and the finite-type test rejects it before
+    enumeration, in one line and without enumerating up to the bound (which
+    took seconds and hundreds of MB).  The address space is capped as above."""
+    bad = tmp_path / "affine_a2.json"
+    bad.write_text(json.dumps({
+        "name": "affine_a2", "free_rank": 4,
+        "simple_coroots": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        "simple_roots": [[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0]],
+        "affine_parameters": {"s0": 1, "s1": 1, "s2": 1, "s3": 1},
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def cap_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = "import sys, time; from parahecke import cli; t = time.perf_counter(); c = cli.main(sys.argv[1:]); " \
+           "print(time.perf_counter() - t); sys.exit(c)"
+    proc = subprocess.run([sys.executable, "-c", code, "--datum", str(bad), "validate"],
+                          capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "InfiniteFiniteWeyl" in proc.stderr
+    assert "not of finite type" in proc.stderr
+    assert float(proc.stdout) < 0.5  # seconds in cli.main, against about 9 when it enumerated
+
+
 # sha256 of `validate` stdout per bundled datum: a change to the bytes of the
 # report fails here.
 VALIDATE_DIGESTS = {

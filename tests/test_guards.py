@@ -327,6 +327,43 @@ def test_matsumoto_check_catches_a_word_that_is_no_braid_rewrite(monkeypatch, na
     assert _check_matsumoto(eng) == failure
 
 
+def _old_braid_rewrites(d, word, rng, tries=10):
+    """verify._braid_rewrites as first written: the patterns built at every
+    position of every try.  The reference for its spots and its draws."""
+    words = [tuple(word)]
+    cur = list(word)
+    finite = {(a, b): m for a, b, m in _braid_pairs(d)}
+    for _ in range(tries):
+        spots = []
+        for i in range(len(cur)):
+            for (a, b), m in finite.items():
+                if i + m <= len(cur):
+                    pattern = [a if k % 2 == 0 else b for k in range(m)]
+                    if cur[i : i + m] == pattern:
+                        spots.append((i, m, [b if k % 2 == 0 else a for k in range(m)]))
+                    pattern2 = [b if k % 2 == 0 else a for k in range(m)]
+                    if cur[i : i + m] == pattern2:
+                        spots.append((i, m, [a if k % 2 == 0 else b for k in range(m)]))
+        if not spots:
+            break
+        i, m, repl = rng.choice(spots)
+        cur[i : i + m] = repl
+        words.append(tuple(cur))
+    return words
+
+
+@pytest.mark.parametrize("name", ["a2", "c2", "gl2"])
+def test_braid_rewrites_match_the_reference(name):
+    """The same rewrites, and the same draws from one seeded stream, as the
+    reference for every reduced word of the length-6 ball."""
+    W = AffineWeylGroup(load_bundled(name))
+    rng, ref_rng = random.Random(_BRAID_SEED), random.Random(_BRAID_SEED)
+    for x in W.ball(6, with_omega=False):
+        word, _ = W.reduced_word(x)
+        assert verify._braid_rewrites(W.datum, word, rng) == _old_braid_rewrites(W.datum, word, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_center_commutation_tests_each_pair_once(monkeypatch, capsys):
     """c2 `verify center` tests each z_m against each h_x of height ≤ 2 exactly
     once per finite facet: center_elt's guard takes the x of height ≤ 1 and

@@ -61,6 +61,52 @@ def test_exact_div_roundtrip(a, b):
     assert (a * b).exact_div(b) == a
 
 
+def _long_div(self, other):
+    """LaurentPoly.exact_div as written for every divisor (the long
+    division), the reference for its monomial branch."""
+    sa, sb = self.min_exp(), other.min_exp()
+    a = {e - sa: c for e, c in self.d.items()}
+    b = {e - sb: c for e, c in other.d.items()}
+    db = max(b)
+    lead = b[db]
+    quot = {}
+    rem = dict(a)
+    while rem:
+        dr = max(rem)
+        if dr < db:
+            raise NonDivisible(f"{self} is not divisible by {other}")
+        c, r = divmod(rem[dr], lead)
+        if r:
+            raise NonDivisible(f"{self} is not divisible by {other}")
+        quot[dr - db] = c
+        for e, cb in b.items():
+            k = e + dr - db
+            n = rem.get(k, 0) - c * cb
+            if n:
+                rem[k] = n
+            else:
+                rem.pop(k, None)
+    return {e + sa - sb: c for e, c in quot.items()}
+
+
+def _outcome(div, a, b):
+    try:
+        got = div(a, b)
+    except NonDivisible as exc:
+        return "NonDivisible", str(exc)
+    return "quotient", list(got.items())  # the key order too
+
+
+@given(small_polys.filter(bool), st.integers(min_value=-3, max_value=3).filter(bool),
+       st.integers(min_value=-6, max_value=6))
+def test_monomial_exact_div_matches_long_division(p, c, k):
+    """By c·v^k, the quotient (with its key order) or the NonDivisible
+    message is the long division's, for p·c·v^k and for p itself."""
+    m = LaurentPoly.v_power(k, c)
+    for a in (p * m, p):
+        assert _outcome(lambda x, y: x.exact_div(y).d, a, m) == _outcome(_long_div, a, m)
+
+
 def test_zero_divisor_raises():
     with pytest.raises(ZeroDivisionError):
         ONE.exact_div(LaurentPoly.zero())

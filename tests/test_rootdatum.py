@@ -87,8 +87,8 @@ def test_bad_cartan_diagonal_rejected(a1):
 def test_infinite_weyl_rejected():
     # The affine A2 Cartan matrix passes every pairwise bound, and in rank 4
     # its roots and coroots are linearly independent, but the group they
-    # generate is the infinite affine Weyl group.  A low bound keeps the
-    # enumeration short; a valid datum past a lower bound fails the same way.
+    # generate is the infinite affine Weyl group; the finite-type test rejects
+    # it before enumeration.  A valid datum past a low bound fails the same way.
     cfg = RootDatum.from_dict({
         "name": "affine_a2", "free_rank": 4,
         "simple_coroots": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
@@ -99,6 +99,57 @@ def test_infinite_weyl_rejected():
         Datum(cfg, max_weyl_order=200)
     with pytest.raises(InfiniteFiniteWeyl):
         Datum(load_bundled("c2").cfg, max_weyl_order=3)
+
+
+def _cartan_datum(cartan, components=1):
+    """A datum realizing the Cartan matrix a_ij = <α_j, α_i∨>: coroots e_1..e_n
+    in rank n + 1, root j the column j of the matrix, with a 1 in the extra
+    coordinate for the last root so that the roots stay independent when the
+    last component's matrix is singular.  Every parameter is 1."""
+    n = len(cartan)
+    roots = [[cartan[i][j] for i in range(n)] + [int(j == n - 1)] for j in range(n)]
+    coroots = [[int(i == j) for i in range(n + 1)] for j in range(n)]
+    params = {f"s{i}": 1 for i in range(n + components)}
+    return RootDatum.from_dict({"name": "cartan", "free_rank": n + 1, "simple_coroots": coroots,
+                                "simple_roots": roots, "affine_parameters": params})
+
+
+FINITE_CARTAN = {  # name -> (Cartan matrix, number of components, |W0|)
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 1, 24),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 1, 48),
+    "C3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 1, 48),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 1, 192),
+    "G2": ([[2, -1], [-3, 2]], 1, 12),
+    "A1 x G2": ([[2, 0, 0], [0, 2, -3], [0, -1, 2]], 2, 24),
+}
+
+# Each passes every pairwise crystallographic bound, yet generates an
+# infinite group; the message names why.
+INFINITE_CARTAN = {
+    "affine A2": ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not of finite type"),
+    "affine C2": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], "not of finite type"),
+    "affine G2": ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not of finite type"),
+    "hyperbolic": ([[2, -3, 0], [-1, 2, -2], [0, -1, 2]], "not of finite type"),
+    "A1 x affine A3": ([[2, 0, 0, 0, 0], [0, 2, -1, 0, -1], [0, -1, 2, -1, 0], [0, 0, -1, 2, -1],
+                        [0, -1, 0, -1, 2]], "not of finite type"),
+    "non-symmetrizable cycle": ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CARTAN))
+def test_finite_type_cartan_matrices_validate(name):
+    cartan, components, order = FINITE_CARTAN[name]
+    d = Datum(_cartan_datum(cartan, components))
+    assert (len(d.components), d.w_order) == (components, order)
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_CARTAN))
+def test_infinite_type_cartan_matrix_rejected_before_enumeration(name):
+    """The finite-type test decides before W0 is enumerated: a bound of 2
+    would fail any enumeration, so the message shows which test raised."""
+    cartan, why = INFINITE_CARTAN[name]
+    with pytest.raises(InfiniteFiniteWeyl, match=why):
+        Datum(_cartan_datum(cartan), max_weyl_order=2)
 
 
 # The reflection matrices and highest roots the bundled files configured
