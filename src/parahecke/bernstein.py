@@ -257,7 +257,11 @@ class Bernstein:
         untwisted normalization that is (q_s − θ_{α∨})/(1 − θ_{α∨}).
         """
         d, W, H = self.datum, self.W, self.H
-        if not d.equal_param_simply_laced:
+        # the one-parameter form needs equal parameters, finite braids of order ≤ 3,
+        # and no simple coroot with all coordinates even (the mixed parameter case)
+        n = d.n_simple
+        simply_laced = all(d.coxeter_matrix[(i, j)] <= 3 for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        if len(set(d.L.values())) > 1 or not simply_laced or any(all(c % 2 == 0 for c in v) for v in d.simple_coroots):
             raise UnsupportedParameters("unequal parameters or non-simply-laced datum")
         if not 1 <= i <= d.n_simple:
             raise ValueError(f"s{i} is not a finite simple reflection")

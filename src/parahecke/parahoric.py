@@ -32,9 +32,10 @@ transform.  The Satake rows and the general solve share one solve against
 the z-basis, `_z_coords`, which eliminates each z_μ at its W.sort_key-largest
 term in the caller's order; the rows add their diagonal and positivity
 checks.  Positivity of the entries is asserted in the shifted variable
-t = q - 1 (the universal form of point-count positivity).  Lifting to a
-bigger facet is the corner product z ∗_{K_small} 1_{K_big} = z·1_{K_big} /
-P_{J_small}, the same `mul_oneK` with P_{J_small} as its divisor.
+t = q - 1 (LaurentPoly.nonneg_in_q_minus_1, stronger than nonnegativity at
+every prime power).  Lifting to a bigger facet is the corner product
+z ∗_{K_small} 1_{K_big} = z·1_{K_big} / P_{J_small}, the same `mul_oneK`
+with P_{J_small} as its divisor.
 
 z_m is one closed-form product of the Θ̇(r_m) that its one-sidedness check
 needs anyway.  Multiplicativity of the Satake transform is checked in

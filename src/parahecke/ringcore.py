@@ -31,6 +31,8 @@ True
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import NonDivisible, OddHalfPower
 
 __all__ = ["LaurentPoly", "is_prime_power"]
@@ -435,36 +437,21 @@ class LaurentPoly:
         return int(total) if total.denominator == 1 else total
 
     def nonneg_in_q_minus_1(self) -> bool:
-        """True iff q^k * self lies in N[q - 1] for some k ≥ 0.
+        """True iff q^s·self has nonnegative coefficients in powers of q − 1,
+        s ≥ 0 the least shift clearing negative q-exponents; odd v-support fails.
 
-        This is the universal form of positivity for point-counting
-        q-analogues: it holds exactly when every specialization of q to a
-        prime power is a nonnegative number.  Odd v-support fails.
+        The coefficient at (q − 1)^j is Σ_e c_e·C(e, j) over the terms c_e·q^e
+        of q^s·self.  Passing implies nonnegativity at every prime power q, but
+        not conversely, and a larger shift may pass where s fails:
+        q² − 3q + 3 = (q − 1)² − (q − 1) + 1 fails though it is positive at
+        every q, while q·(q² − 3q + 3) = (q − 1)³ + 1 passes.
         """
-        if not self.d:
-            return True
         if any(e % 2 for e in self.d):
             return False
-        shift = -min(0, self.min_exp() // 2)
-        # coefficients of (q^shift * self) written in the basis (q-1)^j:
-        # repeatedly divide by (q - 1) via synthetic division at q = 1.
-        coeffs: dict = {e // 2 + shift: c for e, c in self.d.items()}
-        deg = max(coeffs)
-        poly = [coeffs.get(i, 0) for i in range(deg + 1)]
-        while poly:
-            # value at q = 1 is the constant term in the shifted basis
-            acc = 0
-            rest = []
-            for c in reversed(poly):  # Horner at q = 1, keeping quotient
-                rest.append(acc)
-                acc = acc + c
-            if acc < 0:
-                return False
-            rest.reverse()
-            poly = rest[:-1]  # ascending quotient by (q - 1); last slot is padding
-            while poly and poly[-1] == 0:
-                poly.pop()
-        return True
+        shift = max(0, -min(self.d, default=0) // 2)
+        terms = [(e // 2 + shift, c) for e, c in self.d.items()]
+        top = max((e for e, _ in terms), default=-1)
+        return all(sum(c * comb(e, j) for e, c in terms) >= 0 for j in range(top + 1))
 
     # -- serialization -------------------------------------------------------
 

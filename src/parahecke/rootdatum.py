@@ -5,10 +5,12 @@ functionals on Z^r), simple coroots (vectors) and a positive-integer parameter
 per affine generator.  The rest is computed from the roots and coroots: the
 simple reflections s_i(λ) = λ − ⟨α_i, λ⟩·α_i∨, which fix the torsion, and the
 highest root of each irreducible component, which gives its affine reflection.
-Validation checks that each component's Cartan matrix is of finite type,
-then enumerates the finite Weyl group, the root system with its
-root/coroot correspondence, the affine Coxeter matrix, and the rational
-interior point of the base alcove used by the length function.
+Validation checks the outside input, including that each component's Cartan
+matrix is of finite type.  The derived tables then follow from textbook
+formulas, which finite type makes total: the finite Weyl group, the positive
+roots with their coroots and simple-root coefficients (one search from the
+simple roots), the affine Coxeter matrix (from the Cartan pairings), and the
+rational interior point of the base alcove used by the length function.
 
 Construction is validation: `Datum(cfg)` either returns a validated datum or
 raises its typed `ParaheckeError`.  `load_datum_file` is the one place where
@@ -65,15 +67,6 @@ def dot(covec: Vec, vec: Vec) -> int:
     return sum(map(mul, covec, vec))
 
 
-def mat_apply(m: Mat, vec: Vec) -> Vec:
-    return tuple([sum(map(mul, row, vec)) for row in m])
-
-
-def covec_apply(covec: Vec, m: Mat) -> Vec:
-    """Pullback of a functional along the matrix: (β·M)(λ) = β(Mλ)."""
-    return tuple(sum(covec[j] * m[j][k] for j in range(len(covec))) for k in range(len(m[0]))) if m else ()
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n = len(a)
     return tuple(
@@ -84,6 +77,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def _identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _reflection(root: Vec, coroot: Vec) -> Mat:
+    """λ ↦ λ − ⟨root, λ⟩·coroot as a matrix: δ_jk − coroot[j]·root[k]."""
+    r = len(root)
+    return tuple(tuple(int(j == k) - coroot[j] * root[k] for k in range(r)) for j in range(r))
 
 
 def _row_reduce(m: list[list[int]], ncols: int) -> list[int]:
@@ -192,11 +191,7 @@ class Datum:
         self._check_shapes()
         self.simple_roots = cfg.simple_roots
         self.simple_coroots = cfg.simple_coroots
-        # s_i as a matrix: (s_i)_jk = δ_jk − α_i∨[j]·α_i[k]
-        self.gens: tuple[Mat, ...] = tuple(
-            tuple(tuple(int(j == k) - cov[j] * root[k] for k in range(self.r)) for j in range(self.r))
-            for root, cov in zip(self.simple_roots, self.simple_coroots)
-        )
+        self.gens: tuple[Mat, ...] = tuple(map(_reflection, self.simple_roots, self.simple_coroots))
         self._check_crystallographic()
         self._split_components()
         self._check_finite_type()
@@ -279,6 +274,9 @@ class Datum:
                 prev = m[k][k]
 
     def _enumerate_weyl(self, bound: int):
+        """W0 by breadth-first search over the simple reflections, with
+        shortlex-least words.  W0 is finite, so its longest element is unique
+        (Humphreys, Reflection groups and Coxeter groups, §1.8)."""
         ident = _identity(self.r)
         elems = [ident]
         index = {ident: 0}
@@ -308,79 +306,64 @@ class Datum:
         ]
         self.w_inv = [next(j for j in range(self.w_order) if self.w_mult[i][j] == 0) for i in range(self.w_order)]
         self.longest_w = max(range(self.w_order), key=lambda i: (self.w_len[i], i))
-        if self.w_order > 1 and sum(1 for i in range(self.w_order) if self.w_len[i] == self.w_len[self.longest_w]) != 1:
-            raise NonCrystallographic("finite Weyl group has no unique longest element")
 
     def act_w(self, wi: int, vec: Vec) -> Vec:
         return tuple([sum(map(mul, row, vec)) for row in self.w_elems[wi]])
 
     def _enumerate_roots(self):
-        pairs = {}
-        frontier = []
-        for i in range(self.n_simple):
-            key = self.simple_roots[i]
-            pairs[key] = (self.simple_coroots[i], self._simple_refl_index(i))
-            frontier.append(key)
-        while frontier:
-            new = []
-            for beta in frontier:
-                cov, refl = pairs[beta]
-                for gi, g in enumerate(self.gens):
-                    nb = covec_apply(beta, g)
-                    if nb not in pairs:
-                        si = self.w_index[self.gens[gi]]
-                        pairs[nb] = (
-                            mat_apply(g, cov),
-                            self.w_mult[self.w_mult[si][refl]][si],
-                        )
-                        new.append(nb)
-            frontier = new
-        pos, neg = [], []
-        for beta in pairs:
-            coeffs = _int_coords(self.simple_roots, beta)
-            if coeffs is None:
-                raise NonCrystallographic("orbit of simple roots left their span")
-            if all(c >= 0 for c in coeffs):
-                pos.append((beta, coeffs))
-            elif all(c <= 0 for c in coeffs):
-                neg.append(beta)
-            else:
-                raise NonCrystallographic("found a root with mixed-sign expansion")
-        if len(pos) != len(neg):
-            raise NonCrystallographic("root system is not symmetric")
-        pos.sort(key=lambda bc: (sum(bc[1]), bc[0]))
-        self.pos_roots = tuple(beta for beta, _ in pos)
-        self.pos_root_height = {beta: sum(c) for beta, c in pos}
-        self.pos_root_coeffs = {beta: tuple(c) for beta, c in pos}
-        self.root_coroot = {beta: pairs[beta][0] for beta in pairs}
-        self.root_refl = {beta: pairs[beta][1] for beta in pairs}
-        self.all_roots = frozenset(pairs)
+        """The positive roots with their simple-root coefficients and coroots,
+        by one search from the simple roots: s_i sends β to β − ⟨β,α_i∨⟩α_i,
+        its coefficients c to c − ⟨β,α_i∨⟩e_i and β∨ to β∨ − ⟨α_i,β∨⟩α_i∨.
+        s_i permutes the positive roots other than α_i, and a nonsimple one is
+        s_i of a lower one, so the search meets them all and no other
+        (Humphreys, Reflection groups and Coxeter groups, §1.4–1.6).  Carried
+        coefficients need no solve; each root has them of one sign (Bourbaki,
+        Lie groups VI §1.6, Thm. 3), and Φ = −Φ."""
+        n, simples = self.n_simple, list(zip(self.simple_roots, self.simple_coroots))
+        # positive root -> (simple-root coefficients, coroot)
+        found = {alpha: (tuple(int(j == i) for j in range(n)), cov) for i, (alpha, cov) in enumerate(simples)}
+        stack = list(found)
+        while stack:
+            beta = stack.pop()
+            coeffs, cov = found[beta]
+            for i, (alpha, acov) in enumerate(simples):
+                p = dot(beta, acov)
+                nb = tuple([x - p * y for x, y in zip(beta, alpha)])
+                if beta != alpha and nb not in found:
+                    q = dot(alpha, cov)
+                    found[nb] = (
+                        tuple([c - p * (j == i) for j, c in enumerate(coeffs)]),
+                        tuple([x - q * y for x, y in zip(cov, acov)]),
+                    )
+                    stack.append(nb)
+        self.pos_roots = tuple(sorted(found, key=lambda beta: (sum(found[beta][0]), beta)))
+        self.pos_root_coeffs = {beta: found[beta][0] for beta in self.pos_roots}
+        self.root_coroot = {beta: found[beta][1] for beta in self.pos_roots}
 
     def _simple_refl_index(self, i: int) -> int:
         return self.w_index[self.gens[i]]
 
     def _split_components(self):
+        """The irreducible components: one walk over the nonzero pairings
+        ⟨α_j, α_i∨⟩ (zero exactly when ⟨α_i, α_j∨⟩ is), from each simple root
+        not yet placed, in order, so the components come sorted by their
+        first simple root."""
         n = self.n_simple
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dot(self.simple_roots[i], self.simple_coroots[j]) != 0:
-                    parent[find(i)] = find(j)
-        comps: dict[int, list[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        self.components = sorted((sorted(v) for v in comps.values()), key=lambda c: c[0])
+        self.components = []
         self.comp_of_simple = {}
-        for ci, comp in enumerate(self.components):
-            for i in comp:
-                self.comp_of_simple[i] = ci
+        for start in range(n):
+            if start in self.comp_of_simple:
+                continue
+            self.comp_of_simple[start] = len(self.components)
+            comp, stack = [], [start]
+            while stack:
+                i = stack.pop()
+                comp.append(i)
+                for j in range(n):
+                    if j not in self.comp_of_simple and dot(self.simple_roots[j], self.simple_coroots[i]):
+                        self.comp_of_simple[j] = len(self.components)
+                        stack.append(j)
+            self.components.append(sorted(comp))
 
     def _build_saff(self):
         """Affine generators: finite simples are 1..n; component c gets the
@@ -394,39 +377,31 @@ class Datum:
             [beta for beta in self.pos_roots if self.pos_root_coeffs[beta][comp[0]]][-1]
             for comp in self.components
         ]
-        self.saff_indices = []
-        self.saff_real: dict[int, tuple[Vec, int]] = {}
-        for ci, theta in enumerate(self.theta):
-            idx = 0 if ci == 0 else n + ci
-            self.saff_indices.append(idx)
-            self.saff_real[idx] = (self.root_coroot[theta], self.root_refl[theta])
-        for i in range(n):
-            self.saff_indices.append(i + 1)
-            zero = (0,) * self.r
-            self.saff_real[i + 1] = (zero, self._simple_refl_index(i))
-        self.saff_indices.sort()
-        self.coxeter_matrix = self._affine_coxeter_matrix()
+        # the root and coroot of each generator's linear part, a reflection
+        refl_roots = {
+            0 if ci == 0 else n + ci: (theta, self.root_coroot[theta]) for ci, theta in enumerate(self.theta)
+        }
+        refl_roots.update((i + 1, pair) for i, pair in enumerate(zip(self.simple_roots, self.simple_coroots)))
+        # (translation, W0 index): s_i fixes 0, and s0 is t_{θ∨}·s_θ
+        self.saff_real: dict[int, tuple[Vec, int]] = {
+            idx: ((0,) * self.r if 0 < idx <= n else cov, self.w_index[_reflection(root, cov)])
+            for idx, (root, cov) in refl_roots.items()
+        }
+        self.saff_indices = sorted(self.saff_real)
+        self.coxeter_matrix = self._affine_coxeter_matrix(refl_roots)
 
-    def _affine_coxeter_matrix(self, cap: int = 24) -> dict:
+    def _affine_coxeter_matrix(self, refl_roots: dict) -> dict:
+        """m(s_a, s_b) for a < b, None for ∞, from p = ⟨β_a,β_b∨⟩·⟨β_b,β_a∨⟩ with
+        β_a the root of s_a's linear part (θ_c for an affine generator: its
+        affine root 1 − θ_c gives the same p).  The walls of s_a and s_b meet
+        at the angle π/m for p = 0, 1, 2, 3 and m = 2, 3, 4, 6, and are
+        parallel for p = 4 (Bourbaki, Lie groups VI §1.3)."""
         out = {}
         for a in self.saff_indices:
             for b in self.saff_indices:
-                if a >= b:
-                    continue
-                va, wa = self.saff_real[a]
-                vb, wb = self.saff_real[b]
-                # order of the product (va,wa)(vb,wb) in Z^r ⋊ W
-                pv = tuple(x + y for x, y in zip(va, self.act_w(wa, vb)))
-                pw = self.w_mult[wa][wb]
-                cv, cw = pv, pw
-                order = None
-                for k in range(1, cap + 1):
-                    if cw == 0 and all(x == 0 for x in cv):
-                        order = k
-                        break
-                    cv = tuple(x + y for x, y in zip(cv, self.act_w(cw, pv)))
-                    cw = self.w_mult[cw][pw]
-                out[(a, b)] = order
+                if a < b:
+                    (ra, ca), (rb, cb) = refl_roots[a], refl_roots[b]
+                    out[(a, b)] = (2, 3, 4, 6, None)[dot(ra, cb) * dot(rb, ca)]
         return out
 
     def _read_parameters(self):
@@ -446,33 +421,21 @@ class Datum:
                     f"generators s{a}, s{b} satisfy an odd braid relation (m={order}) but have parameters "
                     f"{self.L[a]} != {self.L[b]}"
                 )
-        # the Bernstein relation's one-parameter form applies: equal parameters,
-        # no braid of order above 3 between finite simple reflections, and no
-        # simple coroot with all coordinates even (the mixed parameter case)
-        n = self.n_simple
-        self.equal_param_simply_laced = (
-            len(set(self.L.values())) <= 1
-            and all(self.coxeter_matrix[(i, j)] <= 3 for i in range(1, n + 1) for j in range(i + 1, n + 1))
-            and not any(all(c % 2 == 0 for c in v) for v in self.simple_coroots)
-        )
 
     def _build_alcove_point(self):
         """Rational interior point p0 = p0_num/den of the base alcove, with
-        ⟨p0, α_i⟩ = 1/(h_c+1) and den the least common denominator."""
+        ⟨p0, α_i⟩ = 1/(h_c+1) and den the least common denominator.  The
+        simple roots are independent, so the solve succeeds, and
+        ⟨p0, β⟩ = ht(β)/(h_c+1) lies in (0, 1) since ht(β) ≤ ht(θ_c) = h_c − 1
+        (Bourbaki, Lie groups VI §1.8, Prop. 25)."""
         if self.n_simple:
             # the right-hand sides over the common denominator L
-            hs = [self.pos_root_height[theta] + 2 for theta in self.theta]
+            hs = [sum(self.pos_root_coeffs[theta]) + 2 for theta in self.theta]
             L = math.lcm(*hs)
-            got = _solve([list(self.simple_roots[i]) for i in range(self.n_simple)],
-                         [L // hs[self.comp_of_simple[i]] for i in range(self.n_simple)], L)
-            if got is None:
-                raise ValidationError("could not place an interior point in the base alcove")
-            p0_num, den = got
+            p0_num, den = _solve([list(self.simple_roots[i]) for i in range(self.n_simple)],
+                                 [L // hs[self.comp_of_simple[i]] for i in range(self.n_simple)], L)
         else:
             p0_num, den = (0,) * self.r, 1
-        for beta in self.pos_roots:
-            if not (0 < dot(beta, p0_num) < den):
-                raise ValidationError(f"alcove point fails 0 < <p0,{beta}> < 1")
         # floor of <u(p0), beta> is 0 or -1 according to the inversion set
         self.floor_tab = [
             tuple(dot(beta, self.act_w(u, p0_num)) // den for beta in self.pos_roots)
@@ -481,24 +444,22 @@ class Datum:
 
     def _build_cone_data(self):
         """Antidominant fundamental generators ϖ_i (⟨ϖ_i, α_j⟩ = -k_i δ_ij) and
-        the positive functional used to bound saturation enumeration."""
+        the positive functional used to bound saturation enumeration.  Neither
+        solve can fail: the simple roots are independent, and the Cartan
+        matrix of finite type is invertible with an inverse of nonnegative
+        entries (Lusztig–Tits, The inverse of a Cartan matrix, 1992)."""
         n = self.n_simple
-        self.fund_antidom: list[tuple[Vec, int]] = []
-        for i in range(n):
-            got = _solve([list(self.simple_roots[j]) for j in range(n)], [-1 if j == i else 0 for j in range(n)])
-            if got is None:
-                raise ValidationError("cannot solve for antidominant cone generators")
-            self.fund_antidom.append(got)
+        self.fund_antidom: list[tuple[Vec, int]] = [
+            _solve([list(self.simple_roots[j]) for j in range(n)], [-1 if j == i else 0 for j in range(n)])
+            for i in range(n)
+        ]
         self.strict_antidom: Vec = tuple(
             sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r)
         ) if n else (0,) * self.r
         # f = Σ u_i α_i with ⟨α∨_j, f⟩ = D_f for all j (inverse Cartan is ≥ 0)
         if n:
             rows = [[dot(self.simple_roots[i], self.simple_coroots[j]) for i in range(n)] for j in range(n)]
-            got = _solve(rows, [1] * n)
-            if got is None or any(c < 0 for c in got[0]):
-                raise ValidationError("positive root functional unavailable")
-            coeffs, self.height_den = got
+            coeffs, self.height_den = _solve(rows, [1] * n)
             self.height_functional: Vec = tuple(
                 sum(coeffs[i] * self.simple_roots[i][k] for i in range(n)) for k in range(self.r)
             )

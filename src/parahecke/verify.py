@@ -315,28 +315,35 @@ def _check_theta_choice(eng: Engine):
 
 
 def _check_roundtrip(eng: Engine, count=200):
-    """bern_to_im(im_to_bern(h)) == h for `count` random h on W.ball(5).
+    """bern_to_im(im_to_bern(h)) == h for `count` random h on W.ball(5), then
+    each memoized product Θ_m·i_w that the round trips read equals
+    mul_word(Θ_m, reduced word of w).
 
-    bern_to_im reads the same memoized products Θ_m·i_w that im_to_bern
-    eliminated with, so a pass shows three things: the elimination ends with
+    bern_to_im reads the same memoized products that im_to_bern eliminated
+    with, so the round trip shows three things: the elimination ends with
     unit diagonals, its pivots strictly decrease, and _eliminate's _axpy and
-    bern_to_im's _lincomb agree.  It does not check the products themselves.
-    Those rest on the checks of Θ_m (theta_multiplicativity_within_height_3,
-    theta_choice_independence_height_2, vee_theta_conjugation_height_2),
-    on bernstein_relation_height_2, which multiplies Θ_m by i_s + 1 (it runs
-    on equal-parameter simply-laced data only), and on the presentation
-    suite's checks of H.mul.
+    bern_to_im's _lincomb agree.  It cannot see a wrong product whose
+    diagonal is a unit monomial and whose support stays below the pivot; the
+    comparison with mul_word, which applies one generator step per letter
+    and reads no memo of products, does.  The (m, w) read are the keys of
+    each im_to_bern result, one per pivot.
     """
     B, H, W = eng.bern, eng.hecke, eng.weyl
     rng = random.Random(_ROUNDTRIP_SEED)
     ball = W.ball(5)
+    read = set()
     for k in range(count):
         h = H.zero()
         for _ in range(rng.randint(1, 4)):
             coeff = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
             h = h + H.basis(rng.choice(ball)).scale(coeff)
-        if B.bern_to_im(B.im_to_bern(h)) != h:
+        b = B.im_to_bern(h)
+        read.update(b.d)
+        if B.bern_to_im(b) != h:
             return f"change-of-basis round trip fails at sample {k}"
+    for m, wi in sorted(read):
+        if B._theta_times_finite(m, wi) != H.mul_word(B.theta(m), B.datum.w_word[wi]).d:
+            return f"memoized theta product differs from mul_word at {m}, w{wi}"
     return None
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +14,7 @@ from parahecke.hecke import HeckeElt, IwahoriHecke
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
-from parahecke.verify import _check_roundtrip, suite_bern
+from parahecke.verify import _check, _check_roundtrip, suite_bern
 
 Q = LaurentPoly.q()
 
@@ -327,6 +328,30 @@ def test_sabotaged_memo_entry_fails_the_roundtrip_row(monkeypatch, sabotage, det
     rows = {r.name: r for r in suite_bern(eng)}
     row = rows["change_basis_roundtrip_200_random"]
     assert row.status == "FAIL" and row.detail.startswith(detail)
+
+
+def test_wrong_memoized_product_fails_the_roundtrip_row():
+    """On c2, after a passing run, q added to the W.sort_key-smallest term of
+    any one memoized Θ_m·i_w gives a FAIL row.  For 27 of the 41 entries the
+    round trip itself still holds, since bern_to_im reads the same wrong
+    product that im_to_bern eliminated with; the comparison with mul_word
+    names those.  The other 14 break a unit diagonal."""
+    B = _fresh_bern("c2")
+    assert _check_roundtrip(SimpleNamespace(bern=B, hecke=B.H, weyl=B.W)) is None
+    kinds = Counter()
+    for key in sorted(B._theta_fin):
+        fresh = _fresh_bern("c2")
+        eng = SimpleNamespace(bern=fresh, hecke=fresh.H, weyl=fresh.W)
+        assert _check_roundtrip(eng) is None
+        prod = fresh._theta_fin[key]
+        low = min(prod, key=fresh.W.sort_key)
+        prod[low] = prod[low] + LaurentPoly.q()
+        row = _check("change_basis_roundtrip_200_random", _check_roundtrip, eng)
+        assert row.status == "FAIL"
+        if row.detail.startswith("memoized"):
+            assert row.detail == f"memoized theta product differs from mul_word at {key[0]}, w{key[1]}"
+        kinds[row.detail.split(":")[0].split(" at ")[0]] += 1
+    assert kinds == {"memoized theta product differs from mul_word": 27, "NonUnitDiagonal": 14}
 
 
 def test_bernstein_slots_stay_in_bruhat_ideal(Bc2):

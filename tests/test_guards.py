@@ -426,3 +426,73 @@ def test_sabotaged_center_element_fails_the_commutation_row(monkeypatch, capsys,
         "[FAIL] center_elements_commute_with_double_cosets_height_2: CentralityFailure: "
         f"z_LatticeElt(free={m}, tors=()) does not commute with h_LatticeElt(free={x}, tors=()) at J=[]"
     )
+
+
+def _wrap_attr(mp, obj, name, wrap):
+    """Replace obj.name by wrap(real), real being the attribute it replaces."""
+    real = getattr(obj, name)
+    mp.setattr(obj, name, lambda *args: wrap(real, *args))
+
+
+def _theta_gains_a_unit(mp, eng):
+    """Θ at (-1) gains the term i_e."""
+    m = eng.datum.lattice([-1])
+    _wrap_attr(mp, eng.bern, "theta", lambda real, x: real(x) + 1 if x == m else real(x))
+
+
+def _longest_element_is_e(mp, eng):
+    mp.setattr(eng.datum, "longest_w", 0)
+
+
+def _dot_act_gains_q(mp, eng):
+    """Every w ≠ e acts with an extra factor q: no longer an action, and no
+    nonzero element is invariant."""
+    _wrap_attr(mp, eng.bern, "dot_act", lambda real, wi, r: real(wi, r).scale(LaurentPoly.q()) if wi else real(wi, r))
+
+
+def _theta_of_gains_i_s0(mp, eng):
+    _wrap_attr(mp, eng.bern, "theta_of", lambda real, r: real(r) + eng.hecke.basis(eng.weyl.gen(0)))
+
+
+def _predecessors_reversed(mp, eng):
+    _wrap_attr(mp, eng.datum, "saturation_predecessors", lambda real, x: real(x)[::-1])
+
+
+# (check, its row in `verify all`, a sabotage of what it reads, the FAIL
+# detail on a1); each sabotage holds only while its check runs
+_CHECK_SABOTAGES = [
+    ("_check_theta_mult", "bern.theta_multiplicativity_within_height_3", _theta_gains_a_unit,
+     "theta multiplicativity fails at LatticeElt(free=(-1,), tors=()), LatticeElt(free=(-1,), tors=())"),
+    ("_check_vee_theta", "bern.vee_theta_conjugation_height_2", _longest_element_is_e,
+     "vee-theta conjugation fails at LatticeElt(free=(-1,), tors=())"),
+    ("_check_dot_action", "bern.dot_action_is_group_action", _dot_act_gains_q,
+     "dot action fails at w1, w1"),
+    ("_check_orbit_sum_centrality", "bern.orbit_sums_commute_with_finite_generators", _theta_of_gains_i_s0,
+     "orbit sum r_LatticeElt(free=(0,), tors=()) does not commute with s1"),
+    ("_check_row_support", "satake.satake_rows_supported_exactly_on_predecessors_minuscule_unit",
+     _predecessors_reversed, "row LatticeElt(free=(-1,), tors=()) entries do not match predecessor set"),
+    ("_check_transform_invariance", "satake.satake_transforms_dot_invariant", _dot_act_gains_q,
+     "transform of row LatticeElt(free=(0,), tors=()) is not dot-invariant"),
+]
+
+
+@pytest.mark.parametrize("check, row, sabotage, detail", _CHECK_SABOTAGES, ids=[c[0] for c in _CHECK_SABOTAGES])
+def test_sabotaged_check_fails_its_row_and_every_later_row_prints(monkeypatch, capsys, check, row, sabotage, detail):
+    """A check whose input is sabotaged reaches its failure return: `verify all`
+    prints its FAIL row with the counterexample, and every other row as in a
+    clean run, the later ones included."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["--datum", "a1", "verify", "all"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    assert f"[PASS] {row}" in clean
+    real = getattr(verify, check)
+
+    def sabotaged(eng, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            sabotage(mp, eng)
+            return real(eng, *args)
+
+    monkeypatch.setattr(verify, check, sabotaged)
+    assert main(["--datum", "a1", "verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[FAIL] {row}: {detail}" if line == f"[PASS] {row}" else line for line in clean]

@@ -140,6 +140,31 @@ def test_positivity_in_shifted_variable():
     # negative q-powers are allowed up to a q-shift
     assert poly({-2: 1}).nonneg_in_q_minus_1()
     assert poly({0: 1, -2: -1}).nonneg_in_q_minus_1()  # 1 - q^{-1} = q^{-1}(q-1)
+    # only the least shift is tried: q^2 - 3q + 3 = (q-1)^2 - (q-1) + 1 fails,
+    # though it is 1, 3, 7, 13, 31 at q = 2, 3, 4, 5, 7, and q times it,
+    # (q-1)^3 + 1, passes
+    p = poly({4: 1, 2: -3, 0: 3})
+    assert [p.eval_at_q(n) for n in (2, 3, 4, 5, 7)] == [1, 3, 7, 13, 31]
+    assert not p.nonneg_in_q_minus_1()
+    assert (Q * p).nonneg_in_q_minus_1()
+
+
+@given(small_polys)
+def test_positivity_reads_the_coefficients_at_q_minus_1(p):
+    """The reference: substitute q = t + 1 into q^s·p, s the least shift that
+    clears negative q-exponents, as a polynomial in t = v^2."""
+    if any(e % 2 for e in p.d):
+        assert not p.nonneg_in_q_minus_1()
+        return
+    shift = max(0, -min(p.d, default=0) // 2)
+    t_plus_1 = LaurentPoly.q() + 1
+    expanded = LaurentPoly.zero()
+    for e, c in p.d.items():
+        term = LaurentPoly.from_int(c)
+        for _ in range(e // 2 + shift):
+            term = term * t_plus_1
+        expanded = expanded + term
+    assert p.nonneg_in_q_minus_1() == all(c >= 0 for c in expanded.d.values())
 
 
 def test_serialization_roundtrip():

@@ -1,8 +1,10 @@
 """Validation, dominance, and saturation-order contracts."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parahecke import cli
 from parahecke.errors import (
@@ -15,6 +17,10 @@ from parahecke.rootdatum import (
     BUNDLED_NAMES,
     Datum,
     RootDatum,
+    _int_coords,
+    _reflection,
+    _solve,
+    dot,
     load_bundled,
     smith_normal_form,
 )
@@ -174,6 +180,18 @@ def test_derived_generators_and_highest_roots(name):
     assert (_as_lists(d.gens), _as_lists(d.theta)) == CONFIGURED_GENERATORS[name]
 
 
+def _coroot_lattice_datum(roots):
+    """The datum on the coroot lattice of the given simple roots, every
+    parameter 1."""
+    n = len(roots)
+    return Datum(RootDatum.from_dict({
+        "name": "x", "free_rank": n,
+        "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
+        "simple_roots": roots,
+        "affine_parameters": {f"s{i}": 1 for i in range(n + 1)},
+    }))
+
+
 # G2 and A3 on their coroot lattices, without reflection matrices or highest
 # roots: the computed ones are those derived by hand.
 @pytest.mark.parametrize("roots, gens, theta, order", [
@@ -183,16 +201,115 @@ def test_derived_generators_and_highest_roots(name):
      [[1, 0, 1]], 24),
 ], ids=["g2", "a3"])
 def test_reflections_and_highest_root_computed(roots, gens, theta, order):
-    n = len(roots)
-    d = Datum(RootDatum.from_dict({
-        "name": "x", "free_rank": n,
-        "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
-        "simple_roots": roots,
-        "affine_parameters": {f"s{i}": 1 for i in range(n + 1)},
-    }))
+    d = _coroot_lattice_datum(roots)
     assert (_as_lists(d.gens), _as_lists(d.theta), d.w_order) == (gens, theta, order)
-    if n == 2:
+    if len(roots) == 2:
         assert d.coxeter_matrix[(1, 2)] == 6
+
+
+def _coxeter_by_element_orders(d, cap=24):
+    """The reference: m(s_a, s_b) as the order of the product of the two
+    generators in Z^r ⋊ W0, found by powering it up to cap (None past it)."""
+    out = {}
+    for a in d.saff_indices:
+        for b in d.saff_indices:
+            if a >= b:
+                continue
+            (va, wa), (vb, wb) = d.saff_real[a], d.saff_real[b]
+            pv = tuple(x + y for x, y in zip(va, d.act_w(wa, vb)))
+            pw = d.w_mult[wa][wb]
+            cv, cw = pv, pw
+            order = None
+            for k in range(1, cap + 1):
+                if cw == 0 and all(x == 0 for x in cv):
+                    order = k
+                    break
+                cv = tuple(x + y for x, y in zip(cv, d.act_w(cw, pv)))
+                cw = d.w_mult[cw][pw]
+            out[(a, b)] = order
+    return out
+
+
+COXETER_DATA = (
+    [(name, lambda name=name: load_bundled(name)) for name in BUNDLED_NAMES]
+    + [(name, lambda name=name: Datum(_cartan_datum(*FINITE_CARTAN[name][:2]))) for name in sorted(FINITE_CARTAN)]
+    + [("g2", lambda: _coroot_lattice_datum([[2, -1], [-3, 2]])),
+       ("a3", lambda: _coroot_lattice_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in COXETER_DATA], ids=[name for name, _ in COXETER_DATA])
+def test_coxeter_matrix_matches_element_orders(build):
+    d = build()
+    assert d.coxeter_matrix == _coxeter_by_element_orders(d)
+    assert list(d.coxeter_matrix) == [(a, b) for a in d.saff_indices for b in d.saff_indices if a < b]
+
+
+@st.composite
+def _realized_cartan(draw):
+    """A FINITE_CARTAN matrix a_ij = <α_j, α_i∨> in rank n + k (k ≤ 2 extra
+    free directions, on which the roots take random values), carried into
+    random coordinates by a unimodular U: coroots U·e_i, roots α_j·U⁻¹, so
+    every pairing stays."""
+    name = draw(st.sampled_from(sorted(FINITE_CARTAN)))
+    cartan, components, order = FINITE_CARTAN[name]
+    n = len(cartan)
+    r = n + draw(st.integers(0, 2))
+    coroots = [[int(i == j) for i in range(r)] for j in range(n)]
+    roots = [[cartan[i][j] for i in range(n)] + [draw(st.integers(-2, 2)) for _ in range(r - n)] for j in range(n)]
+    # U = a product of elementary matrices E + c·e_a e_b^T, applied with its
+    # inverse E − c·e_a e_b^T on the roots' side
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        c = draw(st.integers(-2, 2))
+        if a == b:
+            continue
+        for v in coroots:  # v ↦ (E + c·e_a e_b^T)·v
+            v[a] += c * v[b]
+        for f in roots:  # f ↦ f·(E − c·e_a e_b^T)
+            f[b] -= c * f[a]
+    cfg = RootDatum.from_dict({
+        "name": name, "free_rank": r, "simple_coroots": coroots, "simple_roots": roots,
+        "affine_parameters": {f"s{i}": 1 for i in range(n + components)},
+    })
+    return cfg, components, order
+
+
+@settings(max_examples=30, deadline=None)
+@given(_realized_cartan())
+def test_derived_tables_satisfy_the_deleted_guards(case):
+    """Every invariant that the datum build once re-checked holds on a finite
+    Cartan matrix in arbitrary coordinates: a unique longest element; the
+    W0-orbit of the simple roots is Φ⁺ ∪ −Φ⁺, each positive root the
+    carried N-combination of simple roots; the alcove point, cone generators
+    and positive functional solve as claimed.  The Coxeter matrix is the
+    element-order one."""
+    cfg, components, order = case
+    d = Datum(cfg)
+    n = d.n_simple
+    assert (len(d.components), d.w_order) == (components, order)
+    assert sorted(d.w_len).count(max(d.w_len)) == 1
+    # the orbit of the simple roots under W0, as functionals β ↦ β∘w
+    orbit = {tuple(dot(beta, col) for col in zip(*w)) for w in d.w_elems for beta in d.simple_roots}
+    pos = set(d.pos_roots)
+    assert len(pos) == len(d.pos_roots) and orbit == pos | {tuple(-x for x in beta) for beta in pos}
+    for beta in d.pos_roots:
+        coeffs = d.pos_root_coeffs[beta]
+        assert min(coeffs) >= 0
+        assert beta == tuple(sum(c * alpha[k] for c, alpha in zip(coeffs, d.simple_roots)) for k in range(d.r))
+        assert _int_coords(d.simple_roots, beta) == coeffs
+        # the carried coroot gives a reflection in W0
+        assert dot(beta, d.root_coroot[beta]) == 2 and _reflection(beta, d.root_coroot[beta]) in d.w_index
+    heights = [sum(d.pos_root_coeffs[theta]) + 2 for theta in d.theta]
+    L = math.lcm(*heights)
+    got = _solve([list(alpha) for alpha in d.simple_roots],
+                 [L // heights[d.comp_of_simple[i]] for i in range(n)], L)
+    assert got is not None and all(0 < dot(beta, got[0]) < got[1] for beta in d.pos_roots)
+    for i, (vec, den) in enumerate(d.fund_antidom):
+        assert [dot(alpha, vec) for alpha in d.simple_roots] == [-den * (j == i) for j in range(n)]
+    assert all(dot(d.height_functional, acov) == d.height_den for acov in d.simple_coroots)
+    assert min(_int_coords(d.simple_roots, d.height_functional)) >= 0
+    assert d.coxeter_matrix == _coxeter_by_element_orders(d)
 
 
 def test_act_examples(a1, a1t2):
