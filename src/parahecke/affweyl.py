@@ -17,19 +17,22 @@ two elements are comparable only when their Ω-parts coincide.
 engine keys its hot loops on these ids; ids follow first-seen order, so no
 output may depend on them: every printed or stored order comes from
 `sort_key`.
+
+`format_elt` prints an element as t[λ]·w[word]; the group layer parses no
+text (element expressions are read by `exprs`).
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ExprSyntaxError
 from .rootdatum import Datum, LatticeElt, Vec
 
 __all__ = ["ExtWeylElt", "AffineWeylGroup"]
+
+_OMEGA_BOX = 2
 
 
 class ExtWeylElt(NamedTuple):
@@ -181,12 +184,13 @@ class AffineWeylGroup:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def omega_samples(self, box: int = 2) -> list[ExtWeylElt]:
-        """Deterministic sample of length-zero elements (Ω is not enumerated)."""
+    def omega_samples(self) -> list[ExtWeylElt]:
+        """The length-zero elements with free coordinates in [−_OMEGA_BOX,
+        _OMEGA_BOX], sorted: a deterministic sample (Ω is not enumerated)."""
         if self._omega_samples is None:
             d = self.datum
             out = []
-            ranges = [range(-box, box + 1)] * d.r
+            ranges = [range(-_OMEGA_BOX, _OMEGA_BOX + 1)] * d.r
             tors_space = list(itertools.product(*(range(n) for n in d.torsion))) or [()]
             for free in itertools.product(*ranges) if d.r else [()]:
                 for tors in tors_space:
@@ -241,48 +245,3 @@ class AffineWeylGroup:
             lam = free
         word = ",".join(str(i) for i in self.datum.w_word[x.w])
         return f"t[{lam}]·w[{word}]"
-
-    _ATOM = re.compile(r"t\[(?P<lam>[^\]]*)\]|w\[(?P<word>[^\]]*)\]|s(?P<gen>\d+)")
-
-    def parse_elt(self, text: str) -> ExtWeylElt:
-        """Parse a product of t[...], w[...], s<i> atoms joined by '·' or '*'."""
-        out = self.identity
-        parts = [p.strip() for p in re.split(r"[·*]", text) if p.strip()]
-        if not parts:
-            raise ExprSyntaxError(f"empty element expression: {text!r}")
-        for part in parts:
-            m = self._ATOM.fullmatch(part)
-            if not m:
-                raise ExprSyntaxError(f"bad element atom {part!r}")
-            try:  # int() of a coordinate, or a torsion part of the wrong arity
-                if m.group("gen") is not None:
-                    i = int(m.group("gen"))
-                    if i not in self._gens:
-                        raise ExprSyntaxError(f"no affine generator s{i}; have {sorted(self._gens)}")
-                    out = self.compose(out, self._gens[i])
-                elif m.group("word") is not None:
-                    body = m.group("word").strip()
-                    wi = 0
-                    if body:
-                        for tok in body.split(","):
-                            i = int(tok)
-                            if not 1 <= i <= self.datum.n_simple:
-                                raise ExprSyntaxError(f"w[...] entries must be finite simple indices, got {i}")
-                            wi = self.datum.w_mult[wi][self.datum._simple_refl_index(i - 1)]
-                    out = self.compose(out, self.finite(wi))
-                else:
-                    body = m.group("lam")
-                    if ";" in body:
-                        fs, ts = body.split(";", 1)
-                    else:
-                        fs, ts = body, ""
-                    free = [int(tok) for tok in fs.split(",") if tok.strip()] if fs.strip() else []
-                    tors = [int(tok) for tok in ts.split(",") if tok.strip()] if ts.strip() else []
-                    if len(free) != self.datum.r:
-                        raise ExprSyntaxError(
-                            f"t[...] needs {self.datum.r} free coordinate(s), got {len(free)}"
-                        )
-                    out = self.compose(out, self.elt(free, tors))
-            except ValueError as exc:
-                raise ExprSyntaxError(f"bad element atom {part!r}: {exc}") from None
-        return out

@@ -170,8 +170,8 @@ class Bernstein:
         got = self._theta.get(m)
         if got is not None:
             return got
-        out = self._theta_with_shift(m, self.m_circ(m))
-        self._theta[m] = out
+        # packed at its exact norm, not mul_inverse's bound (width rule in hecke)
+        out = self._theta[m] = self.H.exact_width(self._theta_with_shift(m, self.m_circ(m)))
         return out
 
     def _theta_with_shift(self, m: LatticeElt, mc: LatticeElt) -> HeckeElt:
@@ -265,7 +265,7 @@ class Bernstein:
             raise UnsupportedParameters("unequal parameters or non-simply-laced datum")
         if not 1 <= i <= d.n_simple:
             raise ValueError(f"s{i} is not a finite simple reflection")
-        si = d._simple_refl_index(i - 1)
+        si = d.w_right[0][i - 1]
         sm = d.act(si, m)
         twist = self.dot_coeff(m, si)
         theta_m = self.theta(m)

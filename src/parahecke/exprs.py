@@ -7,12 +7,16 @@
 Within a term, coefficient factors multiply in Z[v, v^-1] and element factors
 compose in the extended affine Weyl group, so `q·t[1]·s1` denotes q times the
 basis element at t_{(1)}s_1.  Golden files stay human-auditable this way.
+
+This is the package's only text parser: `_TOKEN` captures each atom's body,
+and `_atom` turns it into its group element for both parsers.
 """
 
 from __future__ import annotations
 
 import re
 
+from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import ExprSyntaxError
 from .hecke import HeckeElt, IwahoriHecke
 from .ringcore import LaurentPoly
@@ -21,7 +25,7 @@ from .rootdatum import LatticeElt
 __all__ = ["parse_hecke_expr", "parse_lattice"]
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<atom>t\[[^\]]*\]|w\[[^\]]*\]|s\d+)"
+    r"\s*(?:(?P<atom>t\[(?P<lam>[^\]]*)\]|w\[(?P<word>[^\]]*)\]|s(?P<gen>\d+))"
     r"|(?P<power>[qv]\^-?\d+)"
     r"|(?P<var>[qv])"
     r"|(?P<int>\d+)"
@@ -37,12 +41,32 @@ def _tokens(text: str) -> list:
         if not m:
             raise ExprSyntaxError(f"cannot tokenize {text[pos:]!r}")
         pos = m.end()
-        for kind in ("atom", "power", "var", "int", "op"):
-            val = m.group(kind)
-            if val is not None:
-                out.append((kind, val))
-                break
+        out.append((m.lastgroup, m))  # the outermost group: atom, not lam, word or gen
     return out
+
+
+def _atom(W: AffineWeylGroup, m: re.Match) -> ExtWeylElt:
+    """The group element of an atom token: s<i>, w[finite word] or t[free;tors]."""
+    d = W.datum
+    try:  # int() of a coordinate, or a torsion part of the wrong arity
+        if m["gen"] is not None:
+            return W.gen(int(m["gen"]))
+        if m["word"] is not None:
+            wi = 0
+            for i in map(int, m["word"].split(",")) if m["word"].strip() else ():
+                if not 1 <= i <= d.n_simple:
+                    raise ExprSyntaxError(f"w[...] entries must be finite simple indices, got {i}")
+                wi = d.w_right[wi][i - 1]
+            return W.finite(wi)
+        fs, _, ts = m["lam"].partition(";")
+        free, tors = ([int(tok) for tok in part.split(",") if tok.strip()] for part in (fs, ts))
+        if len(free) != d.r:
+            raise ExprSyntaxError(f"t[...] needs {d.r} free coordinate(s), got {len(free)}")
+        return W.elt(free, tors)
+    except KeyError as exc:  # W.gen names the generators there are
+        raise ExprSyntaxError(exc.args[0]) from None
+    except ValueError as exc:
+        raise ExprSyntaxError(f"bad element atom {m['atom']!r}: {exc}") from None
 
 
 def parse_hecke_expr(alg: IwahoriHecke, text: str) -> HeckeElt:
@@ -51,50 +75,49 @@ def parse_hecke_expr(alg: IwahoriHecke, text: str) -> HeckeElt:
         raise ExprSyntaxError("empty expression")
     W = alg.weyl
     total = alg.zero()
-    i = 0
-    sign = 1
-    n = len(toks)
-    while i < n:
-        coeff = LaurentPoly.from_int(sign)
-        elt = W.identity
-        expect_factor = True
-        while i < n:
-            kind, val = toks[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op":  # '·' or '*'
+    coeff, elt, expect_factor = LaurentPoly.from_int(1), W.identity, True
+    for kind, m in toks:
+        val = m[kind]
+        if kind == "op":
+            if val in "+-":  # the current term ends, and the next one takes the sign
                 if expect_factor:
-                    raise ExprSyntaxError("dangling product operator")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ExprSyntaxError(f"missing operator before {val!r}")
-            if kind == "atom":
-                elt = W.compose(elt, W.parse_elt(val))
-            elif kind == "int":
-                coeff = coeff * int(val)
-            elif kind == "var":
-                coeff = coeff * (LaurentPoly.q() if val == "q" else LaurentPoly.v())
-            else:  # power
-                base, exp = val.split("^")
-                k = int(exp)
-                coeff = coeff * (LaurentPoly.q_power(k) if base == "q" else LaurentPoly.v_power(k))
-            expect_factor = False
-            i += 1
-        if expect_factor:
-            raise ExprSyntaxError("empty term")
-        total = total + HeckeElt(alg, {elt: coeff})
-        if i < n:
-            sign = 1 if toks[i][1] == "+" else -1
-            i += 1
-            if i == n:
-                raise ExprSyntaxError("trailing sign")
-    return total
+                    raise ExprSyntaxError("empty term")
+                total = total + HeckeElt(alg, {elt: coeff})
+                coeff, elt = LaurentPoly.from_int(1 if val == "+" else -1), W.identity
+            elif expect_factor:  # '·' or '*'
+                raise ExprSyntaxError("dangling product operator")
+            expect_factor = True
+            continue
+        if not expect_factor:
+            raise ExprSyntaxError(f"missing operator before {val!r}")
+        if kind == "atom":
+            elt = W.compose(elt, _atom(W, m))
+        elif kind == "int":
+            coeff = coeff * int(val)
+        elif kind == "var":
+            coeff = coeff * (LaurentPoly.q() if val == "q" else LaurentPoly.v())
+        else:  # power
+            base, exp = val.split("^")
+            k = int(exp)
+            coeff = coeff * (LaurentPoly.q_power(k) if base == "q" else LaurentPoly.v_power(k))
+        expect_factor = False
+    if expect_factor:
+        raise ExprSyntaxError("trailing sign" if val in "+-" else "empty term")  # val: the last operator
+    return total + HeckeElt(alg, {elt: coeff})
 
 
 def parse_lattice(alg: IwahoriHecke, text: str) -> LatticeElt:
-    elt = alg.weyl.parse_elt(text.strip())
+    """A translation: atoms joined by '·' or '*', no coefficient or sum."""
+    W = alg.weyl
+    parts = [p.strip() for p in re.split(r"[·*]", text) if p.strip()]
+    if not parts:
+        raise ExprSyntaxError(f"empty element expression: {text.strip()!r}")
+    elt = W.identity
+    for part in parts:
+        m = _TOKEN.fullmatch(part)
+        if m is None or m.lastgroup != "atom":
+            raise ExprSyntaxError(f"bad element atom {part!r}")
+        elt = W.compose(elt, _atom(W, m))
     if elt.w != 0:
         raise ExprSyntaxError(f"{text!r} is not a translation element")
     return LatticeElt(elt.free, elt.tors)

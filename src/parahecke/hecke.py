@@ -252,7 +252,10 @@ class IwahoriHecke:
     # to a multiple of 8), a digit that unpacks exactly.  An operand packed at
     # width k_a holds in-range digits at any width ≥ k_a, so
     # k = max(_width(B), k_a, k_b) keeps both facts and repacks an operand
-    # only when k exceeds its width.  For a·i_w^{-1} each factor
+    # only when k exceeds its width.  So memo entries (Θ_m, z_m, coset sums of
+    # Θ̇(r_μ)) are held at their exact norm's width (`exact_width`): the bound
+    # that built one counts no cancellation, and an entry held wider would
+    # widen every product it enters.  For a·i_w^{-1} each factor
     # (i_s - q_s + 1) maps P·i_w to at most three terms of norm ‖P‖₁ as well,
     # so B = N(a) · 3^ℓ(w).  Exponents: a generator step multiplies by q_s or
     # q_s - 1, so a·b has every exponent ≥ e0(a) + e0(b), and the inverse's
@@ -695,11 +698,10 @@ class TorsionQuotient:
     def push_lattice(self, m: LatticeElt) -> LatticeElt:
         return LatticeElt(m.free, self.map_tors(m.tors))
 
-    def push_elt(self, x: ExtWeylElt, target_weyl: AffineWeylGroup) -> ExtWeylElt:
-        # finite parts are matched through the actual matrices, not raw indices
-        wi = self.datum.w_index[self.source.w_elems[x.w]]
-        return ExtWeylElt(x.free, self.map_tors(x.tors), wi)
+    def push_elt(self, x: ExtWeylElt) -> ExtWeylElt:
+        # the quotient keeps the roots and coroots, so W₀ is enumerated alike
+        return ExtWeylElt(x.free, self.map_tors(x.tors), x.w)
 
     def push_hecke(self, h: HeckeElt, target: IwahoriHecke) -> HeckeElt:
-        pairs = (({self.push_elt(w, target.weyl): p}, None) for w, p in h.d.items())
+        pairs = (({self.push_elt(w): p}, None) for w, p in h.d.items())
         return HeckeElt._wrap(target, _lincomb(pairs))

@@ -7,10 +7,12 @@ simple reflections s_i(λ) = λ − ⟨α_i, λ⟩·α_i∨, which fix the torsi
 highest root of each irreducible component, which gives its affine reflection.
 Validation checks the outside input, including that each component's Cartan
 matrix is of finite type.  The derived tables then follow from textbook
-formulas, which finite type makes total: the finite Weyl group, the positive
-roots with their coroots and simple-root coefficients (one search from the
-simple roots), the affine Coxeter matrix (from the Cartan pairings), and the
-rational interior point of the base alcove used by the length function.
+formulas, which finite type makes total: the finite Weyl group (one
+breadth-first search, whose right Cayley table gives the product and inverse
+tables), the positive roots with their coroots and simple-root coefficients
+(one search from the simple roots), the affine Coxeter matrix (from the Cartan
+pairings), and the rational interior point of the base alcove used by the
+length function.
 
 Construction is validation: `Datum(cfg)` either returns a validated datum or
 raises its typed `ParaheckeError`.  `load_datum_file` is the one place where
@@ -73,10 +75,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def _identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _reflection(root: Vec, coroot: Vec) -> Mat:
@@ -275,36 +273,45 @@ class Datum:
 
     def _enumerate_weyl(self, bound: int):
         """W0 by breadth-first search over the simple reflections, with
-        shortlex-least words.  W0 is finite, so its longest element is unique
-        (Humphreys, Reflection groups and Coxeter groups, §1.8)."""
-        ident = _identity(self.r)
+        shortlex-least words, and its right Cayley table: w_right[w][i] is the
+        index of w·s_{i+1}, so w_right[0][i] is that of s_{i+1}.  Every element
+        b but the identity is first reached as p·s_{g+1} from an earlier p, so
+        a·b = (a·p)·s_{g+1} = w_right[w_mult[a][p]][g], filled in BFS order
+        with no matrix product.  W0 is finite, so its longest element is
+        unique (Humphreys, Reflection groups and Coxeter groups, §1.8)."""
+        ident = tuple(tuple(int(i == j) for j in range(self.r)) for i in range(self.r))
         elems = [ident]
         index = {ident: 0}
         words: list[tuple[int, ...]] = [()]
-        queue = [0]
-        while queue:
-            nxt = []
-            for wi in queue:
-                for gi, g in enumerate(self.gens):
-                    prod = mat_mul(elems[wi], g)
-                    if prod not in index:
-                        index[prod] = len(elems)
-                        elems.append(prod)
-                        words.append(words[wi] + (gi + 1,))
-                        nxt.append(index[prod])
-                        if len(elems) > bound:
-                            raise InfiniteFiniteWeyl(f"finite Weyl enumeration exceeded {bound}")
-            queue = nxt
+        reached: list[tuple[int, int]] = []  # (p, g) of each b > 0, in BFS order
+        right: list[list[int]] = []
+        while len(right) < len(elems):  # elems grows until each element has its row
+            wi = len(right)
+            row = []
+            for gi, g in enumerate(self.gens):
+                prod = mat_mul(elems[wi], g)
+                if prod not in index:
+                    index[prod] = len(elems)
+                    elems.append(prod)
+                    words.append(words[wi] + (gi + 1,))
+                    reached.append((wi, gi))
+                    if len(elems) > bound:
+                        raise InfiniteFiniteWeyl(f"finite Weyl enumeration exceeded {bound}")
+                row.append(index[prod])
+            right.append(row)
         self.w_elems: list[Mat] = elems
         self.w_index = index
         self.w_word = words
+        self.w_right = right
         self.w_len = [len(w) for w in words]
         self.w_order = len(elems)
-        self.w_mult = [
-            [index[mat_mul(elems[i], elems[j])] for j in range(self.w_order)]
-            for i in range(self.w_order)
-        ]
-        self.w_inv = [next(j for j in range(self.w_order) if self.w_mult[i][j] == 0) for i in range(self.w_order)]
+        self.w_mult = []
+        for a in range(self.w_order):
+            row = [a]
+            for p, g in reached:
+                row.append(right[row[p]][g])
+            self.w_mult.append(row)
+        self.w_inv = [row.index(0) for row in self.w_mult]
         self.longest_w = max(range(self.w_order), key=lambda i: (self.w_len[i], i))
 
     def act_w(self, wi: int, vec: Vec) -> Vec:
@@ -339,9 +346,6 @@ class Datum:
         self.pos_roots = tuple(sorted(found, key=lambda beta: (sum(found[beta][0]), beta)))
         self.pos_root_coeffs = {beta: found[beta][0] for beta in self.pos_roots}
         self.root_coroot = {beta: found[beta][1] for beta in self.pos_roots}
-
-    def _simple_refl_index(self, i: int) -> int:
-        return self.w_index[self.gens[i]]
 
     def _split_components(self):
         """The irreducible components: one walk over the nonzero pairings
@@ -568,8 +572,8 @@ class Datum:
         while frontier:
             new = []
             for x in frontier:
-                for i in range(self.n_simple):
-                    y = self.act(self._simple_refl_index(i), x)
+                for si in self.w_right[0]:
+                    y = self.act(si, x)
                     if y not in seen:
                         seen.add(y)
                         new.append(y)

@@ -29,6 +29,12 @@ SUITE_NAMES = ("presentation", "bern", "center", "satake", "compat", "all")
 _BRAID_SEED = 0xB41D
 _ROUNDTRIP_SEED = 0x0B450
 _SAMPLE_SEED = 0x5EED
+# sample sizes and bounds, each named in its check's row
+_BRAID_DRAWS = 500
+_ROUNDTRIP_DRAWS = 200
+_INVERSE_MAX_LEN = 5
+_THETA_MULT_HEIGHT = 3
+_REWRITE_TRIES = 10  # braid rewrites drawn per reduced word (Matsumoto check)
 
 
 class CheckResult(NamedTuple):
@@ -76,7 +82,7 @@ def _braid_pairs(d):
     return [(a, b, order) for (a, b), order in sorted(d.coxeter_matrix.items()) if order is not None]
 
 
-def _check_braid_invariance(eng: Engine, count=500):
+def _check_braid_invariance(eng: Engine):
     """Braid and quadratic relations X = Y, each after a random prefix.
 
     Each iteration draws a word, cuts it at a random point into prefix and
@@ -108,7 +114,7 @@ def _check_braid_invariance(eng: Engine, count=500):
     pairs = [(a, b, m) for a, b, m in _braid_pairs(d) if m >= 2]
     prefixes = {}  # prefix word -> i_prefix
     decided = set()  # (prefix word, relation)
-    for k in range(count):
+    for k in range(_BRAID_DRAWS):
         word = [rng.choice(d.saff_indices) for _ in range(rng.randint(0, 8))]
         cut = tuple(word[: rng.randrange(len(word) + 1)])
         relation = rng.choice(pairs) if pairs else rng.choice(d.saff_indices)
@@ -134,7 +140,7 @@ def _check_braid_invariance(eng: Engine, count=500):
     return None
 
 
-def _braid_rewrites(d, word, rng, tries=10):
+def _braid_rewrites(d, word, rng):
     """Random braid rewrites of a reduced word (same element, same length).
 
     Each try lists every spot where a braid word aba··· or bab··· starts, by
@@ -146,7 +152,7 @@ def _braid_rewrites(d, word, rng, tries=10):
         ab = [a, b] * (m // 2) + [a] * (m % 2)
         ba = [b, a] * (m // 2) + [b] * (m % 2)
         moves += [(m, ab, ba), (m, ba, ab)]
-    for _ in range(tries):
+    for _ in range(_REWRITE_TRIES):
         spots = [
             (i, m, repl) for i in range(len(cur)) for m, pattern, repl in moves if cur[i : i + m] == pattern
         ]
@@ -176,10 +182,10 @@ def _check_matsumoto(eng: Engine):
     return None
 
 
-def _check_inverses(eng: Engine, max_len=5):
+def _check_inverses(eng: Engine):
     H, W = eng.hecke, eng.weyl
     one = H.one()
-    for x in W.ball(max_len):
+    for x in W.ball(_INVERSE_MAX_LEN):
         inv, star = H.im_invert_basis(x)
         if H.mul(H.basis(x), inv) != one or H.mul(inv, H.basis(x)) != one:
             return f"inverse fails at {W.format_elt(x)}"
@@ -294,12 +300,12 @@ def _closure(eng: Engine, height: int):
     return out
 
 
-def _check_theta_mult(eng: Engine, height=3):
+def _check_theta_mult(eng: Engine):
     B, H, d = eng.bern, eng.hecke, eng.datum
-    cl = _closure(eng, height)
+    cl = _closure(eng, _THETA_MULT_HEIGHT)
     for m1, h1 in cl:
         for m2, h2 in cl:
-            if h1 + h2 > height:
+            if h1 + h2 > _THETA_MULT_HEIGHT:
                 continue
             if H.mul(B.theta(m1), B.theta(m2)) != B.theta(d.add(m1, m2)):
                 return f"theta multiplicativity fails at {m1}, {m2}"
@@ -314,8 +320,8 @@ def _check_theta_choice(eng: Engine):
     return None
 
 
-def _check_roundtrip(eng: Engine, count=200):
-    """bern_to_im(im_to_bern(h)) == h for `count` random h on W.ball(5), then
+def _check_roundtrip(eng: Engine):
+    """bern_to_im(im_to_bern(h)) == h for 200 random h on W.ball(5), then
     each memoized product Θ_m·i_w that the round trips read equals
     mul_word(Θ_m, reduced word of w).
 
@@ -332,7 +338,7 @@ def _check_roundtrip(eng: Engine, count=200):
     rng = random.Random(_ROUNDTRIP_SEED)
     ball = W.ball(5)
     read = set()
-    for k in range(count):
+    for k in range(_ROUNDTRIP_DRAWS):
         h = H.zero()
         for _ in range(rng.randint(1, 4)):
             coeff = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})

@@ -173,14 +173,6 @@ def test_omega_samples(gl2, a1, a1t2):
     assert len(a1t2.omega_samples()) == 2
 
 
-def test_parse_print_roundtrip(a1t2, gl2):
-    for g in (a1t2, gl2):
-        for x in g.ball(3):
-            assert g.parse_elt(g.format_elt(x)) == x
-    assert gl2.parse_elt("t[1,0]·w[1]") == gl2.compose(gl2.elt([1, 0]), gl2.finite(1))
-    assert a1t2.parse_elt("s1*s0") == a1t2.compose(a1t2.gen(1), a1t2.gen(0))
-
-
 def test_intern_ids_are_dense_and_invertible():
     W = AffineWeylGroup(load_bundled("c2"))
     ball = W.ball(3)

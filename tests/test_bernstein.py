@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from parahecke import verify
 from parahecke.bernstein import Bernstein, BernsteinElt, GroupAlgElt
 from parahecke.engine import Engine
 from parahecke.errors import NotAntidominant, SolveInconsistent, UnsupportedParameters
@@ -352,6 +353,27 @@ def test_wrong_memoized_product_fails_the_roundtrip_row():
             assert row.detail == f"memoized theta product differs from mul_word at {key[0]}, w{key[1]}"
         kinds[row.detail.split(":")[0].split(" at ")[0]] += 1
     assert kinds == {"memoized theta product differs from mul_word": 27, "NonUnitDiagonal": 14}
+
+
+@pytest.mark.parametrize("name", ["a2", "c2"])
+def test_theta_products_run_at_the_memo_entries_exact_widths(monkeypatch, name):
+    """Each Θ_m is memoized at the width of its exact norm, so every product
+    of the Θ multiplicativity check runs at most 48 bits wide.  Memoized at
+    mul_inverse's bound instead, most of them ran at 72 bits (967 of 1,045 on
+    a2, 375 of 417 on c2), since a product never runs narrower than its
+    operands are held.  Widths are read from the products, because a later
+    `==` may still widen a memo entry in place."""
+    B = _fresh_bern(name)
+    real, widths = IwahoriHecke.mul, []
+
+    def mul(self, a, b):
+        out = real(self, a, b)
+        widths.append(out._pk[2])
+        return out
+
+    monkeypatch.setattr(IwahoriHecke, "mul", mul)
+    assert verify._check_theta_mult(SimpleNamespace(bern=B, hecke=B.H, datum=B.datum)) is None
+    assert len(widths) == {"a2": 1045, "c2": 417}[name] and max(widths) <= 48
 
 
 def test_bernstein_slots_stay_in_bruhat_ideal(Bc2):

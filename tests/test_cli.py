@@ -55,6 +55,78 @@ def test_expression_grammar(E1):
         parse_lattice(H, "s1")
 
 
+def test_parse_print_roundtrip():
+    """Every printed element of the length-3 ball parses back to itself."""
+    for name in ("a1_torsion2", "gl2"):
+        eng = load_engine(name)
+        H, W = eng.hecke, eng.weyl
+        for x in W.ball(3):
+            assert parse_hecke_expr(H, W.format_elt(x)) == H.basis(x)
+            if x.w == 0:
+                assert parse_lattice(H, W.format_elt(x)) == eng.datum.lattice(x.free, x.tors)
+
+
+# element texts and the group element each denotes, built without the parser
+_ELEMENT_TEXTS = [
+    ("a1", "t[1]", lambda W: W.elt([1])),
+    ("a1", "t[ 1 ]", lambda W: W.elt([1])),
+    ("a1", "w[]", lambda W: W.identity),
+    ("a1", "s1·s0", lambda W: W.compose(W.gen(1), W.gen(0))),
+    ("a1", "t[-1]·s1·s1", lambda W: W.elt([-1])),
+    ("a1_torsion2", "t[1;3]", lambda W: W.elt([1], [1])),
+    ("a1_torsion2", "s1*s0", lambda W: W.compose(W.gen(1), W.gen(0))),
+    ("gl2", "t[1,0]·w[1]", lambda W: W.compose(W.elt([1, 0]), W.gen(1))),
+    ("c2", "w[1,2,1]", lambda W: W.word_to_elt([1, 2, 1])),
+    ("c2", "w[2,1]·t[0,-1]", lambda W: W.compose(W.word_to_elt([2, 1]), W.elt([0, -1]))),
+]
+
+
+@pytest.mark.parametrize("name, text, build", _ELEMENT_TEXTS, ids=[f"{n}-{t}" for n, t, _ in _ELEMENT_TEXTS])
+def test_element_text_denotes_its_element(name, text, build):
+    eng = load_engine(name)
+    x = build(eng.weyl)
+    assert parse_hecke_expr(eng.hecke, text) == eng.hecke.basis(x)
+    if x.w == 0:
+        assert parse_lattice(eng.hecke, text) == eng.datum.lattice(x.free, x.tors)
+
+
+def test_theta_of_a_translation_written_with_generators(capsys):
+    code, out, err = capture(capsys, ["--datum", "a1", "theta", "t[-1]·s1·s1"])
+    assert (code, err) == (0, "") and json.loads(out)["terms"]
+
+
+# malformed element texts and the one stderr line each exits 2 with; `theta`
+# reads a product of atoms only, so a coefficient or a sum is a bad atom there
+_MALFORMED_TEXTS = [
+    ("a1", ["multiply", "x1", "s1"], "error: cannot tokenize 'x1'"),
+    ("a1", ["multiply", "t[1", "s1"], "error: cannot tokenize 't[1'"),
+    ("a1", ["theta", "t[1"], "error: bad element atom 't[1'"),
+    ("a1", ["invert", "w[a]"], "error: bad element atom 'w[a]': invalid literal for int() with base 10: 'a'"),
+    ("a1", ["to-bernstein", "s9"], "error: no affine generator s9; have [0, 1]"),
+    ("c2", ["theta", "s4"], "error: no affine generator s4; have [0, 1, 2]"),
+    ("a1", ["invert", "w[9]"], "error: w[...] entries must be finite simple indices, got 9"),
+    ("a1", ["multiply", "w[0]", "s1"], "error: w[...] entries must be finite simple indices, got 0"),
+    ("c2", ["multiply", "s1", "w[1,2,3]"], "error: w[...] entries must be finite simple indices, got 3"),
+    ("gl2", ["theta", "t[1]"], "error: t[...] needs 2 free coordinate(s), got 1"),
+    ("a1", ["multiply", "t[1,2]", "s1"], "error: t[...] needs 1 free coordinate(s), got 2"),
+    ("a1_torsion2", ["to-bernstein", "t[;1]"], "error: t[...] needs 1 free coordinate(s), got 0"),
+    ("a1_torsion2", ["invert", "t[1;1,1]"], "error: bad element atom 't[1;1,1]': torsion part has wrong arity"),
+    ("a1", ["multiply", "", "s1"], "error: empty expression"),
+    ("a1", ["theta", ""], "error: empty element expression: ''"),
+    ("a1", ["to-bernstein", "s1 +"], "error: trailing sign"),
+    ("a1", ["invert", "·s1"], "error: dangling product operator"),
+    ("a1", ["theta", "s1"], "error: 's1' is not a translation element"),
+    ("a1", ["theta", "2·t[-1]"], "error: bad element atom '2'"),
+    ("a1", ["theta", "s1 + q"], "error: bad element atom 's1 + q'"),
+]
+
+
+@pytest.mark.parametrize("name, argv, line", _MALFORMED_TEXTS,
+                         ids=[f"{n}-{'-'.join(a)}" for n, a, _ in _MALFORMED_TEXTS])
+def test_malformed_element_text_exits_2(capsys, name, argv, line):
+    assert capture(capsys, ["--datum", name, *argv]) == (2, "", line + "\n")
+
+
 def test_multiply_matches_quadratic(capsys):
     code, out, _ = capture(capsys, ["--datum", "a1", "multiply", "s1", "s1"])
     assert code == 0

@@ -318,8 +318,8 @@ def test_matsumoto_check_catches_a_word_that_is_no_braid_rewrite(monkeypatch, na
     assert _check_matsumoto(eng) is None
     real = verify._braid_rewrites
 
-    def mutated(d, word, rng, tries=10):
-        words = real(d, word, rng, tries)  # drawn as always, so the stream stays
+    def mutated(d, word, rng):
+        words = real(d, word, rng)  # drawn as always, so the stream stays
         bad = mutate(d, tuple(word)) if len(word) >= min_len else None
         return words + [bad] if bad else words
 

@@ -180,6 +180,7 @@ def test_pushforward_example(Ht2):
     src = Ht2.datum
     quot = TorsionQuotient(src, [(1,)])
     assert quot.datum.torsion == ()
+    assert quot.datum.w_elems == src.w_elems  # so push_elt keeps each W₀ index
     Hq = IwahoriHecke.for_datum(quot.datum)
     x = Ht2.weyl.elt([0], [1])
     assert quot.push_hecke(Ht2.basis(x), Hq) == Hq.basis(Hq.weyl.elt([0]))

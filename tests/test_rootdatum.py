@@ -22,6 +22,7 @@ from parahecke.rootdatum import (
     _solve,
     dot,
     load_bundled,
+    mat_mul,
     smith_normal_form,
 )
 
@@ -230,11 +231,14 @@ def _coxeter_by_element_orders(d, cap=24):
     return out
 
 
+B4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]  # |W0| = 384
+
 COXETER_DATA = (
     [(name, lambda name=name: load_bundled(name)) for name in BUNDLED_NAMES]
     + [(name, lambda name=name: Datum(_cartan_datum(*FINITE_CARTAN[name][:2]))) for name in sorted(FINITE_CARTAN)]
     + [("g2", lambda: _coroot_lattice_datum([[2, -1], [-3, 2]])),
-       ("a3", lambda: _coroot_lattice_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))]
+       ("a3", lambda: _coroot_lattice_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])),
+       ("B4", lambda: Datum(_cartan_datum(B4_CARTAN)))]
 )
 
 
@@ -243,6 +247,27 @@ def test_coxeter_matrix_matches_element_orders(build):
     d = build()
     assert d.coxeter_matrix == _coxeter_by_element_orders(d)
     assert list(d.coxeter_matrix) == [(a, b) for a in d.saff_indices for b in d.saff_indices if a < b]
+
+
+def _weyl_tables_by_matrix_products(d):
+    """The reference: W0's product table from the product of every pair of
+    matrices, looked up in w_index, and each inverse found by scanning its
+    row for the identity."""
+    cols = [tuple(zip(*w)) for w in d.w_elems]
+    mult = [[d.w_index[tuple(tuple(dot(row, col) for col in cols[j]) for row in a)] for j in range(d.w_order)]
+            for a in d.w_elems]
+    inv = [next(j for j in range(d.w_order) if mult[i][j] == 0) for i in range(d.w_order)]
+    return mult, inv
+
+
+@pytest.mark.parametrize("build", [b for _, b in COXETER_DATA], ids=[name for name, _ in COXETER_DATA])
+def test_weyl_tables_match_matrix_products(build):
+    """w_mult and w_inv, read off the BFS's Cayley table, are the tables of
+    matrix products; w_right[w][i] is the index of w·s_{i+1}."""
+    d = build()
+    assert (d.w_mult, d.w_inv) == _weyl_tables_by_matrix_products(d)
+    for w, row in zip(d.w_elems, d.w_right):
+        assert [d.w_elems[x] for x in row] == [mat_mul(w, g) for g in d.gens]
 
 
 @st.composite
