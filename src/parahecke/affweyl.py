@@ -7,7 +7,8 @@ the base alcove; reduced words are produced by greedy left descent with
 lowest-index tie-break, ending in a length-zero element of Ω (which is never
 enumerated, only decomposed against).  Reduced words are memoized for every
 element on the descent path, and a descent stops at the first element already
-memoized.
+memoized.  The weighted length L(x), with q_x = v^{2L(x)}, is summed over
+that memoized word and kept in no table of its own.
 
 The Bruhat order is the Coxeter order on the affine part, fiberwise over Ω:
 two elements are comparable only when their Ω-parts coincide.
@@ -55,7 +56,6 @@ class AffineWeylGroup:
         }
         self._len: dict[ExtWeylElt, int] = {}
         self._red: dict[ExtWeylElt, tuple[tuple[int, ...], ExtWeylElt]] = {}
-        self._wlen: dict[ExtWeylElt, int] = {}
         self._omega_samples: list[ExtWeylElt] | None = None
         self._balls: dict[tuple[int, bool], list[ExtWeylElt]] = {}
         self._ids: dict[ExtWeylElt, int] = {}
@@ -158,12 +158,9 @@ class AffineWeylGroup:
         return got
 
     def weighted_length(self, x: ExtWeylElt) -> int:
-        wl = self._wlen.get(x)
-        if wl is None:
-            word, _ = self.reduced_word(x)
-            wl = sum(self.datum.L[i] for i in word)
-            self._wlen[x] = wl
-        return wl
+        """L(x) = Σ L(s_i) over x's memoized reduced word (q_x = v^{2L(x)})."""
+        L = self.datum.L
+        return sum([L[i] for i in self.reduced_word(x)[0]])
 
     # -- Bruhat order ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ import sys
 from .engine import Engine, load_engine
 from .errors import ExprSyntaxError, InfiniteFacetGroup, ParaheckeError, ValidationError
 from .ringcore import is_prime_power
-from .rootdatum import BUNDLED_NAMES
+from .rootdatum import BUNDLED_NAMES, LatticeElt
 from .verify import SUITE_NAMES, render_results, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -181,17 +181,14 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
 
     # only the four commands that parse an expression import the parser
     if args.command in ("multiply", "invert", "theta", "to-bernstein"):
-        from .exprs import parse_hecke_expr, parse_lattice
+        from .exprs import parse_basis_element, parse_hecke_expr
 
     if args.command == "multiply":
         prod = H.mul(parse_hecke_expr(H, args.e1), parse_hecke_expr(H, args.e2))
         return 0, _pretty_hecke(eng, prod) if args.format == "pretty" else _json(_hecke_obj(eng, prod))
 
     if args.command == "invert":
-        h = parse_hecke_expr(H, args.elt)
-        if len(h.d) != 1 or not next(iter(h.d.values())).is_one():
-            raise ExprSyntaxError("invert expects a single basis element expression")
-        (w,) = h.d
+        w = parse_basis_element(H, args.elt)
         inv, star = H.im_invert_basis(w)
         return 0, _json({
             "element": eng.weyl.format_elt(w),
@@ -200,8 +197,10 @@ def _dispatch(args, eng: Engine) -> tuple[int, str]:
         })
 
     if args.command == "theta":
-        m = parse_lattice(H, args.m)
-        th = eng.bern.theta(m)
+        w = parse_basis_element(H, args.m)
+        if w.w != 0:
+            raise ExprSyntaxError(f"{args.m!r} is not a translation element")
+        th = eng.bern.theta(LatticeElt(w.free, w.tors))
         return 0, _pretty_hecke(eng, th) if args.format == "pretty" else _json(_hecke_obj(eng, th))
 
     if args.command == "to-bernstein":

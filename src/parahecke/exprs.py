@@ -8,8 +8,10 @@ Within a term, coefficient factors multiply in Z[v, v^-1] and element factors
 compose in the extended affine Weyl group, so `q·t[1]·s1` denotes q times the
 basis element at t_{(1)}s_1.  Golden files stay human-auditable this way.
 
-This is the package's only text parser: `_TOKEN` captures each atom's body,
-and `_atom` turns it into its group element for both parsers.
+This is the package's only text parser, and `parse_hecke_expr` its one
+reader: `_TOKEN` captures each atom's body, `_atom` turns it into its group
+element, and `parse_basis_element` (for `invert` and `theta`) accepts a text
+only when it denotes a single basis element 1·i_w.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from .affweyl import AffineWeylGroup, ExtWeylElt
 from .errors import ExprSyntaxError
 from .hecke import HeckeElt, IwahoriHecke
 from .ringcore import LaurentPoly
-from .rootdatum import LatticeElt
 
-__all__ = ["parse_hecke_expr", "parse_lattice"]
+__all__ = ["parse_basis_element", "parse_hecke_expr"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<atom>t\[(?P<lam>[^\]]*)\]|w\[(?P<word>[^\]]*)\]|s(?P<gen>\d+))"
@@ -106,18 +107,11 @@ def parse_hecke_expr(alg: IwahoriHecke, text: str) -> HeckeElt:
     return total + HeckeElt(alg, {elt: coeff})
 
 
-def parse_lattice(alg: IwahoriHecke, text: str) -> LatticeElt:
-    """A translation: atoms joined by '·' or '*', no coefficient or sum."""
-    W = alg.weyl
-    parts = [p.strip() for p in re.split(r"[·*]", text) if p.strip()]
-    if not parts:
-        raise ExprSyntaxError(f"empty element expression: {text.strip()!r}")
-    elt = W.identity
-    for part in parts:
-        m = _TOKEN.fullmatch(part)
-        if m is None or m.lastgroup != "atom":
-            raise ExprSyntaxError(f"bad element atom {part!r}")
-        elt = W.compose(elt, _atom(W, m))
-    if elt.w != 0:
-        raise ExprSyntaxError(f"{text!r} is not a translation element")
-    return LatticeElt(elt.free, elt.tors)
+def parse_basis_element(alg: IwahoriHecke, text: str) -> ExtWeylElt:
+    """The group element w of a text that denotes exactly 1·i_w."""
+    h = parse_hecke_expr(alg, text)
+    if len(h.d) == 1:
+        ((w, p),) = h.d.items()
+        if p.is_one():
+            return w
+    raise ExprSyntaxError(f"{text!r} is not a single basis element")

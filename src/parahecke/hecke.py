@@ -25,16 +25,15 @@ Inside `mul`, `mul_inverse` and `im_invert_basis` each coefficient is one
 Python int (ringcore._pack): signed base-2^k digits above a base exponent e0,
 with one width k per call and one e0 per operand.  Multiplying by q_s is a
 left shift by 2L(s)·k bits, so a generator step costs a shift and an int
-addition per term.  Width rule: with
-N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest length in b's support, a·b is packed at
-the width bitlen(N(a) · N(b) · 3^ℓ_b) + 2, rounded up to a multiple of 8, or
-at the wider of the widths a and b are already held at; a · i_w^{-1} likewise
-with N(a) · 3^ℓ(w).  `lincomb` sums Σ c·h over LaurentPoly coefficients c the
-same way, an int multiply-add per term, at the width of Σ ‖c‖₁ · N(h) or of
-the widest operand.  `mul_word` multiplies by a word of generators, reduced
-or not, one generator step per letter in one packed pass, at the width of
-N(a) · 3^ℓ for a word of ℓ letters or of a's own width.  The proofs are at
-`mul`.
+addition per term.  Width rule, decided in one place (`_operands`): a result
+with norm bound N is packed at the width bitlen(N) + 2, rounded up to a
+multiple of 8, or at the widest width an operand is already held at.  With
+N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest length in b's support, a·b has
+N = N(a) · N(b) · 3^ℓ_b and a · i_w^{-1} has N(a) · 3^ℓ(w).  `lincomb` sums
+Σ c·h over LaurentPoly coefficients c, an int multiply-add per term, with
+N = Σ ‖c‖₁ · N(h).  `mul_word` multiplies by a word of generators, reduced
+or not, one generator step per letter in one packed pass, with N(a) · 3^ℓ
+for a word of ℓ letters.  The proofs are at `mul`.
 
 Products with 1_K = Σ_{v ∈ W_J} i_v, for a finite parabolic W_J, have a closed
 form (Curtis–Iwahori–Kilmoyer).  Write w = w'u with w' minimal in wW_J and
@@ -149,8 +148,7 @@ class HeckeElt(SparseElt):
             return H.datum.cfg == other.parent.datum.cfg and self.d == other.d
         if self._pk is None or other._pk is None:
             return self.d == other.d
-        k = max(self._pk[2], other._pk[2])
-        (Za, ea), (Zb, eb) = H._packed(self, k), H._packed(other, k)
+        k, (Za, ea), (Zb, eb) = H._operands(0, self, other)
         if ea > eb:
             (Za, ea), (Zb, eb) = (Zb, eb), (Za, ea)
         if ea == eb:
@@ -234,10 +232,6 @@ class IwahoriHecke:
             return HeckeElt(self, {self.weyl.identity: x})
         raise TypeError(f"cannot coerce {type(x).__name__} into HeckeElt")
 
-    def q_power_of(self, w: ExtWeylElt) -> LaurentPoly:
-        """q_w = v^{2 L(w)}."""
-        return LaurentPoly.v_power(2 * self.weyl.weighted_length(w))
-
     # -- multiplication -----------------------------------------------------
     #
     # The hot loops run on packed coefficients (ringcore._pack): every
@@ -252,7 +246,12 @@ class IwahoriHecke:
     # to a multiple of 8), a digit that unpacks exactly.  An operand packed at
     # width k_a holds in-range digits at any width ≥ k_a, so
     # k = max(_width(B), k_a, k_b) keeps both facts and repacks an operand
-    # only when k exceeds its width.  So memo entries (Θ_m, z_m, coset sums of
+    # only when k exceeds its width.  `_operands` is that rule, for every
+    # result with operands; only `im_invert_basis` (no operand) and the
+    # quotients of `coset_sums` (below) call _width themselves.  Every packed
+    # result is held at k ≥ _width(its N), so for a result that keeps its
+    # operand's N (`coset_reps`, `vee_involution`, and `==` with N = 0) the rule
+    # gives the operand's own width.  So memo entries (Θ_m, z_m, coset sums of
     # Θ̇(r_μ)) are held at their exact norm's width (`exact_width`): the bound
     # that built one counts no cancellation, and an entry held wider would
     # widen every product it enters.  For a·i_w^{-1} each factor
@@ -282,11 +281,8 @@ class IwahoriHecke:
         pb = b._pk
         # b's reduced words, in the order of b's terms (kept by _packed)
         words = [W.reduced_word(y) for y in (b.d if pb is None else map(W.by_id.__getitem__, pb[0]))]
-        (Na, ka), (Nb, kb) = _size(a), _size(b)
-        N = Na * Nb * 3 ** max(len(word) for word, _ in words)
-        k = max(_width(N), ka, kb)
-        Za, ea = self._packed(a, k)
-        Zb, eb = self._packed(b, k)
+        N = _size(a) * _size(b) * 3 ** max(len(word) for word, _ in words)
+        k, (Za, ea), (Zb, eb) = self._operands(N, a, b)
         intern = W.intern
         acc: dict = {}
         entries = sorted(
@@ -304,9 +300,8 @@ class IwahoriHecke:
         words = [W.reduced_word(w) for w in ws]
         if not a:
             return [self.zero() for _ in words]
-        Na, ka = _size(a)
-        k = max(_width(Na * 3 ** max((len(word) for word, _ in words), default=0)), ka)
-        Za, ea = self._packed(a, k)
+        Na = _size(a)
+        k, (Za, ea) = self._operands(Na * 3 ** max((len(word) for word, _ in words), default=0), a)
         accs = [{} for _ in words]
         entries = sorted(
             ((word, W.intern(om), 1, acc) for (word, om), acc in zip(words, accs)), key=lambda e: e[0]
@@ -321,10 +316,8 @@ class IwahoriHecke:
         and the base stays e0(a)."""
         if not a:
             return self.zero()
-        Na, ka = _size(a)
-        N = Na * 3 ** len(word)
-        k = max(_width(N), ka)
-        cur, e0 = self._packed(a, k)
+        N = _size(a) * 3 ** len(word)
+        k, (cur, e0) = self._operands(N, a)
         for i in word:
             cur = self._apply_gen_right(cur, i, k)
         return self._from_packed(cur, e0, k, N)
@@ -336,18 +329,29 @@ class IwahoriHecke:
         pairs = [(h, c) for h, c in pairs if h and c]
         if not pairs:
             return self.zero()
-        sizes = [_size(h) for h, _ in pairs]
-        N = sum(_norm(c.d) * Nh for (_, c), (Nh, _) in zip(pairs, sizes))
-        k = max(_width(N), *(kh for _, kh in sizes))
-        packed = [(self._packed(h, k), c.d) for h, c in pairs]
-        e0 = min(eh + min(cd) for (_, eh), cd in packed)
+        N = sum(_norm(c.d) * _size(h) for h, c in pairs)
+        k, *packed = self._operands(N, *[h for h, _ in pairs])
+        e0 = min(eh + min(c.d) for (_, eh), (_, c) in zip(packed, pairs))
         acc: dict = {}
         get = acc.get
-        for (Z, eh), cd in packed:
-            C = _pack(cd, e0 - eh, k)
+        for (Z, eh), (_, c) in zip(packed, pairs):
+            C = _pack(c.d, e0 - eh, k)
             for n, P in Z.items():
                 acc[n] = get(n, 0) + P * C
         return self._from_packed(acc, e0, k, N)
+
+    def _operands(self, N: int, *hs: HeckeElt) -> list:
+        """[k, (Z, e0) of each h]: the width k = max(_width(N), every width an h
+        holds) of a result with norm bound N, and each h packed in place at k."""
+        k = _width(N)
+        for h in hs:
+            pk = h._pk
+            if pk is not None and pk[2] > k:
+                k = pk[2]
+        out = [k]
+        for h in hs:
+            out.append(self._packed(h, k))
+        return out
 
     def _packed(self, h: HeckeElt, k: int) -> tuple:
         """(Z, e0) of h packed at width k, which is at least any width h holds.
@@ -355,10 +359,10 @@ class IwahoriHecke:
         h keeps only this form afterwards.  Z lists h's terms in the order of
         h.d, or of the Z it held.
         """
-        N, k0 = _size(h)
+        N, pk = _size(h), h._pk
         packed: dict = {}  # each distinct coefficient is packed once; its keys share the int
         Z = {}
-        if not k0:
+        if pk is None:
             d = h.d
             e0 = min(min(p.d) for p in d.values())
             intern = self.weyl.intern
@@ -369,7 +373,7 @@ class IwahoriHecke:
                 Z[intern(w)] = P
             del h.d
         else:
-            Z0, e0 = h._pk[:2]
+            Z0, e0, k0 = pk[:3]
             if k0 == k:
                 return Z0, e0
             for n, P0 in Z0.items():
@@ -476,10 +480,8 @@ class IwahoriHecke:
             return self.zero()
         W = self.weyl
         word, om = W.reduced_word(w)
-        N, ka = _size(a)
-        N *= 3 ** len(word)
-        k = max(_width(N), ka)
-        Za, e0 = self._packed(a, k)
+        N = _size(a) * 3 ** len(word)
+        k, (Za, e0) = self._operands(N, a)
         cur: dict = {}
         self._flush(Za, W.intern(W.inverse(om)), 1, cur)
         return self._from_packed(self._right_star(cur, word, k), e0 - 2 * W.weighted_length(w), k, N)
@@ -496,9 +498,8 @@ class IwahoriHecke:
         a·1_K needs (closed form and proofs above `mul`)."""
         if not a:
             return self.zero()
-        N, ka = _size(a)
-        k = max(_width(len(F.elements) * N), ka)
-        cur, e0 = self._packed(a, k)
+        N = _size(a)
+        k, (cur, e0) = self._operands(len(F.elements) * N, a)
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
         sums: dict = {}
         get = sums.get
@@ -553,9 +554,8 @@ class IwahoriHecke:
         a = X·1_K is, this X satisfies a = X·1_K, and its coset sums are X."""
         if not a:
             return self.zero()
-        N, k = _size(a)
-        k = k or _width(N)
-        Z, e0 = self._packed(a, k)
+        N = _size(a)
+        k, (Z, e0) = self._operands(N, a)
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
         out = {n: P for n, P in Z.items() if (red.get(n) or self._coset_min(red, F.J, n))[0] == n}
         return self._from_packed(out, e0, k, N)
@@ -565,7 +565,7 @@ class IwahoriHecke:
         place at that norm's width."""
         if h:
             h.d
-            self._packed(h, _width(_size(h)[0]))
+            self._operands(_size(h), h)
         return h
 
     def _coset_min(self, red: dict, J, n: int) -> tuple:
@@ -613,9 +613,8 @@ class IwahoriHecke:
         """∨: i_w ↦ i_{w⁻¹}, an anti-involution; maps h's packed ids, packing h in place."""
         if not h:
             return self.zero()
-        N, k = _size(h)
-        k = k or _width(N)
-        Z, e0 = self._packed(h, k)
+        N = _size(h)
+        k, (Z, e0) = self._operands(N, h)
         W, inv = self.weyl, self._inv_ids
         out = {}
         for n, P in Z.items():
@@ -645,12 +644,12 @@ def _width(B: int) -> int:
     return -(-(B.bit_length() + 2) // 8) * 8
 
 
-def _size(h: HeckeElt) -> tuple:
-    """(N, k): a bound N ≥ Σ‖coeff‖₁ of h and the digit width h is held at (0 for d)."""
+def _size(h: HeckeElt) -> int:
+    """A bound N ≥ Σ‖coeff‖₁ of h: exact when h holds d."""
     pk = h._pk
     if pk is None:
-        return sum(_norm(p.d) for p in h.d.values()), 0
-    return pk[3], pk[2]
+        return sum(_norm(p.d) for p in h.d.values())
+    return pk[3]
 
 
 class TorsionQuotient:

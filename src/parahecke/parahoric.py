@@ -175,10 +175,8 @@ class Parahoric:
                     seen.add(y)
                     todo.append(y)
         elements = tuple(sorted(seen, key=W.sort_key))
-        poincare = LaurentPoly.zero()
-        for w in elements:
-            poincare = poincare + self.H.q_power_of(w)
         one_K = self.H.from_terms([(w, LaurentPoly.one()) for w in elements])
+        poincare = self.H.degree_hom(one_K)  # Σ_{W_J} q_w: the degree homomorphism is i_w ↦ q_w
         if poincare.d.get(0) != 1:
             raise SolveInconsistent("Poincaré polynomial has constant term != 1")
         if self.H.mul(one_K, one_K) != one_K.scale(poincare):

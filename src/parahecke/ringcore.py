@@ -286,12 +286,12 @@ class LaurentPoly:
         return cls({0: n})
 
     @classmethod
-    def v_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({k: coeff})
+    def v_power(cls, k: int) -> "LaurentPoly":
+        return cls({k: 1})
 
     @classmethod
-    def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({2 * k: coeff})
+    def q_power(cls, k: int) -> "LaurentPoly":
+        return cls({2 * k: 1})
 
     @classmethod
     def q(cls) -> "LaurentPoly":

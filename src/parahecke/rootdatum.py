@@ -57,6 +57,9 @@ __all__ = [
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
+# the backstop of the W0 enumeration: finite type is decided before it runs
+_MAX_WEYL_ORDER = 100000
+
 
 class LatticeElt(NamedTuple):
     """Element of Λ = Z^r ⊕ torsion; residues always reduced."""
@@ -180,7 +183,7 @@ class RootDatum(NamedTuple):
 class Datum:
     """Validated root datum with all derived combinatorial tables."""
 
-    def __init__(self, cfg: RootDatum, max_weyl_order: int = 100000):
+    def __init__(self, cfg: RootDatum):
         self.cfg = cfg
         self.name = cfg.name
         self.r = cfg.free_rank
@@ -193,7 +196,7 @@ class Datum:
         self._check_crystallographic()
         self._split_components()
         self._check_finite_type()
-        self._enumerate_weyl(max_weyl_order)
+        self._enumerate_weyl()
         self._enumerate_roots()
         self._build_saff()
         self._read_parameters()
@@ -271,7 +274,7 @@ class Datum:
                         m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
                 prev = m[k][k]
 
-    def _enumerate_weyl(self, bound: int):
+    def _enumerate_weyl(self):
         """W0 by breadth-first search over the simple reflections, with
         shortlex-least words, and its right Cayley table: w_right[w][i] is the
         index of w·s_{i+1}, so w_right[0][i] is that of s_{i+1}.  Every element
@@ -295,8 +298,8 @@ class Datum:
                     elems.append(prod)
                     words.append(words[wi] + (gi + 1,))
                     reached.append((wi, gi))
-                    if len(elems) > bound:
-                        raise InfiniteFiniteWeyl(f"finite Weyl enumeration exceeded {bound}")
+                    if len(elems) > _MAX_WEYL_ORDER:
+                        raise InfiniteFiniteWeyl(f"finite Weyl enumeration exceeded {_MAX_WEYL_ORDER}")
                 row.append(index[prod])
             right.append(row)
         self.w_elems: list[Mat] = elems

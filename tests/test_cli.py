@@ -12,7 +12,7 @@ import pytest
 from parahecke import engine as engine_mod
 from parahecke.engine import CACHE_ENV, CACHE_VERSION, Engine, load_engine
 from parahecke.errors import ExprSyntaxError
-from parahecke.exprs import parse_hecke_expr, parse_lattice
+from parahecke.exprs import parse_basis_element, parse_hecke_expr
 from parahecke.parahoric import FacetType
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import RootDatum, bundled_datum_path
@@ -46,13 +46,15 @@ def test_expression_grammar(E1):
     )
     assert parse_hecke_expr(H, "q^-2·t[0]") == H.one().scale(LaurentPoly.q_power(-2))
     assert parse_hecke_expr(H, "3") == H.one().scale(3)
-    assert parse_lattice(H, "t[-2]") == E1.datum.lattice([-2])
+    assert parse_basis_element(H, "t[-2]") == W.elt([-2])
+    assert parse_basis_element(H, "s1 + s0 - s0") == W.gen(1)
     with pytest.raises(ExprSyntaxError):
         parse_hecke_expr(H, "t[1] +")
     with pytest.raises(ExprSyntaxError):
         parse_hecke_expr(H, "sx")
-    with pytest.raises(ExprSyntaxError):
-        parse_lattice(H, "s1")
+    for text in ("2·s1", "q·s1", "s1 + s0", "s1 - s1", "0"):
+        with pytest.raises(ExprSyntaxError, match="is not a single basis element"):
+            parse_basis_element(H, text)
 
 
 def test_parse_print_roundtrip():
@@ -62,8 +64,7 @@ def test_parse_print_roundtrip():
         H, W = eng.hecke, eng.weyl
         for x in W.ball(3):
             assert parse_hecke_expr(H, W.format_elt(x)) == H.basis(x)
-            if x.w == 0:
-                assert parse_lattice(H, W.format_elt(x)) == eng.datum.lattice(x.free, x.tors)
+            assert parse_basis_element(H, W.format_elt(x)) == x
 
 
 # element texts and the group element each denotes, built without the parser
@@ -86,8 +87,7 @@ def test_element_text_denotes_its_element(name, text, build):
     eng = load_engine(name)
     x = build(eng.weyl)
     assert parse_hecke_expr(eng.hecke, text) == eng.hecke.basis(x)
-    if x.w == 0:
-        assert parse_lattice(eng.hecke, text) == eng.datum.lattice(x.free, x.tors)
+    assert parse_basis_element(eng.hecke, text) == x
 
 
 def test_theta_of_a_translation_written_with_generators(capsys):
@@ -95,12 +95,13 @@ def test_theta_of_a_translation_written_with_generators(capsys):
     assert (code, err) == (0, "") and json.loads(out)["terms"]
 
 
-# malformed element texts and the one stderr line each exits 2 with; `theta`
-# reads a product of atoms only, so a coefficient or a sum is a bad atom there
+# malformed element texts and the one stderr line each exits 2 with; `invert`
+# and `theta` read one expression too, which must denote a single basis
+# element (for `theta`, a translation)
 _MALFORMED_TEXTS = [
     ("a1", ["multiply", "x1", "s1"], "error: cannot tokenize 'x1'"),
     ("a1", ["multiply", "t[1", "s1"], "error: cannot tokenize 't[1'"),
-    ("a1", ["theta", "t[1"], "error: bad element atom 't[1'"),
+    ("a1", ["theta", "t[1"], "error: cannot tokenize 't[1'"),
     ("a1", ["invert", "w[a]"], "error: bad element atom 'w[a]': invalid literal for int() with base 10: 'a'"),
     ("a1", ["to-bernstein", "s9"], "error: no affine generator s9; have [0, 1]"),
     ("c2", ["theta", "s4"], "error: no affine generator s4; have [0, 1, 2]"),
@@ -112,12 +113,16 @@ _MALFORMED_TEXTS = [
     ("a1_torsion2", ["to-bernstein", "t[;1]"], "error: t[...] needs 1 free coordinate(s), got 0"),
     ("a1_torsion2", ["invert", "t[1;1,1]"], "error: bad element atom 't[1;1,1]': torsion part has wrong arity"),
     ("a1", ["multiply", "", "s1"], "error: empty expression"),
-    ("a1", ["theta", ""], "error: empty element expression: ''"),
+    ("a1", ["theta", ""], "error: empty expression"),
     ("a1", ["to-bernstein", "s1 +"], "error: trailing sign"),
     ("a1", ["invert", "·s1"], "error: dangling product operator"),
     ("a1", ["theta", "s1"], "error: 's1' is not a translation element"),
-    ("a1", ["theta", "2·t[-1]"], "error: bad element atom '2'"),
-    ("a1", ["theta", "s1 + q"], "error: bad element atom 's1 + q'"),
+    ("a1", ["theta", "2·t[-1]"], "error: '2·t[-1]' is not a single basis element"),
+    ("a1", ["theta", "s1 + q"], "error: 's1 + q' is not a single basis element"),
+    ("a1", ["invert", "s1 + s0"], "error: 's1 + s0' is not a single basis element"),
+    ("a1", ["theta", "t[-1]·"], "error: empty term"),
+    ("a1", ["theta", "·t[-1]"], "error: dangling product operator"),
+    ("a1", ["theta", "t[-1]··t[0]"], "error: dangling product operator"),
 ]
 
 
@@ -125,6 +130,36 @@ _MALFORMED_TEXTS = [
                          ids=[f"{n}-{'-'.join(a)}" for n, a, _ in _MALFORMED_TEXTS])
 def test_malformed_element_text_exits_2(capsys, name, argv, line):
     assert capture(capsys, ["--datum", name, *argv]) == (2, "", line + "\n")
+
+
+_TESTS_DIR = str(Path(__file__).resolve().parent)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--datum", "a1", "satake", "--height", "-1"], "error: --height must be >= 0"),
+    (["satake"], "error: --datum is required"),
+    (["--datum", _TESTS_DIR, "validate"], f"error: cannot read datum: [Errno 21] Is a directory: {_TESTS_DIR!r}"),
+], ids=["negative-height", "no-datum", "datum-is-a-directory"])
+def test_usage_errors_exit_2(capsys, argv, line):
+    assert capture(capsys, argv) == (2, "", line + "\n")
+
+
+def test_package_error_mid_command_exits_1(capsys, monkeypatch):
+    from parahecke.bernstein import Bernstein
+    from parahecke.errors import SolveInconsistent
+
+    def theta(self, m):
+        raise SolveInconsistent("raised by the test")
+
+    monkeypatch.setattr(Bernstein, "theta", theta)
+    assert capture(capsys, ["--datum", "a1", "theta", "t[1]"]) == (
+        1, "", "failure: SolveInconsistent: raised by the test\n")
+
+
+def test_readme_pretty_satake_table(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("(`--datum a1 satake --height 2\n--format pretty`):\n\n```\n", 1)[1].split("```", 1)[0]
+    assert capture(capsys, ["--datum", "a1", "satake", "--height", "2", "--format", "pretty"]) == (0, block, "")
 
 
 def test_multiply_matches_quadratic(capsys):

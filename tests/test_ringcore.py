@@ -102,7 +102,7 @@ def _outcome(div, a, b):
 def test_monomial_exact_div_matches_long_division(p, c, k):
     """By c·v^k, the quotient (with its key order) or the NonDivisible
     message is the long division's, for p·c·v^k and for p itself."""
-    m = LaurentPoly.v_power(k, c)
+    m = LaurentPoly({k: c})
     for a in (p * m, p):
         assert _outcome(lambda x, y: x.exact_div(y).d, a, m) == _outcome(_long_div, a, m)
 
@@ -175,9 +175,9 @@ def test_serialization_roundtrip():
 
 def test_unit_monomial_predicate():
     assert LaurentPoly.v_power(-4).is_unit_monomial()
-    assert LaurentPoly.v_power(3, -1).is_unit_monomial()
+    assert LaurentPoly({3: -1}).is_unit_monomial()
     assert not (Q + 1).is_unit_monomial()
-    assert not LaurentPoly.v_power(2, 2).is_unit_monomial()
+    assert not LaurentPoly({2: 2}).is_unit_monomial()
 
 
 def test_foreign_operands_raise_type_error():

@@ -1,12 +1,13 @@
 """Validation, dominance, and saturation-order contracts."""
 
+import itertools
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parahecke import cli
+from parahecke import cli, rootdatum
 from parahecke.errors import (
     InfiniteFiniteWeyl,
     NonCrystallographic,
@@ -20,6 +21,7 @@ from parahecke.rootdatum import (
     _int_coords,
     _reflection,
     _solve,
+    bundled_datum_path,
     dot,
     load_bundled,
     mat_mul,
@@ -85,13 +87,52 @@ def test_a2_odd_braid_forces_equal_parameters(a2):
         Datum(cfg)
 
 
+_A1 = json.loads(open(bundled_datum_path("a1"), encoding="utf-8").read())
+_R2 = {"name": "r2", "free_rank": 2, "simple_coroots": [[1, 0], [0, 1]], "simple_roots": [[2, 1], [1, 2]],
+       "affine_parameters": {"s0": 1, "s1": 1, "s2": 1}}
+# one defect per datum file, and the one stderr line `validate` exits 2 with
+_DEFECTS = {
+    "negative_rank": ({**_A1, "free_rank": -1}, "a1: ValidationError: free_rank must be nonnegative"),
+    "torsion_one": ({**_A1, "torsion_invariants": [1]}, "a1: ValidationError: torsion invariants must be >= 2"),
+    "count_mismatch": ({**_A1, "simple_coroots": [[1], [1]]},
+                       "a1: ValidationError: simple_roots and simple_coroots must have equal length"),
+    "vector_length": ({**_A1, "simple_roots": [[2, 0]]},
+                      "a1: ValidationError: root/coroot vectors must have length free_rank"),
+    "positive_pairing": (_R2, "r2: NonCrystallographic: pairing of simples 0,1 fails crystallographic bounds"),
+    "dependent_coroots": ({**_R2, "simple_coroots": [[1, 0], [0, 1], [-1, -1]],
+                           "simple_roots": [[2, -1], [-1, 2], [-1, -1]],
+                           "affine_parameters": {"s0": 1, "s1": 1, "s2": 1, "s3": 1}},
+                          "r2: NonCrystallographic: simple coroots are linearly dependent"),
+    "parameter_keys": ({**_A1, "affine_parameters": {"s0": 1}},
+                       "a1: ValidationError: affine_parameters must have exactly the keys ['s0', 's1']"),
+    "parameter_zero": ({**_A1, "affine_parameters": {"s0": 0, "s1": 1}},
+                       "a1: ValidationError: parameters must be positive integers"),
+    "generator_length": ({**_A1, "antidominant_generators": [[-1, 0]]},
+                         "a1: ValidationError: antidominant_generators must be free vectors of length free_rank"),
+    "generator_not_antidominant": ({**_A1, "antidominant_generators": [[1]]},
+                                   "a1: ValidationError: configured antidominant generator (1,) is not antidominant"),
+    "generator_zero": ({**_A1, "antidominant_generators": [[0]]},
+                       "a1: ValidationError: antidominant generators must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_defective_datum_file_exits_2(tmp_path, capsys, defect):
+    cfg, line = _DEFECTS[defect]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["--datum", str(path), "validate"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: datum {line}\n")
+
+
 def test_bad_cartan_diagonal_rejected(a1):
     cfg = RootDatum.from_dict({**a1.cfg._asdict(), "simple_roots": [[3]]})
     with pytest.raises(NonCrystallographic):
         Datum(cfg)
 
 
-def test_infinite_weyl_rejected():
+def test_infinite_weyl_rejected(monkeypatch):
     # The affine A2 Cartan matrix passes every pairwise bound, and in rank 4
     # its roots and coroots are linearly independent, but the group they
     # generate is the infinite affine Weyl group; the finite-type test rejects
@@ -102,10 +143,13 @@ def test_infinite_weyl_rejected():
         "simple_roots": [[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0]],
         "affine_parameters": {},
     })
+    monkeypatch.setattr(rootdatum, "_MAX_WEYL_ORDER", 200)
     with pytest.raises(InfiniteFiniteWeyl):
-        Datum(cfg, max_weyl_order=200)
+        Datum(cfg)
+    c2 = load_bundled("c2").cfg
+    monkeypatch.setattr(rootdatum, "_MAX_WEYL_ORDER", 3)
     with pytest.raises(InfiniteFiniteWeyl):
-        Datum(load_bundled("c2").cfg, max_weyl_order=3)
+        Datum(c2)
 
 
 def _cartan_datum(cartan, components=1):
@@ -151,12 +195,13 @@ def test_finite_type_cartan_matrices_validate(name):
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE_CARTAN))
-def test_infinite_type_cartan_matrix_rejected_before_enumeration(name):
+def test_infinite_type_cartan_matrix_rejected_before_enumeration(monkeypatch, name):
     """The finite-type test decides before W0 is enumerated: a bound of 2
     would fail any enumeration, so the message shows which test raised."""
     cartan, why = INFINITE_CARTAN[name]
+    monkeypatch.setattr(rootdatum, "_MAX_WEYL_ORDER", 2)
     with pytest.raises(InfiniteFiniteWeyl, match=why):
-        Datum(_cartan_datum(cartan), max_weyl_order=2)
+        Datum(_cartan_datum(cartan))
 
 
 # The reflection matrices and highest roots the bundled files configured
@@ -412,6 +457,41 @@ def test_orbit_and_rep(a2, c2):
     assert len(orb) == 6
     assert a2.antidominant_rep(a2.lattice([1, 1])) == m
     assert len(c2.orbit(c2.lattice([-1, 0]))) == 4
+
+
+def _det(m):
+    """Determinant by Laplace expansion along the first row (small matrices)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _minors(m, r):
+    return [_det([[m[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(len(m)), r)
+            for cols in itertools.combinations(range(len(m[0])), r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-12, 12), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))))
+def test_smith_normal_form_properties(m):
+    """V is unimodular, every row of m·V lies in ⊕ diag[j]·Z, and the nonzero
+    diagonal entries number the rank, their product being the gcd of the
+    rank-size minors (the last determinantal divisor, kept by unimodular
+    operations)."""
+    diag, v = smith_normal_form([row[:] for row in m])
+    cols = len(m[0])
+    assert len(diag) == cols and _det(v) in (1, -1)
+    mv = [[sum(row[k] * v[k][j] for k in range(cols)) for j in range(cols)] for row in m]
+    for row in mv:
+        assert all(x == 0 if d == 0 else x % d == 0 for x, d in zip(row, diag))
+    rank = max(r for r in range(min(len(m), cols) + 1) if any(_minors(m, r)))
+    nonzero = [d for d in diag if d]
+    assert len(nonzero) == rank
+    assert math.prod(nonzero) == math.gcd(*_minors(m, rank))
 
 
 def test_smith_normal_form_quotient():
