@@ -2,13 +2,15 @@
 
 Elements are canonical triples (free translation part, torsion part, finite
 part); the finite part is an index into the enumerated finite Weyl group.
-Length is the wall-crossing count through a fixed rational interior point of
-the base alcove; reduced words are produced by greedy left descent with
-lowest-index tie-break, ending in a length-zero element of Ω (which is never
-enumerated, only decomposed against).  Reduced words are memoized for every
-element on the descent path, and a descent stops at the first element already
-memoized.  The weighted length L(x), with q_x = v^{2L(x)}, is summed over
-that memoized word and kept in no table of its own.
+Length is the wall-crossing count ℓ(t_λ·u) = Σ_{β>0} |⟨β, λ⟩ + floor_tab[u][β]|,
+whose floor row is −1 exactly on the inversion set of u⁻¹ (Iwahori–Matsumoto).
+Reduced words are produced by greedy left descent with lowest-index
+tie-break, ending in a length-zero element of Ω (which is never enumerated,
+only decomposed against; `omega_samples` reads a box of it off the floor
+rows).  Reduced words are memoized for every element on the descent path, and
+a descent stops at the first element already memoized.  The weighted length
+L(x), with q_x = v^{2L(x)}, is summed over that memoized word and kept in no
+table of its own.
 
 The Bruhat order is the Coxeter order on the affine part, fiberwise over Ω:
 two elements are comparable only when their Ω-parts coincide.
@@ -183,18 +185,19 @@ class AffineWeylGroup:
 
     def omega_samples(self) -> list[ExtWeylElt]:
         """The length-zero elements with free coordinates in [−_OMEGA_BOX,
-        _OMEGA_BOX], sorted: a deterministic sample (Ω is not enumerated)."""
+        _OMEGA_BOX], sorted: a deterministic sample (Ω is not enumerated).
+        t_λ·u has length 0 exactly when ⟨β, λ⟩ = −floor_tab[u][β] for every
+        β > 0, and a floor row determines u (as an inversion set determines
+        its element), so each λ takes one lookup."""
         if self._omega_samples is None:
             d = self.datum
+            by_row = {tuple([-f for f in row]): wi for wi, row in enumerate(d.floor_tab)}
+            tors_space = list(itertools.product(*(range(n) for n in d.torsion)))
             out = []
-            ranges = [range(-_OMEGA_BOX, _OMEGA_BOX + 1)] * d.r
-            tors_space = list(itertools.product(*(range(n) for n in d.torsion))) or [()]
-            for free in itertools.product(*ranges) if d.r else [()]:
-                for tors in tors_space:
-                    for wi in range(d.w_order):
-                        x = ExtWeylElt(tuple(free), tuple(tors), wi)
-                        if self.length(x) == 0:
-                            out.append(x)
+            for free in itertools.product(range(-_OMEGA_BOX, _OMEGA_BOX + 1), repeat=d.r):
+                wi = by_row.get(tuple([sum(map(mul, beta, free)) for beta in d.pos_roots]))
+                if wi is not None:
+                    out.extend(ExtWeylElt(free, tors, wi) for tors in tors_space)
             out.sort()
             self._omega_samples = out
         return self._omega_samples

@@ -11,8 +11,7 @@ formulas, which finite type makes total: the finite Weyl group (one
 breadth-first search, whose right Cayley table gives the product and inverse
 tables), the positive roots with their coroots and simple-root coefficients
 (one search from the simple roots), the affine Coxeter matrix (from the Cartan
-pairings), and the rational interior point of the base alcove used by the
-length function.
+pairings), and the length function's floor table (from the inversion sets).
 
 Construction is validation: `Datum(cfg)` either returns a validated datum or
 raises its typed `ParaheckeError`.  `load_datum_file` is the one place where
@@ -113,17 +112,17 @@ def _row_reduce(m: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _solve(rows: list[list[int]], rhs: list[int], rhs_den: int = 1) -> tuple[Vec, int] | None:
-    """One exact solution x of rows·x = rhs/rhs_den with free variables set to 0,
-    as (ints, den) with x = ints/den and den the least common denominator;
-    None when there is no solution."""
+def _solve(rows: list[list[int]], rhs: list[int]) -> tuple[Vec, int] | None:
+    """One exact solution x of rows·x = rhs with free variables set to 0, as
+    (ints, den) with x = ints/den and den the least common denominator; None
+    when there is no solution."""
     ncols = len(rows[0]) if rows else 0
     m = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = _row_reduce(m, ncols)
     if any(row[-1] != 0 for row in m[len(pivots):]):
         return None
-    # x[col] = b / (lead·rhs_den) for the pivot row's lead and right-hand side b
-    quots = [(col, m[i][-1], m[i][col] * rhs_den) for i, col in enumerate(pivots)]
+    # x[col] = b / lead for the pivot row's lead and right-hand side b
+    quots = [(col, m[i][-1], m[i][col]) for i, col in enumerate(pivots)]
     den = math.lcm(*(d // math.gcd(d, b) for _, b, d in quots))
     ints = [0] * ncols
     for col, b, d in quots:
@@ -200,7 +199,6 @@ class Datum:
         self._enumerate_roots()
         self._build_saff()
         self._read_parameters()
-        self._build_alcove_point()
         self._build_cone_data()
         self.zero = LatticeElt((0,) * self.r, (0,) * len(self.torsion))
         self._pred_cache: dict = {}
@@ -328,7 +326,14 @@ class Datum:
         s_i of a lower one, so the search meets them all and no other
         (Humphreys, Reflection groups and Coxeter groups, §1.4–1.6).  Carried
         coefficients need no solve; each root has them of one sign (Bourbaki,
-        Lie groups VI §1.6, Thm. 3), and Φ = −Φ."""
+        Lie groups VI §1.6, Thm. 3), and Φ = −Φ.
+
+        Then the length function's floor table: floor_tab[u][k] is
+        ⌊⟨u(p), β_k⟩⌋ = ⌊⟨p, β_k∘u⟩⌋ for any p in the open base alcove, where
+        0 < ⟨p, γ⟩ < 1 for every γ > 0.  β∘u = u⁻¹(β) is a root, so the entry
+        is 0 when it is positive and −1 when it is not: −1 exactly on the
+        inversion set of u⁻¹ (Iwahori–Matsumoto 1965; Bourbaki, Lie groups VI
+        §1.6)."""
         n, simples = self.n_simple, list(zip(self.simple_roots, self.simple_coroots))
         # positive root -> (simple-root coefficients, coroot)
         found = {alpha: (tuple(int(j == i) for j in range(n)), cov) for i, (alpha, cov) in enumerate(simples)}
@@ -349,6 +354,10 @@ class Datum:
         self.pos_roots = tuple(sorted(found, key=lambda beta: (sum(found[beta][0]), beta)))
         self.pos_root_coeffs = {beta: found[beta][0] for beta in self.pos_roots}
         self.root_coroot = {beta: found[beta][1] for beta in self.pos_roots}
+        self.floor_tab = [
+            tuple([0 if tuple([dot(beta, col) for col in cols]) in found else -1 for beta in self.pos_roots])
+            for cols in (tuple(zip(*u)) for u in self.w_elems)
+        ]
 
     def _split_components(self):
         """The irreducible components: one walk over the nonzero pairings
@@ -357,18 +366,18 @@ class Datum:
         first simple root."""
         n = self.n_simple
         self.components = []
-        self.comp_of_simple = {}
+        placed = set()
         for start in range(n):
-            if start in self.comp_of_simple:
+            if start in placed:
                 continue
-            self.comp_of_simple[start] = len(self.components)
+            placed.add(start)
             comp, stack = [], [start]
             while stack:
                 i = stack.pop()
                 comp.append(i)
                 for j in range(n):
-                    if j not in self.comp_of_simple and dot(self.simple_roots[j], self.simple_coroots[i]):
-                        self.comp_of_simple[j] = len(self.components)
+                    if j not in placed and dot(self.simple_roots[j], self.simple_coroots[i]):
+                        placed.add(j)
                         stack.append(j)
             self.components.append(sorted(comp))
 
@@ -429,32 +438,11 @@ class Datum:
                     f"{self.L[a]} != {self.L[b]}"
                 )
 
-    def _build_alcove_point(self):
-        """Rational interior point p0 = p0_num/den of the base alcove, with
-        ⟨p0, α_i⟩ = 1/(h_c+1) and den the least common denominator.  The
-        simple roots are independent, so the solve succeeds, and
-        ⟨p0, β⟩ = ht(β)/(h_c+1) lies in (0, 1) since ht(β) ≤ ht(θ_c) = h_c − 1
-        (Bourbaki, Lie groups VI §1.8, Prop. 25)."""
-        if self.n_simple:
-            # the right-hand sides over the common denominator L
-            hs = [sum(self.pos_root_coeffs[theta]) + 2 for theta in self.theta]
-            L = math.lcm(*hs)
-            p0_num, den = _solve([list(self.simple_roots[i]) for i in range(self.n_simple)],
-                                 [L // hs[self.comp_of_simple[i]] for i in range(self.n_simple)], L)
-        else:
-            p0_num, den = (0,) * self.r, 1
-        # floor of <u(p0), beta> is 0 or -1 according to the inversion set
-        self.floor_tab = [
-            tuple(dot(beta, self.act_w(u, p0_num)) // den for beta in self.pos_roots)
-            for u in range(self.w_order)
-        ]
-
     def _build_cone_data(self):
-        """Antidominant fundamental generators ϖ_i (⟨ϖ_i, α_j⟩ = -k_i δ_ij) and
-        the positive functional used to bound saturation enumeration.  Neither
-        solve can fail: the simple roots are independent, and the Cartan
-        matrix of finite type is invertible with an inverse of nonnegative
-        entries (Lusztig–Tits, The inverse of a Cartan matrix, 1992)."""
+        """Antidominant fundamental generators ϖ_i (⟨ϖ_i, α_j⟩ = -k_i δ_ij),
+        whose solve cannot fail since the simple roots are independent, and
+        2ρ = Σ_{β>0} β, which bounds the saturation enumeration: ⟨ρ, α_j∨⟩ = 1
+        for every simple coroot (Bourbaki, Lie groups VI §1.10)."""
         n = self.n_simple
         self.fund_antidom: list[tuple[Vec, int]] = [
             _solve([list(self.simple_roots[j]) for j in range(n)], [-1 if j == i else 0 for j in range(n)])
@@ -463,16 +451,7 @@ class Datum:
         self.strict_antidom: Vec = tuple(
             sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r)
         ) if n else (0,) * self.r
-        # f = Σ u_i α_i with ⟨α∨_j, f⟩ = D_f for all j (inverse Cartan is ≥ 0)
-        if n:
-            rows = [[dot(self.simple_roots[i], self.simple_coroots[j]) for i in range(n)] for j in range(n)]
-            coeffs, self.height_den = _solve(rows, [1] * n)
-            self.height_functional: Vec = tuple(
-                sum(coeffs[i] * self.simple_roots[i][k] for i in range(n)) for k in range(self.r)
-            )
-        else:
-            self.height_functional = (0,) * self.r
-            self.height_den = 1
+        self.height_functional: Vec = tuple(map(sum, zip(*self.pos_roots))) or (0,) * self.r
         ad_gens = self.cfg.antidominant_generators or ((self.strict_antidom,) if n else ())
         for g in ad_gens:
             if len(g) != self.r:
@@ -539,12 +518,8 @@ class Datum:
         if not self.is_antidominant(x):
             raise NotAntidominant(f"{x} is not antidominant")
         n = self.n_simple
-        if n == 0:
-            out = [(x, 0)]
-            self._pred_cache[x] = out
-            return out
-        num = -dot(self.height_functional, x.free)
-        bound = num // self.height_den
+        # m = x + Σ c_j α_j∨ antidominant gives Σ c_j = ⟨ρ, m − x⟩ ≤ −⟨ρ, x⟩
+        bound = -dot(self.height_functional, x.free) // 2
         found = []
         for total in range(0, bound + 1):
             for c in _compositions(total, n):

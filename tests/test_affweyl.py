@@ -1,11 +1,12 @@
 """Group law, length anchors, reduced words, Bruhat order."""
 
+import itertools
 import random
 
 import pytest
 
-from parahecke.affweyl import AffineWeylGroup
-from parahecke.rootdatum import BUNDLED_NAMES, load_bundled
+from parahecke.affweyl import _OMEGA_BOX, AffineWeylGroup, ExtWeylElt
+from parahecke.rootdatum import BUNDLED_NAMES, Datum, RootDatum, load_bundled
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +172,28 @@ def test_omega_samples(gl2, a1, a1t2):
     assert all(gl2.length(x) == 0 for x in oms)
     assert a1.omega_samples() == [a1.identity]
     assert len(a1t2.omega_samples()) == 2
+
+
+_TORUS = {"name": "torus", "free_rank": 1, "simple_coroots": [], "simple_roots": [], "affine_parameters": {}}
+_A1_A2 = {"name": "a1xa2", "free_rank": 3, "simple_coroots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "simple_roots": [[2, 0, 0], [0, 2, -1], [0, -1, 2]],
+          "affine_parameters": {"s0": 1, "s1": 1, "s2": 1, "s3": 1, "s4": 1}}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_bundled("a1_torsion2"),
+    lambda: load_bundled("gl2"),
+    lambda: Datum(RootDatum.from_dict(_TORUS)),
+    lambda: Datum(RootDatum.from_dict(_A1_A2)),
+], ids=["a1_torsion2", "gl2", "torus", "a1xa2"])
+def test_omega_samples_equal_the_box_search(build):
+    """The reference: every t_λ·u in the box × torsion × W0 whose length is 0."""
+    d = build()
+    W = AffineWeylGroup(d)
+    box = itertools.product(range(-_OMEGA_BOX, _OMEGA_BOX + 1), repeat=d.r)
+    tors_space = list(itertools.product(*(range(n) for n in d.torsion)))
+    box_w0 = (ExtWeylElt(free, tors, wi) for free in box for tors in tors_space for wi in range(d.w_order))
+    assert W.omega_samples() == sorted(x for x in box_w0 if W.length(x) == 0)
 
 
 def test_intern_ids_are_dense_and_invertible():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from parahecke.errors import (
 from parahecke.rootdatum import (
     BUNDLED_NAMES,
     Datum,
+    LatticeElt,
     RootDatum,
     _int_coords,
     _reflection,
@@ -345,14 +347,58 @@ def _realized_cartan(draw):
     return cfg, components, order
 
 
+def _fraction_solve(rows, rhs):
+    """The reference: Gauss–Jordan elimination over Fraction, column by
+    column.  Returns the pivot columns and the solution that is 0 on every
+    other column, or None when the system is inconsistent."""
+    ncols = len(rows[0])
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        lead = m[rank] = [a / p for a in m[rank]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        pivots.append(col)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = m[i][-1]
+    return pivots, x
+
+
+def _assert_floor_tab_at_an_alcove_point(d):
+    """floor_tab[u][k] = ⌊⟨u(p0), β_k⟩⌋ at the point p0 of the open base alcove
+    with ⟨p0, α_i⟩ = 1/(h_c + 1) for α_i in component c, h_c = ht(θ_c) + 1
+    its Coxeter number, solved over Fraction."""
+    rhs = [None] * d.n_simple
+    for comp, theta in zip(d.components, d.theta):
+        for i in comp:
+            rhs[i] = Fraction(1, sum(d.pos_root_coeffs[theta]) + 2)
+    _, p0 = _fraction_solve([list(alpha) for alpha in d.simple_roots], rhs)
+    assert all(0 < dot(beta, p0) < 1 for beta in d.pos_roots)
+    for u, row in zip(d.w_elems, d.floor_tab):
+        up0 = [dot(line, p0) for line in u]
+        assert row == tuple(math.floor(dot(beta, up0)) for beta in d.pos_roots)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_realized_cartan())
 def test_derived_tables_satisfy_the_deleted_guards(case):
     """Every invariant that the datum build once re-checked holds on a finite
     Cartan matrix in arbitrary coordinates: a unique longest element; the
     W0-orbit of the simple roots is Φ⁺ ∪ −Φ⁺, each positive root the
-    carried N-combination of simple roots; the alcove point, cone generators
-    and positive functional solve as claimed.  The Coxeter matrix is the
+    carried N-combination of simple roots; the floor table is the floor at
+    a point of the open base alcove, the cone generators solve as claimed,
+    and 2ρ pairs to 2 with every simple coroot.  The Coxeter matrix is the
     element-order one."""
     cfg, components, order = case
     d = Datum(cfg)
@@ -370,16 +416,76 @@ def test_derived_tables_satisfy_the_deleted_guards(case):
         assert _int_coords(d.simple_roots, beta) == coeffs
         # the carried coroot gives a reflection in W0
         assert dot(beta, d.root_coroot[beta]) == 2 and _reflection(beta, d.root_coroot[beta]) in d.w_index
-    heights = [sum(d.pos_root_coeffs[theta]) + 2 for theta in d.theta]
-    L = math.lcm(*heights)
-    got = _solve([list(alpha) for alpha in d.simple_roots],
-                 [L // heights[d.comp_of_simple[i]] for i in range(n)], L)
-    assert got is not None and all(0 < dot(beta, got[0]) < got[1] for beta in d.pos_roots)
+    _assert_floor_tab_at_an_alcove_point(d)
     for i, (vec, den) in enumerate(d.fund_antidom):
         assert [dot(alpha, vec) for alpha in d.simple_roots] == [-den * (j == i) for j in range(n)]
-    assert all(dot(d.height_functional, acov) == d.height_den for acov in d.simple_coroots)
+    assert all(dot(d.height_functional, acov) == 2 for acov in d.simple_coroots)
     assert min(_int_coords(d.simple_roots, d.height_functional)) >= 0
     assert d.coxeter_matrix == _coxeter_by_element_orders(d)
+
+
+@pytest.mark.parametrize("build", [b for _, b in COXETER_DATA], ids=[name for name, _ in COXETER_DATA])
+def test_floor_table_is_the_floor_at_an_alcove_point(build):
+    _assert_floor_tab_at_an_alcove_point(build())
+
+
+@st.composite
+def _linear_system(draw):
+    """A system of up to 4 equations in up to 5 unknowns, entries in [-3, 3];
+    half of them consistent by construction (rhs = rows·y)."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        y = [draw(st.integers(-3, 3)) for _ in range(ncols)]
+        return rows, [dot(row, y) for row in rows], True
+    return rows, [draw(st.integers(-5, 5)) for _ in range(nrows)], False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_system())
+def test_solve_is_the_solution_that_is_zero_off_the_pivots(case):
+    """_solve's particular solution is 0 on every non-pivot column, with the
+    pivot columns found by Fraction elimination, over the least common
+    denominator; an inconsistent system gives None."""
+    rows, rhs, consistent = case
+    want = _fraction_solve(rows, rhs)
+    got = _solve(rows, rhs)
+    if want is None:
+        assert not consistent and got is None
+        return
+    pivots, x = want
+    ints, den = got
+    assert all(ints[col] == 0 for col in range(len(x)) if col not in pivots)
+    assert [Fraction(a, den) for a in ints] == x
+    assert den == math.lcm(*(c.denominator for c in x))
+
+
+_G2 = {"name": "g2", "free_rank": 2, "simple_coroots": [[1, 0], [0, 1]], "simple_roots": [[2, -1], [-3, 2]],
+       "affine_parameters": {"s0": 1, "s1": 1, "s2": 1}, "antidominant_generators": [[-2, -3], [-1, -2]]}
+
+
+def _predecessors_by_enumeration(d, x, bound):
+    """The reference: every antidominant x + Σ c_j α_j∨ with Σ c_j ≤ bound,
+    with its rank Σ c_j, sorted by (rank, free part)."""
+    out = []
+    for c in itertools.product(range(bound + 1), repeat=d.n_simple):
+        if sum(c) <= bound:
+            free = tuple(a + sum(cj * cov[k] for cj, cov in zip(c, d.simple_coroots)) for k, a in enumerate(x.free))
+            if all(dot(alpha, free) <= 0 for alpha in d.simple_roots):
+                out.append((LatticeElt(free, x.tors), sum(c)))
+    return sorted(out, key=lambda p: (p[1], p[0].free))
+
+
+@pytest.mark.parametrize("build", [lambda name=name: load_bundled(name) for name in BUNDLED_NAMES]
+                         + [lambda: Datum(RootDatum.from_dict(_G2))], ids=list(BUNDLED_NAMES) + ["g2"])
+def test_saturation_predecessors_equal_a_wider_enumeration(build):
+    """For every antidominant x of height ≤ 3, the predecessors equal an
+    enumeration whose rank bound is 3 above ⌊−⟨ρ, x⟩⌋, with 2ρ summed over
+    the positive roots here."""
+    d = build()
+    for x, _ in d.antidominant_set(3):
+        bound = -sum(dot(beta, x.free) for beta in d.pos_roots) // 2 + 3
+        assert d.saturation_predecessors_ranked(x) == _predecessors_by_enumeration(d, x, bound)
 
 
 def test_act_examples(a1, a1t2):
