@@ -6,7 +6,7 @@ affine Weyl group (`affweyl`), the Iwahori-Matsumoto rewriting engine
 parahoric centers and twisted Satake tables (`parahoric`).
 """
 
-__version__ = "0.1.0"  # set before the imports: engine keys its Θ cache on it
+__version__ = "0.1.0"  # equal to the [project] version in pyproject.toml
 
 from .affweyl import AffineWeylGroup, ExtWeylElt
 from .bernstein import Bernstein, BernsteinElt, GroupAlgElt

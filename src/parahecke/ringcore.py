@@ -343,7 +343,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.d.items()))
+        d = self.d
+        if d.keys() <= {0}:  # a constant hashes as the int it equals
+            return hash(d.get(0, 0))
+        return hash(frozenset(d.items()))
 
     def __bool__(self):
         return bool(self.d)
@@ -458,13 +461,6 @@ class LaurentPoly:
     def to_pairs(self) -> list:
         """[[exponent, coefficient], ...] sorted by exponent (v-convention, q = v^2)."""
         return [[e, self.d[e]] for e in sorted(self.d)]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        out: dict = {}
-        for e, c in pairs:
-            out[int(e)] = out.get(int(e), 0) + int(c)
-        return cls(out)
 
     def __str__(self):
         if not self.d:

@@ -203,7 +203,7 @@ class Datum:
         self.zero = LatticeElt((0,) * self.r, (0,) * len(self.torsion))
         self._pred_cache: dict = {}
         # the configuration as canonical JSON: equal exactly for equal
-        # configurations, so it keys the engine registry and content_hash
+        # configurations, so it keys the engine registry
         self.canonical_json = json.dumps(cfg._asdict(), sort_keys=True).encode()
 
     # ------------------------------------------------------------------
@@ -606,13 +606,6 @@ class Datum:
             "coroot_index_divisors": divisors,
             "torsion_invariants": tors,
         }
-
-    def content_hash(self) -> str:
-        """Short digest of canonical_json; only the Θ cache needs it, so
-        hashlib (about 3.8 MB of resident memory) is imported on use."""
-        import hashlib
-
-        return hashlib.sha256(self.canonical_json).hexdigest()[:16]
 
     def __repr__(self):
         return f"Datum({self.name}, |W0|={self.w_order}, rank={self.r}, torsion={list(self.torsion)})"

@@ -6,7 +6,6 @@ This runs one small traced job so that a rename shows up in the test suite.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +19,10 @@ CHILD = ROOT / "benchmark" / "child.py"
 @pytest.mark.skipif(not CHILD.exists(), reason="benchmark/ is not in this checkout")
 def test_traced_child_finds_every_wrapped_name(tmp_path):
     report = tmp_path / "report.json"
-    env = {k: v for k, v in os.environ.items() if k != "PARAHECKE_CACHE_DIR"}
     run = subprocess.run(
         [sys.executable, str(CHILD), str(report), "1",
          "--datum", "a1", "--jobs", "1", "satake", "--height", "1"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path,
     )
     assert run.returncode == 0, run.stderr
     rep = json.loads(report.read_text(encoding="utf-8"))

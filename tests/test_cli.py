@@ -1,4 +1,4 @@
-"""CLI commands, expression grammar, exit codes, cache persistence, start-up imports."""
+"""CLI commands, expression grammar, exit codes, start-up imports."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from parahecke import engine as engine_mod
-from parahecke.engine import CACHE_ENV, CACHE_VERSION, Engine, load_engine
+from parahecke.engine import Engine, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_basis_element, parse_hecke_expr
 from parahecke.parahoric import FacetType
@@ -417,25 +417,17 @@ def test_missing_command_exits_2(capsys):
     assert code == 2 and "command is required" in err
 
 
-def test_cache_roundtrip(tmp_path):
-    """A cold run writes a cache holding only the Θ table, and a warm run on
-    it prints the cold run's bytes."""
-    for datum in ("a1", "c2", "a2"):
-        env = {**_base_env(), "PARAHECKE_CACHE_DIR": str(tmp_path / datum)}
-        cmd = [sys.executable, "-m", "parahecke", "--datum", datum, "satake", "--height", "2"]
-        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert first.returncode == 0
-        (path,) = (tmp_path / datum).glob("parahecke-v*.json")
-        assert list(json.loads(path.read_bytes().split(b"\n", 1)[1])) == ["theta"]
-        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert second.returncode == 0
-        assert first.stdout == second.stdout
-
-
-def _base_env():
-    import os
-
-    return dict(os.environ)
+def test_cache_dir_variable_is_ignored(tmp_path):
+    """PARAHECKE_CACHE_DIR names no cache: a run with it set writes nothing
+    there and prints the bytes of a run without it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PARAHECKE_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "parahecke", "--datum", "a1", "satake", "--height", "2"]
+    plain, with_dir = (subprocess.run(cmd, capture_output=True, text=True, env=e, check=True)
+                       for e in (env, {**env, "PARAHECKE_CACHE_DIR": str(tmp_path)}))
+    assert plain.stdout and with_dir.stdout == plain.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pretty_format(capsys):
@@ -457,129 +449,6 @@ def test_satake_gl2_height_1_all_minuscule(capsys):
     for row in json.loads(out)["rows"]:
         assert len(row["entries"]) == 1
         assert row["entries"][0]["coeff"] == [[0, 1]]
-
-
-def test_corrupt_cache_ignored(tmp_path, monkeypatch):
-    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
-    eng = load_engine("a1")
-    path = eng._cache_path(str(tmp_path))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    assert eng.load_cache(str(tmp_path)) is False
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": -1, "datum": "x"}, fh)
-    assert eng.load_cache(str(tmp_path)) is False
-    good = [[[0], []], [[[0], [], 0, [[0, 1]]]]]
-    for blob in ([], {"version": CACHE_VERSION, "datum": eng.datum.content_hash(),
-                      "theta": [good, [[[-1], []], [["bad"]]]]}):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh)
-        assert eng.load_cache(str(tmp_path)) is False
-        assert eng.bern._theta == {}
-    assert eng.save_cache(str(tmp_path)) is True
-    assert eng.load_cache(str(tmp_path)) is True
-
-
-@pytest.mark.parametrize("where", ["file", "/dev/null/x"])
-def test_unusable_cache_dir_is_ignored(capsys, tmp_path, monkeypatch, where):
-    args = ["--datum", "a1", "satake", "--height", "2"]
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    code, cold, _ = capture(capsys, args)
-    assert code == 0
-    if where == "file":
-        where = tmp_path / "file"
-        where.write_text("not a directory")
-    monkeypatch.setenv(CACHE_ENV, str(where))
-    assert capture(capsys, args)[:2] == (0, cold)
-
-
-def _fresh_run(capsys, monkeypatch, args):
-    """One CLI run on a fresh engine, as in a new process."""
-    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
-    return capture(capsys, args)[:2]
-
-
-@pytest.mark.parametrize("edit", ["payload", "package", "payload and digest"])
-def test_tampered_cache(capsys, tmp_path, monkeypatch, edit):
-    """An edited cache file is a miss, unless its header is rewritten to match the edit."""
-    args = ["--datum", "a1", "theta", "t[1]"]
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    cold = _fresh_run(capsys, monkeypatch, args)
-    assert cold[0] == 0
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert _fresh_run(capsys, monkeypatch, args) == cold
-    (path,) = tmp_path.glob("parahecke-v*.json")
-    header, body = path.read_bytes().split(b"\n", 1)
-    header, blob = json.loads(header), json.loads(body)
-    if edit == "package":  # a cache written by another package version
-        header["package"] = "0.0.0"
-    else:  # the coefficient list of the Θ(t[1]) entry's first term set to 7
-        (entry,) = [e for e in blob["theta"] if e[0] == [[1], []]]
-        entry[1][0][3] = [[0, 7]]
-    body = json.dumps(blob).encode()
-    if edit == "payload and digest":
-        header["sha256"] = hashlib.sha256(body).hexdigest()
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-    code, out = _fresh_run(capsys, monkeypatch, args)
-    assert code == 0
-    assert (out != cold[1]) == (edit == "payload and digest")
-
-
-def test_warm_run_leaves_cache_file_alone(capsys, tmp_path, monkeypatch):
-    """A warm run prints the cold bytes and leaves the file untouched; a run
-    that adds Θ entries rewrites it."""
-
-    def run(datum, args):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / datum))
-        code, out = _fresh_run(capsys, monkeypatch, ["--datum", datum, *args])
-        assert code == 0
-        (path,) = (tmp_path / datum).glob("parahecke-v*.json")
-        st = path.stat()
-        n_theta = len(json.loads(path.read_bytes().split(b"\n", 1)[1])["theta"])
-        return out, (st.st_ino, st.st_mtime_ns, n_theta)
-
-    for datum, first, grown in (
-        ("a1", ["theta", "t[1]"], ["theta", "t[2]"]),
-        ("c2", ["satake", "--height", "2"], ["theta", "t[5,5]"]),
-    ):
-        cold = run(datum, first)
-        assert run(datum, first) == cold
-        _, after = run(datum, grown)
-        assert after[:2] != cold[1][:2] and after[2] > cold[1][2]
-
-
-def test_cache_of_an_older_version_is_a_miss(capsys, tmp_path, monkeypatch):
-    """A version-2 file, which also held Θ·1_K products, is never read: not at
-    its own name, and not at the current name."""
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert _fresh_run(capsys, monkeypatch, ["--datum", "a1", "theta", "t[1]"])[0] == 0
-    (path,) = tmp_path.glob("parahecke-v*.json")
-    header, body = path.read_bytes().split(b"\n", 1)
-    header = json.loads(header)
-    header["version"] = 2
-    old = json.dumps(header).encode() + b"\n" + body
-    path.unlink()
-    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
-    eng = load_engine("a1")
-    for name in (path.name.replace(f"-v{CACHE_VERSION}-", "-v2-"), path.name):
-        (tmp_path / name).write_bytes(old)
-        assert eng.load_cache(str(tmp_path)) is False
-        assert eng.bern._theta == {}
-
-
-def test_save_cache_leaves_entries_packed(tmp_path, monkeypatch):
-    """Saving serializes a copy of each packed Θ entry, so the table stays
-    packed: unpacking it in place raised a2's peak memory by about 7%."""
-    monkeypatch.setattr(engine_mod, "_REGISTRY", {})
-    eng = load_engine("c2")
-    P = eng.para
-    F = P.special_facet()
-    for m, _ in eng.datum.antidominant_set(1):
-        P.center_elt(F, m)
-    entries = list(eng.bern._theta.values())
-    assert entries and all(h._pk is not None for h in entries)
-    assert eng.save_cache(str(tmp_path)) is True
-    assert all(h._pk is not None for h in entries)
 
 
 @pytest.mark.parametrize("facet", ["a", "9", "1,x", "0,1"])
@@ -709,8 +578,8 @@ _COLD_ABSENT = ("hashlib", "_hashlib", "fractions", "decimal", "tempfile", "para
 
 @pytest.mark.parametrize("argv", [["satake", "--height", "1"], ["verify", "all"]], ids=["satake", "verify"])
 def test_cold_run_imports_no_digest_or_rationals(argv):
-    """A run without a cache directory imports neither hashlib (OpenSSL) nor
-    fractions (with decimal), tempfile or the expression parser; a module
+    """A run imports neither hashlib (OpenSSL) nor fractions (with decimal),
+    tempfile or the expression parser; a module
     that `import random, json, argparse` already loads does not count (-S
     keeps site hooks out)."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -723,8 +592,7 @@ def test_cold_run_imports_no_digest_or_rationals(argv):
         f"code = cli.main(['--datum', 'a1', '--out', os.devnull, *{argv!r}])\n"
         f"print(code, sorted((set(sys.modules) - base) & set({_COLD_ABSENT!r})))\n"
     )
-    env = {k: v for k, v in _base_env().items() if k != CACHE_ENV}
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "0 []\n"
 
 

@@ -12,7 +12,7 @@ from parahecke import verify
 from parahecke.affweyl import AffineWeylGroup
 from parahecke.bernstein import Bernstein
 from parahecke.cli import main
-from parahecke.engine import CACHE_ENV, load_engine
+from parahecke.engine import load_engine
 from parahecke.errors import NegativeCoefficient, NonUnitDiagonal, SolveInconsistent
 from parahecke.hecke import IwahoriHecke
 from parahecke.parahoric import Parahoric
@@ -86,7 +86,6 @@ def test_satake_product_failure_is_a_fail_row(monkeypatch, capsys):
     def broken(self, F, table):
         raise SolveInconsistent("sabotaged product check")
 
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(Parahoric, "_check_multiplicative", broken)
     assert main(["--datum", "a1", "verify", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -113,7 +112,6 @@ def test_raising_check_is_a_fail_row(monkeypatch, capsys, target, row):
     def broken(self, *args):
         raise SolveInconsistent("sabotaged")
 
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(Parahoric, target, broken)
     assert main(["--datum", "a1", "verify", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -368,7 +366,6 @@ def test_center_commutation_tests_each_pair_once(monkeypatch, capsys):
     """c2 `verify center` tests each z_m against each h_x of height ≤ 2 exactly
     once per finite facet: center_elt's guard takes the x of height ≤ 1 and
     the commutation check only the rest."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(engine_mod, "_REGISTRY", {})  # empty memos, so that every guard runs
     building = []  # m of each center_elt call in progress
     tested = Counter()
@@ -408,7 +405,6 @@ def test_sabotaged_center_element_fails_the_commutation_row(monkeypatch, capsys,
     Iwahori facet) fails the commutation row as it did when the check itself
     tested every height: center_elt's guard names the first h_x of height ≤ 1
     that z_m does not commute with."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     monkeypatch.setattr(engine_mod, "_REGISTRY", {})
     real = Bernstein.theta_of
 
@@ -481,7 +477,6 @@ def test_sabotaged_check_fails_its_row_and_every_later_row_prints(monkeypatch, c
     """A check whose input is sabotaged reaches its failure return: `verify all`
     prints its FAIL row with the counterexample, and every other row as in a
     clean run, the later ones included."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(["--datum", "a1", "verify", "all"]) == 0
     clean = capsys.readouterr().out.splitlines()
     assert f"[PASS] {row}" in clean

@@ -169,6 +169,9 @@ def test_satake_a1_row(E1):
     r1 = t.row(d.lattice([-1]))
     assert r1.entries[0] == (d.lattice([-1]), LaurentPoly.one())
     assert r1.entries[1] == (d.zero, Q - 1)
+    for x in (d.lattice([-3]), d.lattice([1])):  # beyond the height, not antidominant
+        with pytest.raises(KeyError, match="no row for"):
+            t.row(x)
 
 
 def test_satake_gl2_minuscule(Egl2):
@@ -273,6 +276,16 @@ def test_compatibility_diagram_example(E1):
     lifted = P.lift_center(Fi, FK, z_i)
     assert lifted == P.center_elt(FK, m)
     assert P.satake_general(FK, lifted) == E1.bern.orbit_sum_r(m)
+
+
+def test_lift_center_needs_nested_facets(E1):
+    """Lifting from a facet group that the target's does not contain (the
+    wrong way round, or between the two special facets) raises ValueError."""
+    P, d = E1.para, E1.datum
+    Fi, F0, F1 = P.facet(()), P.facet((0,)), P.facet((1,))
+    for small, big in ((F1, Fi), (F0, F1), (F1, F0)):
+        with pytest.raises(ValueError, match="not nested"):
+            P.lift_center(small, big, P.center_elt(small, d.lattice([-1])))
 
 
 @pytest.mark.parametrize("name", ["c2", "a2", "gl2", "a1_torsion2"])

