@@ -178,8 +178,6 @@ class Bernstein:
         d, W, H = self.datum, self.W, self.H
         if not d.is_antidominant(mc) or not d.is_antidominant(d.add(m, mc)):
             raise NotAntidominant(f"invalid antidominant shift {mc} for {m}")
-        if all(c == 0 for c in mc.free) and not any(mc.tors):
-            return H.basis_translation(m)
         return H.mul_inverse(H.basis_translation(d.add(m, mc)), W.translation(mc))
 
     def theta_choice_independent(self, m: LatticeElt) -> bool:

@@ -36,8 +36,8 @@ _TOKEN = re.compile(
 
 def _tokens(text: str) -> list:
     out = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ExprSyntaxError(f"cannot tokenize {text[pos:]!r}")

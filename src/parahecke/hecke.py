@@ -275,13 +275,11 @@ class IwahoriHecke:
     # 2L(v) multiplies by q_v^{-1} and leaves every digit as it is.
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        if not a or not b:
-            return self.zero()
         W = self.weyl
         pb = b._pk
         # b's reduced words, in the order of b's terms (kept by _packed)
         words = [W.reduced_word(y) for y in (b.d if pb is None else map(W.by_id.__getitem__, pb[0]))]
-        N = _size(a) * _size(b) * 3 ** max(len(word) for word, _ in words)
+        N = _size(a) * _size(b) * 3 ** max((len(word) for word, _ in words), default=0)
         k, (Za, ea), (Zb, eb) = self._operands(N, a, b)
         intern = W.intern
         acc: dict = {}
@@ -298,8 +296,6 @@ class IwahoriHecke:
         its own product.  a·i_w has N = N(a) · 3^ℓ(w) (width rule above)."""
         W = self.weyl
         words = [W.reduced_word(w) for w in ws]
-        if not a:
-            return [self.zero() for _ in words]
         Na = _size(a)
         k, (Za, ea) = self._operands(Na * 3 ** max((len(word) for word, _ in words), default=0), a)
         accs = [{} for _ in words]
@@ -314,8 +310,6 @@ class IwahoriHecke:
         reduced or not; a packed element, with a packed in place.  Each step at
         most triples Σ‖coeff‖₁ and never lowers an exponent, so N = N(a) · 3^ℓ
         and the base stays e0(a)."""
-        if not a:
-            return self.zero()
         N = _size(a) * 3 ** len(word)
         k, (cur, e0) = self._operands(N, a)
         for i in word:
@@ -323,15 +317,13 @@ class IwahoriHecke:
         return self._from_packed(cur, e0, k, N)
 
     def lincomb(self, pairs) -> HeckeElt:
-        """Σ c·h over (HeckeElt, LaurentPoly) pairs, a packed element (zero()
-        if no pair has h and c nonzero); the operands are packed in place
+        """Σ c·h over (HeckeElt, LaurentPoly) pairs, a packed element (with no
+        terms if no pair has h and c nonzero); the operands are packed in place
         (width rule above `mul`)."""
         pairs = [(h, c) for h, c in pairs if h and c]
-        if not pairs:
-            return self.zero()
         N = sum(_norm(c.d) * _size(h) for h, c in pairs)
         k, *packed = self._operands(N, *[h for h, _ in pairs])
-        e0 = min(eh + min(c.d) for (_, eh), (_, c) in zip(packed, pairs))
+        e0 = min((eh + min(c.d) for (_, eh), (_, c) in zip(packed, pairs)), default=0)
         acc: dict = {}
         get = acc.get
         for (Z, eh), (_, c) in zip(packed, pairs):
@@ -364,7 +356,7 @@ class IwahoriHecke:
         Z = {}
         if pk is None:
             d = h.d
-            e0 = min(min(p.d) for p in d.values())
+            e0 = min((min(p.d) for p in d.values()), default=0)
             intern = self.weyl.intern
             for w, p in d.items():
                 P = packed.get(id(p))  # by identity: equal values from one unpack share one object
@@ -476,8 +468,6 @@ class IwahoriHecke:
 
     def mul_inverse(self, a: HeckeElt, w: ExtWeylElt) -> HeckeElt:
         """a · i_w^{-1} = q_w^{-1} · a · i_{ω^{-1}} · star, with star as in im_invert_basis."""
-        if not a:
-            return self.zero()
         W = self.weyl
         word, om = W.reduced_word(w)
         N = _size(a) * 3 ** len(word)
@@ -496,8 +486,6 @@ class IwahoriHecke:
         given: a packed element keyed by the id of each minimal representative
         w' of a coset w'W_J, with N = Σ_{w'} ‖S_{w'}‖₁, held at the width that
         a·1_K needs (closed form and proofs above `mul`)."""
-        if not a:
-            return self.zero()
         N = _size(a)
         k, (cur, e0) = self._operands(len(F.elements) * N, a)
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
@@ -520,10 +508,7 @@ class IwahoriHecke:
     def mul_oneK(self, a: HeckeElt, F, divisor: LaurentPoly | None = None) -> HeckeElt:
         """a·1_K, divided exactly by divisor when one is given: each of
         `coset_sums` copied onto its coset w'W_J; a packed element."""
-        S = self.coset_sums(a, F, divisor)
-        if not S:
-            return S
-        Z, e0, k, N = S._pk
+        Z, e0, k, N = self.coset_sums(a, F, divisor)._pk
         cosets = self._cosets[F.J][1]
         out = {}
         for m, P in Z.items():
@@ -538,10 +523,7 @@ class IwahoriHecke:
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
         n = W.intern(W.inverse(w))
         m, e = red.get(n) or self._coset_min(red, F.J, n)
-        S = self.coset_sums(self.mul_inverse(a, W.inverse(W.by_id[m])), F)
-        if not S:
-            return S
-        Z, e0, k, N = S._pk
+        Z, e0, k, N = self.coset_sums(self.mul_inverse(a, W.inverse(W.by_id[m])), F)._pk
         return self._from_packed(Z, e0 - e, k, N)
 
     def oneK_mul(self, F, a: HeckeElt) -> HeckeElt:
@@ -552,8 +534,6 @@ class IwahoriHecke:
         """a's terms at the shortest elements w' of the cosets w'W_J, a packed
         element (a packed in place).  When a is constant on each coset, as
         a = X·1_K is, this X satisfies a = X·1_K, and its coset sums are X."""
-        if not a:
-            return self.zero()
         N = _size(a)
         k, (Z, e0) = self._operands(N, a)
         red = self._cosets.setdefault(F.J, ({}, {}))[0]
@@ -563,9 +543,8 @@ class IwahoriHecke:
     def exact_width(self, h: HeckeElt) -> HeckeElt:
         """h, read once (so that the norm _size gives is exact) and packed in
         place at that norm's width."""
-        if h:
-            h.d
-            self._operands(_size(h), h)
+        h.d
+        self._operands(_size(h), h)
         return h
 
     def _coset_min(self, red: dict, J, n: int) -> tuple:
@@ -611,8 +590,6 @@ class IwahoriHecke:
 
     def vee_involution(self, h: HeckeElt) -> HeckeElt:
         """∨: i_w ↦ i_{w⁻¹}, an anti-involution; maps h's packed ids, packing h in place."""
-        if not h:
-            return self.zero()
         N = _size(h)
         k, (Z, e0) = self._operands(N, h)
         W, inv = self.weyl, self._inv_ids
@@ -672,10 +649,7 @@ class TorsionQuotient:
         rows = [
             [source.torsion[i] if j == i else 0 for j in range(t)] for i in range(t)
         ] + [list(g) for g in gens]
-        if t:
-            diag, v = smith_normal_form([row[:] for row in rows])
-        else:
-            diag, v = [], []
+        diag, v = smith_normal_form(rows)
         keep = [j for j in range(t) if diag[j] != 1]
         if any(diag[j] == 0 for j in range(t)):  # pragma: no cover - diag(n_i) has full rank
             raise SubgroupInvalid("degenerate torsion presentation")

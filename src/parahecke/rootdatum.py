@@ -132,8 +132,6 @@ def _solve(rows: list[list[int]], rhs: list[int]) -> tuple[Vec, int] | None:
 
 def _int_coords(vectors: tuple[Vec, ...], target: Vec) -> Vec | None:
     """Integer coordinates of target over the linearly independent vectors, if any."""
-    if not vectors:
-        return () if all(x == 0 for x in target) else None
     got = _solve([[v[k] for v in vectors] for k in range(len(target))], list(target))
     if got is None or got[1] != 1:
         return None
@@ -448,10 +446,8 @@ class Datum:
             _solve([list(self.simple_roots[j]) for j in range(n)], [-1 if j == i else 0 for j in range(n)])
             for i in range(n)
         ]
-        self.strict_antidom: Vec = tuple(
-            sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r)
-        ) if n else (0,) * self.r
-        self.height_functional: Vec = tuple(map(sum, zip(*self.pos_roots))) or (0,) * self.r
+        self.strict_antidom: Vec = tuple(sum(v[k] for v, _ in self.fund_antidom) for k in range(self.r))
+        self.height_functional: Vec = tuple(sum(b[k] for b in self.pos_roots) for k in range(self.r))
         ad_gens = self.cfg.antidominant_generators or ((self.strict_antidom,) if n else ())
         for g in ad_gens:
             if len(g) != self.r:
@@ -579,7 +575,7 @@ class Datum:
                 free = tuple(sum(c[j] * gens[j][k] for j in range(len(gens))) for k in range(self.r))
                 if free not in best:
                     best[free] = total
-        tors_space = list(itertools.product(*(range(n) for n in self.torsion))) or [()]
+        tors_space = list(itertools.product(*(range(n) for n in self.torsion)))
         out = []
         for free, h in best.items():
             for t in tors_space:
@@ -592,19 +588,13 @@ class Datum:
     def omega_data(self) -> dict:
         """Ω-relevant invariants: how far Λ is from the coroot lattice."""
         n = self.n_simple
-        free_quotient_rank = self.r - n
-        tors = list(self.torsion)
-        divisors = []
-        if n:
-            m = [list(v) for v in self.simple_coroots]
-            d, _ = smith_normal_form([row[:] for row in m])
-            divisors = [x for x in d if x not in (0, 1)]
+        d, _ = smith_normal_form([list(v) for v in self.simple_coroots])
         return {
             "free_rank": self.r,
             "coroot_rank": n,
-            "omega_free_rank": free_quotient_rank,
-            "coroot_index_divisors": divisors,
-            "torsion_invariants": tors,
+            "omega_free_rank": self.r - n,
+            "coroot_index_divisors": [x for x in d if x not in (0, 1)],
+            "torsion_invariants": list(self.torsion),
         }
 
     def __repr__(self):

@@ -389,7 +389,7 @@ def _check_dot_action(eng: Engine):
 
 def _check_c_integrality(eng: Engine):
     B, d = eng.bern, eng.datum
-    if len(set(d.L.values())) != 1:
+    if len(set(d.L.values())) > 1:
         raise UnsupportedParameters("non-constant parameters")
     for m, _ in _closure(eng, 2):
         for wi in range(d.w_order):

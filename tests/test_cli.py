@@ -13,9 +13,10 @@ from parahecke import engine as engine_mod
 from parahecke.engine import Engine, load_engine
 from parahecke.errors import ExprSyntaxError
 from parahecke.exprs import parse_basis_element, parse_hecke_expr
+from parahecke.hecke import TorsionQuotient
 from parahecke.parahoric import FacetType
 from parahecke.ringcore import LaurentPoly
-from parahecke.rootdatum import RootDatum, bundled_datum_path
+from parahecke.rootdatum import Datum, RootDatum, bundled_datum_path, load_bundled
 from parahecke.verify import CheckResult
 from parahecke import cli
 
@@ -90,6 +91,12 @@ def test_element_text_denotes_its_element(name, text, build):
     assert parse_basis_element(eng.hecke, text) == x
 
 
+@pytest.mark.parametrize("text", ["s1 ", "s1\t", " s1  "])
+def test_trailing_whitespace_is_ignored(capsys, text):
+    assert capture(capsys, ["--datum", "a1", "multiply", text, "s1"]) == capture(
+        capsys, ["--datum", "a1", "multiply", "s1", "s1"])
+
+
 def test_theta_of_a_translation_written_with_generators(capsys):
     code, out, err = capture(capsys, ["--datum", "a1", "theta", "t[-1]·s1·s1"])
     assert (code, err) == (0, "") and json.loads(out)["terms"]
@@ -123,6 +130,9 @@ _MALFORMED_TEXTS = [
     ("a1", ["theta", "t[-1]·"], "error: empty term"),
     ("a1", ["theta", "·t[-1]"], "error: dangling product operator"),
     ("a1", ["theta", "t[-1]··t[0]"], "error: dangling product operator"),
+    ("a1", ["multiply", "s1 + + s1", "s1"], "error: empty term"),
+    ("a1", ["multiply", "2 s1", "s1"], "error: missing operator before 's1'"),
+    ("a1", ["theta", " "], "error: empty expression"),
 ]
 
 
@@ -652,3 +662,52 @@ def test_non_integral_coeff_at_q():
     assert table.to_csv(str, q_eval=4) == (
         'x,m,coeff,coeff_at_q\n"x","m","3*q^-1 - q^-2",11/16\n"x","n","q - 1",3\n'
     )
+
+
+# a datum with no roots (a torus) and one of free rank 0, with an element
+# text for each: the commands run the same loops as on any other datum
+_ROOTLESS = {
+    "torus": ({"name": "torus", "free_rank": 1, "torsion_invariants": [], "simple_coroots": [], "simple_roots": [],
+               "affine_parameters": {}, "antidominant_generators": [[-1], [1]]}, "t[1]"),
+    "z2": ({"name": "z2", "free_rank": 0, "torsion_invariants": [2], "simple_coroots": [], "simple_roots": [],
+            "affine_parameters": {}}, "t[;1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROOTLESS))
+def test_rootless_data_pass_every_command(capsys, tmp_path, name):
+    cfg, elt = _ROOTLESS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["validate"], ["multiply", elt, f"{elt} + q"], ["invert", elt], ["theta", elt],
+                 ["to-bernstein", f"{elt} + 2"], ["center-basis", "--height", "1"], ["satake", "--height", "2"],
+                 ["verify", "all"]):
+        code, out, err = capture(capsys, ["--datum", str(path), *argv])
+        assert (code, err) == (0, ""), argv
+        assert "FAIL" not in out and "FALSIFIED" not in out, argv
+    skips = [line for line in out.splitlines() if not line.startswith("[PASS] ")]
+    assert skips == ([] if cfg["torsion_invariants"] else [
+        "[SKIP] compat.pushforward_intertwines_center_and_satake: UnsupportedParameters: "
+        "datum has no torsion to quotient"])
+
+
+def test_rootless_and_torsion_free_values():
+    torus, z2 = (Datum(RootDatum.from_dict(_ROOTLESS[name][0])) for name in ("torus", "z2"))
+    assert [torus.in_coroot_lattice(torus.lattice([x])) for x in (0, -1, 1)] == [(), None, None]
+    assert [z2.in_coroot_lattice(z2.lattice([], [t])) for t in (0, 1)] == [(), None]
+    assert torus.omega_data() == {"free_rank": 1, "coroot_rank": 0, "omega_free_rank": 1,
+                                  "coroot_index_divisors": [], "torsion_invariants": []}
+    assert z2.omega_data() == {"free_rank": 0, "coroot_rank": 0, "omega_free_rank": 0,
+                               "coroot_index_divisors": [], "torsion_invariants": [2]}
+    assert (torus.strict_antidom, z2.strict_antidom) == ((0,), ())
+    assert [m for m, _ in z2.antidominant_set(0)] == [z2.lattice([], [0]), z2.lattice([], [1])]
+    a1 = load_bundled("a1")
+    for kill in ([], [()]):
+        T = TorsionQuotient(a1, kill)
+        assert (T._v, T._keep, T._moduli, T.datum.torsion, T.map_tors(())) == ([], [], [], (), ())
+
+
+def test_readme_torus_file_is_the_tested_one():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A rank-1\n  torus whose antidominant monoid is all of `Z`:\n\n  ```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == _ROOTLESS["torus"][0]

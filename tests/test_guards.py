@@ -14,7 +14,7 @@ from parahecke.bernstein import Bernstein
 from parahecke.cli import main
 from parahecke.engine import load_engine
 from parahecke.errors import NegativeCoefficient, NonUnitDiagonal, SolveInconsistent
-from parahecke.hecke import IwahoriHecke
+from parahecke.hecke import IwahoriHecke, TorsionQuotient
 from parahecke.parahoric import Parahoric
 from parahecke.ringcore import LaurentPoly
 from parahecke.rootdatum import load_bundled
@@ -491,3 +491,31 @@ def test_sabotaged_check_fails_its_row_and_every_later_row_prints(monkeypatch, c
     assert main(["--datum", "a1", "verify", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"[FAIL] {row}: {detail}" if line == f"[PASS] {row}" else line for line in clean]
+
+
+# (datum, class, method, its stand-in, the FAIL row of `verify all`)
+_FORCED_FAILURES = [
+    ("a1", Parahoric, "compatibility_holds", lambda self, Fs, Fb, m: False,
+     "[FAIL] compat.bernstein_satake_square_nested_facets_height_2: Bernstein-Satake square fails at "
+     "J'=[] ⊂ J=[0], m=LatticeElt(free=(0,), tors=())"),
+    ("a1", Bernstein, "theta_choice_independent", lambda self, m: False,
+     "[FAIL] bern.theta_choice_independence_height_2: theta depends on the m-circ choice at "
+     "LatticeElt(free=(0,), tors=())"),
+    ("a1_torsion2", TorsionQuotient, "push_hecke", lambda self, h, target: target.zero(),
+     "[FAIL] compat.pushforward_intertwines_center_and_satake: pushforward does not intertwine center "
+     "elements at LatticeElt(free=(0,), tors=(0,))"),
+]
+
+
+@pytest.mark.parametrize("name, cls, method, stand_in, row", _FORCED_FAILURES, ids=[f[2] for f in _FORCED_FAILURES])
+def test_forced_failure_is_one_fail_row_and_verify_all_runs_on(monkeypatch, capsys, name, cls, method, stand_in, row):
+    """A method forced to report a failure turns exactly its check's row into
+    FAIL: `verify all` exits 1 and prints every other row, the later ones
+    included, as in a clean run."""
+    assert main(["--datum", name, "verify", "all"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    passed = "[PASS] " + row[len("[FAIL] "):].split(":", 1)[0]
+    assert passed in clean
+    monkeypatch.setattr(cls, method, stand_in)
+    assert main(["--datum", name, "verify", "all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [row if line == passed else line for line in clean]

@@ -811,3 +811,50 @@ def test_division_rejects_a_non_divisor(H1):
         H1.mul_oneK(H1.one(), _Trivial(H1), divisor=1 + Q)
     with pytest.raises(NonDivisible):
         H1.mul_oneK(H1.basis(H1.weyl.gen(1)).scale(Q), _Trivial(H1), divisor=1 - Q)
+
+
+def _zero_results(H, F, x, w):
+    """(entry point, its result) for a zero operand at every Hecke entry point
+    that takes one, each call on a fresh H.zero()."""
+    z = H.zero
+    W = H.weyl
+    words = [W.identity, w, W.gen(0), W.compose(w, W.gen(0))]
+    out = [
+        ("mul(0, x)", H.mul(z(), x)),
+        ("mul(x, 0)", H.mul(x, z())),
+        ("mul(0, 0)", H.mul(z(), z())),
+        ("mul_word", H.mul_word(z(), [0, 1, 0])),
+        ("lincomb([])", H.lincomb([])),
+        ("lincomb(0·Q)", H.lincomb([(z(), Q)])),
+        ("lincomb(x·0)", H.lincomb([(x, LaurentPoly.zero())])),
+        ("mul_inverse", H.mul_inverse(z(), w)),
+        ("coset_sums", H.coset_sums(z(), F)),
+        ("coset_sums/divisor", H.coset_sums(z(), F, Q + 1)),
+        ("mul_oneK", H.mul_oneK(z(), F)),
+        ("mul_oneK/divisor", H.mul_oneK(z(), F, Q + 1)),
+        ("inverse_coset_sums", H.inverse_coset_sums(z(), w, F)),
+        ("coset_reps", H.coset_reps(z(), F)),
+        ("exact_width", H.exact_width(z())),
+        ("vee_involution", H.vee_involution(z())),
+        ("oneK_mul", H.oneK_mul(F, z())),
+    ]
+    out += [(f"mul_basis_each[{i}]", r) for i, r in enumerate(H.mul_basis_each(z(), words))]
+    return out
+
+
+@pytest.mark.parametrize("name", ["a1", "a1_torsion2", "gl2", "c2"])
+def test_zero_runs_the_general_loops(name):
+    """A zero operand gives a falsy element equal to H.zero() at every entry
+    point, and such a result enters a later product or sum as zero."""
+    eng = load_engine(name)
+    H, W = eng.hecke, eng.weyl
+    F = eng.para.special_facet()
+    w = W.ball(3)[-1]
+    x = H.from_terms([(w, Q - 1), (W.gen(0), LaurentPoly({-1: 2}))])
+    for label, r in _zero_results(H, F, x, w):
+        assert not r, label
+        assert r == H.zero() and H.zero() == r, label
+        assert r == H.lincomb([]), label
+        assert not H.mul(r, x) and not H.mul(x, r), label
+        assert H.lincomb([(r, Q), (x, Q)]) == x.scale(Q), label
+        assert H.mul(x + r, x) == H.mul(x, x), label
