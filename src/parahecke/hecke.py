@@ -27,13 +27,14 @@ with one width k per call and one e0 per operand.  Multiplying by q_s is a
 left shift by 2L(s)·k bits, so a generator step costs a shift and an int
 addition per term.  Width rule, decided in one place (`_operands`): a result
 with norm bound N is packed at the width bitlen(N) + 2, rounded up to a
-multiple of 8, or at the widest width an operand is already held at.  With
-N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest length in b's support, a·b has
-N = N(a) · N(b) · 3^ℓ_b and a · i_w^{-1} has N(a) · 3^ℓ(w).  `lincomb` sums
-Σ c·h over LaurentPoly coefficients c, an int multiply-add per term, with
-N = Σ ‖c‖₁ · N(h).  `mul_word` multiplies by a word of generators, reduced
-or not, one generator step per letter in one packed pass, with N(a) · 3^ℓ
-for a word of ℓ letters.  The proofs are at `mul`.
+multiple of 8, or at the widest width an operand holds (one not packed
+yet holds its own norm's).  With N(a) ≥ Σ_w ‖a_w‖₁ and ℓ_b the largest
+length in b's support, a·b has N = N(a) · N(b) · 3^ℓ_b and a · i_w^{-1}
+has N(a) · 3^ℓ(w).  `lincomb` sums Σ c·h over LaurentPoly coefficients c,
+an int multiply-add per term, with N = Σ ‖c‖₁ · N(h).  `mul_word`
+multiplies by a word of generators, reduced or not, one generator step per
+letter in one packed pass, with N(a) · 3^ℓ for a word of ℓ letters.  The
+proofs are at `mul`.
 
 Products with 1_K = Σ_{v ∈ W_J} i_v, for a finite parabolic W_J, have a closed
 form (Curtis–Iwahori–Kilmoyer).  Write w = w'u with w' minimal in wW_J and
@@ -246,9 +247,11 @@ class IwahoriHecke:
     # to a multiple of 8), a digit that unpacks exactly.  An operand packed at
     # width k_a holds in-range digits at any width ≥ k_a, so
     # k = max(_width(B), k_a, k_b) keeps both facts and repacks an operand
-    # only when k exceeds its width.  `_operands` is that rule, for every
-    # result with operands; only `im_invert_basis` (no operand) and the
-    # quotients of `coset_sums` (below) call _width themselves.  Every packed
+    # only when k exceeds its width; an operand not packed yet counts as held
+    # at _width of its own norm, which B bounds unless the other factor is
+    # zero (B = 0).  `_operands` is that rule, for every result with
+    # operands; only `im_invert_basis` (no operand) and the quotients of
+    # `coset_sums` (below) call _width themselves.  Every packed
     # result is held at k ≥ _width(its N), so for a result that keeps its
     # operand's N (`coset_reps`, `vee_involution`, and `==` with N = 0) the rule
     # gives the operand's own width.  So memo entries (Θ_m, z_m, coset sums of
@@ -334,12 +337,15 @@ class IwahoriHecke:
 
     def _operands(self, N: int, *hs: HeckeElt) -> list:
         """[k, (Z, e0) of each h]: the width k = max(_width(N), every width an h
-        holds) of a result with norm bound N, and each h packed in place at k."""
+        holds) of a result with norm bound N, and each h packed in place at k.
+        An h not packed yet holds _width of its own norm, so that a product
+        with N = 0 (a zero factor) packs its other operand losslessly."""
         k = _width(N)
         for h in hs:
             pk = h._pk
-            if pk is not None and pk[2] > k:
-                k = pk[2]
+            kh = _width(_size(h)) if pk is None else pk[2]
+            if kh > k:
+                k = kh
         out = [k]
         for h in hs:
             out.append(self._packed(h, k))

@@ -705,9 +705,3 @@ def test_rootless_and_torsion_free_values():
     for kill in ([], [()]):
         T = TorsionQuotient(a1, kill)
         assert (T._v, T._keep, T._moduli, T.datum.torsion, T.map_tors(())) == ([], [], [], (), ())
-
-
-def test_readme_torus_file_is_the_tested_one():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("A rank-1\n  torus whose antidominant monoid is all of `Z`:\n\n  ```json\n", 1)[1].split("```", 1)[0]
-    assert json.loads(block) == _ROOTLESS["torus"][0]

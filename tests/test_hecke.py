@@ -858,3 +858,13 @@ def test_zero_runs_the_general_loops(name):
         assert not H.mul(r, x) and not H.mul(x, r), label
         assert H.lincomb([(r, Q), (x, Q)]) == x.scale(Q), label
         assert H.mul(x + r, x) == H.mul(x, x), label
+
+    # mul packs a dict-form operand in place; against a zero factor (norm
+    # bound 0) it must still pack it wide enough for its own coefficients
+    big = [(W.identity, 200), (w, LaurentPoly({-1: 2**40, 2: -300}))]
+    for make in (lambda: H.one().scale(200), lambda: H.from_terms(big)):
+        for product in (lambda y: H.mul(y, H.zero()), lambda y: H.mul(H.zero(), y)):
+            y = make()
+            expected = dict(y.d)
+            assert not product(y)
+            assert y.d == expected
